@@ -34,9 +34,10 @@ FORMAT_VERSION = 1
 # separates least-squares round-off from genuine support errors.
 SUCCESS_RELATIVE_TOL = 1e-6
 
-_ALGORITHMS = ("omp", "romp", "cosamp")
-_SIGNAL_KINDS = ("sparse", "compressible")
-_NOISE_MODES = ("none", "fixed", "fixed_rel", "sigma")
+ALGORITHMS = ("omp", "romp", "cosamp")
+SIGNAL_KINDS = ("sparse", "compressible")
+NOISE_MODES = ("none", "fixed", "fixed_rel", "sigma")
+LS_METHODS = ("cg", "richardson")
 
 # Stream tags hashed into the per-trial seed so the operator, signal,
 # and noise draws are independent of each other.
@@ -89,8 +90,8 @@ class TrialConfig:
     ls_method: str = "cg"
 
     def validate(self) -> "TrialConfig":
-        if self.algorithm not in _ALGORITHMS:
-            raise UsageError(f"unknown algorithm {self.algorithm!r}; expected one of {_ALGORITHMS}")
+        if self.algorithm not in ALGORITHMS:
+            raise UsageError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         try:
             Ensemble(self.ensemble)
         except ValueError:
@@ -105,7 +106,7 @@ class TrialConfig:
             raise UsageError(f"sparsity {self.s} exceeds measurement count {self.m}")
         if self.algorithm == "cosamp" and 3 * self.s > self.m:
             raise UsageError(f"cosamp needs 3*s <= m, got s={self.s}, m={self.m}")
-        if self.signal_kind not in _SIGNAL_KINDS:
+        if self.signal_kind not in SIGNAL_KINDS:
             raise UsageError(f"unknown signal kind {self.signal_kind!r}")
         if self.signal_kind == "sparse":
             if self.p is not None or self.R is not None:
@@ -122,7 +123,11 @@ class TrialConfig:
                 raise UsageError("compressible signals need p and R")
             if self.p <= 0 or self.R <= 0:
                 raise UsageError("compressible signals need p > 0 and R > 0")
-        if self.noise_mode not in _NOISE_MODES:
+        for name in ("noise_level", "eta", "eta_rel", "p", "R"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value!r}")
+        if self.noise_mode not in NOISE_MODES:
             raise UsageError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_level < 0:
             raise UsageError("noise level must be non-negative")
@@ -132,7 +137,7 @@ class TrialConfig:
             raise UsageError("eta_rel must be non-negative")
         if self.max_iter < 1:
             raise UsageError("max_iter must be at least 1")
-        if self.ls_method not in ("cg", "richardson"):
+        if self.ls_method not in LS_METHODS:
             raise UsageError(f"unknown least-squares method {self.ls_method!r}")
         return self
 
@@ -507,13 +512,13 @@ def _json_safe(value):
     return value
 
 
-def _config_comment(config: dict) -> str:
-    return "# config=" + json.dumps(_json_safe(config), sort_keys=True, separators=(",", ":"))
-
-
-def _write_csv(stream, config: dict, columns: Sequence[str], rows: Sequence[dict]) -> None:
+def _write_csv(stream, columns: Sequence[str], rows: Sequence[dict], **comments) -> None:
+    """Comment lines (the format version, then each ``comments`` entry as
+    compact JSON), the header row, and one row per record."""
     stream.write(f"# format_version={FORMAT_VERSION}\n")
-    stream.write(_config_comment(config) + "\n")
+    for key, value in comments.items():
+        text = json.dumps(_json_safe(value), sort_keys=True, separators=(",", ":"))
+        stream.write(f"# {key}={text}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -521,44 +526,35 @@ def _write_csv(stream, config: dict, columns: Sequence[str], rows: Sequence[dict
 
 
 def write_trials_csv(stream, cfg: TrialConfig, records: Sequence[TrialRecord]) -> None:
-    _write_csv(stream, cfg.to_dict(), TRIAL_CSV_COLUMNS, [r.to_row() for r in records])
+    _write_csv(stream, TRIAL_CSV_COLUMNS, [r.to_row() for r in records], config=cfg.to_dict())
 
 
 def trials_report(cfg: TrialConfig, records: Sequence[TrialRecord]) -> dict:
-    return _json_safe(
-        {
-            "format_version": FORMAT_VERSION,
-            "config": cfg.to_dict(),
-            "summary": summarize(records),
-            "records": [r.to_row() for r in records],
-        }
-    )
+    return {
+        "format_version": FORMAT_VERSION,
+        "config": cfg.to_dict(),
+        "summary": summarize(records),
+        "records": [r.to_row() for r in records],
+    }
 
 
 def write_sweep_csv(stream, config: dict, cells: Sequence[dict]) -> None:
-    _write_csv(stream, config, SWEEP_CSV_COLUMNS, cells)
+    _write_csv(stream, SWEEP_CSV_COLUMNS, cells, config=config)
 
 
 def sweep_report(config: dict, cells: Sequence[dict]) -> dict:
-    return _json_safe(
-        {"format_version": FORMAT_VERSION, "config": config, "cells": list(cells)}
-    )
+    return {"format_version": FORMAT_VERSION, "config": config, "cells": list(cells)}
 
 
 def write_scaling_csv(stream, config: dict, scaling: dict) -> None:
-    stream.write(f"# format_version={FORMAT_VERSION}\n")
-    stream.write(_config_comment(config) + "\n")
     fit = {k: scaling[k] for k in ("slope", "intercept", "fit_residual", "degenerate")}
-    stream.write("# fit=" + json.dumps(_json_safe(fit), sort_keys=True, separators=(",", ":")) + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SCALING_CSV_COLUMNS)
-    for row in scaling["rows"]:
-        writer.writerow([_cell_text(row[c]) for c in SCALING_CSV_COLUMNS])
+    _write_csv(stream, SCALING_CSV_COLUMNS, scaling["rows"], config=config, fit=fit)
 
 
 def scaling_report(config: dict, scaling: dict) -> dict:
-    return _json_safe({"format_version": FORMAT_VERSION, "config": config, **scaling})
+    return {"format_version": FORMAT_VERSION, "config": config, **scaling}
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """A report as indented JSON; non-finite floats become null."""
+    return json.dumps(_json_safe(report), sort_keys=True, indent=2) + "\n"

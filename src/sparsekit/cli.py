@@ -11,6 +11,7 @@ file, the ``PURSUIT_SEED`` environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -20,25 +21,77 @@ from typing import List, Optional, Sequence
 from . import bench
 from .bench import TrialConfig
 from .errors import SolverFailure, UsageError
-from .sensing import empirical_ric, make_operator
+from .sensing import Ensemble, empirical_ric, make_operator
 
-# Keys a --config file may set, per subcommand.  Output destination,
-# format, and threading stay flag-only so a shared config file never
-# hijacks where results land.
-_RECOVER_KEYS = {
+
+@dataclasses.dataclass(frozen=True)
+class _Param:
+    """A parameter settable by flag and by config key.
+
+    ``type`` converts flag text and config values alike; ``_switch``
+    makes the flag a switch.  Parameters without one (choices, integer
+    lists) are checked where they are used.
+    """
+
+    type: Optional[type] = None
+    choices: Optional[Sequence[str]] = None
+    help: Optional[str] = None
+    alias: Optional[str] = None
+
+
+def _switch(value) -> bool:
+    """A switch's config value must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+_PARAMS = {
+    "algorithm": _Param(choices=bench.ALGORITHMS, alias="--alg"),
+    "ensemble": _Param(choices=tuple(e.value for e in Ensemble)),
+    "m": _Param(int),
+    "N": _Param(int),
+    "s": _Param(int, help="target sparsity for recovery"),
+    "seed": _Param(int, help="master seed (else PURSUIT_SEED, else 0)"),
+    "signal_kind": _Param(choices=bench.SIGNAL_KINDS),
+    "signal_s": _Param(int, help="signal sparsity when it differs from --s"),
+    "p": _Param(float, help="compressible decay exponent"),
+    "R": _Param(float, help="compressible magnitude"),
+    "signal_truncate": _Param(_switch, help="zero the compressible tail past s"),
+    "noise_mode": _Param(choices=bench.NOISE_MODES),
+    "noise_level": _Param(float),
+    "eta": _Param(float, help="residual-norm halting target (cosamp)"),
+    "eta_rel": _Param(float, help="eta as a fraction of the measurement norm"),
+    "max_iter": _Param(int),
+    "ls_method": _Param(choices=bench.LS_METHODS),
+    "trials": _Param(int),
+    "scaling_s": _Param(help="comma-separated s list: compressible scaling study"),
+    "m_values": _Param(help="comma-separated measurement counts"),
+    "s_values": _Param(help="comma-separated sparsities"),
+    "op_seed": _Param(int, help="operator seed (default 0)"),
+    "n": _Param(int, help="sparsity level probed"),
+}
+
+# Used when neither a flag nor the config file sets a parameter.
+_DEFAULTS = {
+    **{
+        f.name: f.default
+        for f in dataclasses.fields(TrialConfig)
+        if f.default is not dataclasses.MISSING
+    },
+    "algorithm": "omp",
+    "ensemble": "gaussian",
+    "op_seed": 0,
+}
+
+_RECOVER_KEYS = (
     "algorithm", "ensemble", "m", "N", "s", "seed", "signal_kind", "signal_s",
     "p", "R", "signal_truncate", "noise_mode", "noise_level", "eta", "eta_rel",
     "max_iter", "ls_method",
-}
-_BENCH_KEYS = _RECOVER_KEYS | {"trials", "scaling_s"}
-_SWEEP_KEYS = {
-    "algorithm", "ensemble", "N", "m_values", "s_values", "trials", "seed",
-    "noise_mode", "noise_level", "eta", "eta_rel",
-}
-_RIC_KEYS = {"ensemble", "m", "N", "op_seed", "n", "trials", "seed"}
+)
 
 
-def _load_config(path: Optional[str], allowed: set) -> dict:
+def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
     if path is None:
         return {}
     try:
@@ -50,23 +103,32 @@ def _load_config(path: Optional[str], allowed: set) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        convert = _PARAMS[key].type
+        if convert is not None and value is not None:
+            try:
+                data[key] = convert(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"config key {key}: invalid value {value!r}") from None
     return data
 
 
-def _merge(defaults: dict, config: dict, flags: dict) -> dict:
-    """Flags beat config-file keys beat built-in defaults."""
-    merged = dict(defaults)
-    merged.update(config)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
+def _params(args: argparse.Namespace, required: Sequence[str]) -> dict:
+    """Flags beat config-file keys beat defaults; an unset value is None."""
+    params = {key: _DEFAULTS.get(key) for key in args.keys}
+    for source in (_load_config(args.config, args.keys), vars(args)):
+        params.update({k: v for k, v in source.items() if k in params and v is not None})
+    _require(params, required)
+    params["seed"] = _resolve_seed(params["seed"])
+    return params
 
 
 def _resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("PURSUIT_SEED")
     if env is not None:
         try:
@@ -77,12 +139,23 @@ def _resolve_seed(value) -> int:
 
 
 def _int_list(text) -> List[int]:
-    if isinstance(text, list):
-        return [int(v) for v in text]
     try:
+        if isinstance(text, list):
+            return [int(v) for v in text]
         return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError:
+    except (TypeError, ValueError):
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _require(params: dict, names: Sequence[str]) -> None:
+    missing = [n for n in names if params.get(n) is None]
+    if missing:
+        raise UsageError(f"missing required parameters: {', '.join(missing)}")
+
+
+def _trial_config(params: dict, *, trials: int) -> TrialConfig:
+    fields = {f.name: params.get(f.name) for f in dataclasses.fields(TrialConfig)}
+    return TrialConfig(**{**fields, "trials": trials, "master_seed": params["seed"]}).validate()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -93,235 +166,105 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _render_csv(write_fn, *args) -> str:
-    buffer = io.StringIO()
-    write_fn(buffer, *args)
-    return buffer.getvalue()
-
-
-def _trial_config(params: dict, *, trials: int, seed: int) -> TrialConfig:
-    return TrialConfig(
-        algorithm=params["algorithm"],
-        ensemble=params["ensemble"],
-        m=int(params["m"]),
-        N=int(params["N"]),
-        s=int(params["s"]),
-        trials=trials,
-        master_seed=seed,
-        signal_kind=params["signal_kind"],
-        signal_s=None if params["signal_s"] is None else int(params["signal_s"]),
-        p=None if params["p"] is None else float(params["p"]),
-        R=None if params["R"] is None else float(params["R"]),
-        signal_truncate=bool(params["signal_truncate"]),
-        noise_mode=params["noise_mode"],
-        noise_level=float(params["noise_level"]),
-        eta=float(params["eta"]),
-        eta_rel=None if params["eta_rel"] is None else float(params["eta_rel"]),
-        max_iter=int(params["max_iter"]),
-        ls_method=params["ls_method"],
-    ).validate()
-
-
-_TRIAL_DEFAULTS = {
-    "algorithm": "omp",
-    "ensemble": "gaussian",
-    "m": None,
-    "N": None,
-    "s": None,
-    "seed": None,
-    "signal_kind": "sparse",
-    "signal_s": None,
-    "p": None,
-    "R": None,
-    "signal_truncate": False,
-    "noise_mode": "none",
-    "noise_level": 0.0,
-    "eta": 0.0,
-    "eta_rel": None,
-    "max_iter": 100,
-    "ls_method": "cg",
-}
-
-
-def _require(params: dict, names: Sequence[str]) -> None:
-    missing = [n for n in names if params.get(n) is None]
-    if missing:
-        raise UsageError(f"missing required parameters: {', '.join(missing)}")
-
-
-def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alg", "--algorithm", dest="algorithm",
-                        choices=["omp", "romp", "cosamp"], default=None)
-    parser.add_argument("--ensemble",
-                        choices=["gaussian", "bernoulli", "partial_dct"], default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--N", type=int, default=None)
-    parser.add_argument("--s", type=int, default=None,
-                        help="target sparsity for recovery")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--signal-kind", dest="signal_kind",
-                        choices=["sparse", "compressible"], default=None)
-    parser.add_argument("--signal-s", dest="signal_s", type=int, default=None,
-                        help="signal sparsity when it differs from --s")
-    parser.add_argument("--p", type=float, default=None, help="compressible decay exponent")
-    parser.add_argument("--R", type=float, default=None, help="compressible magnitude")
-    parser.add_argument("--signal-truncate", dest="signal_truncate",
-                        action="store_true", default=None,
-                        help="zero the compressible tail past s")
-    parser.add_argument("--noise-mode", dest="noise_mode",
-                        choices=["none", "fixed", "fixed_rel", "sigma"], default=None)
-    parser.add_argument("--noise-level", dest="noise_level", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None,
-                        help="residual-norm halting target (cosamp)")
-    parser.add_argument("--eta-rel", dest="eta_rel", type=float, default=None,
-                        help="eta as a fraction of the measurement norm")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--ls-method", dest="ls_method",
-                        choices=["cg", "richardson"], default=None)
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+def _emit_batch(args: argparse.Namespace, write_csv, report, *data) -> None:
+    """Emit a batch result as CSV or as a JSON report, per ``--format``."""
+    if args.format == "csv":
+        buffer = io.StringIO()
+        write_csv(buffer, *data)
+        _emit(buffer.getvalue(), args.out)
+    else:
+        _emit(bench.render_json(report(*data)), args.out)
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _RECOVER_KEYS)
-    flags = {k: getattr(args, k) for k in _TRIAL_DEFAULTS}
-    params = _merge(_TRIAL_DEFAULTS, config, flags)
-    _require(params, ["m", "N", "s"])
-    seed = _resolve_seed(params["seed"])
-    cfg = _trial_config(params, trials=1, seed=seed)
+    params = _params(args, ["m", "N", "s"])
+    cfg = _trial_config(params, trials=1)
     record = bench.run_trial(cfg, 0)
     record.result = None
-    report = bench._json_safe(
-        {"format_version": bench.FORMAT_VERSION, "config": cfg.to_dict(), "record": record.to_row()}
-    )
+    report = {"format_version": bench.FORMAT_VERSION, "config": cfg.to_dict(), "record": record.to_row()}
     _emit(bench.render_json(report), args.out)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _BENCH_KEYS)
-    flags = {k: getattr(args, k) for k in _TRIAL_DEFAULTS}
-    flags["trials"] = args.trials
-    flags["scaling_s"] = args.scaling_s
-    defaults = {**_TRIAL_DEFAULTS, "trials": None, "scaling_s": None}
-    params = _merge(defaults, config, flags)
-    _require(params, ["m", "N", "trials"])
-    seed = _resolve_seed(params["seed"])
-    trials = int(params["trials"])
-
+    params = _params(args, ["m", "N", "trials"])
     if params["scaling_s"] is not None:
         if params["signal_kind"] != "compressible":
             raise UsageError("--scaling-s requires --signal-kind compressible")
-        if params["p"] is None or params["R"] is None:
-            raise UsageError("missing required parameters: p, R")
-        s_values = _int_list(params["scaling_s"])
-        scaling = bench.compressible_scaling(
-            N=int(params["N"]),
-            m=int(params["m"]),
-            p=float(params["p"]),
-            R=float(params["R"]),
-            s_values=s_values,
-            ensemble=params["ensemble"],
-            algorithm=params["algorithm"],
-            trials=trials,
-            master_seed=seed,
-            eta_rel=params["eta_rel"] if params["eta_rel"] is not None else 1e-8,
-            truncate=bool(params["signal_truncate"]),
-            threads=args.threads,
-        )
-        echo = {
-            "mode": "scaling", "algorithm": params["algorithm"], "ensemble": params["ensemble"],
-            "m": int(params["m"]), "N": int(params["N"]), "p": float(params["p"]),
-            "R": float(params["R"]), "s_values": s_values, "trials": trials,
-            "master_seed": seed, "truncate": bool(params["signal_truncate"]),
+        _require(params, ["p", "R"])
+        study = {
+            "algorithm": params["algorithm"], "ensemble": params["ensemble"],
+            "m": params["m"], "N": params["N"], "p": params["p"], "R": params["R"],
+            "s_values": _int_list(params["scaling_s"]), "trials": params["trials"],
+            "master_seed": params["seed"], "truncate": params["signal_truncate"],
         }
-        if args.format == "csv":
-            _emit(_render_csv(bench.write_scaling_csv, echo, scaling), args.out)
-        else:
-            _emit(bench.render_json(bench.scaling_report(echo, scaling)), args.out)
+        eta_rel = 1e-8 if params["eta_rel"] is None else params["eta_rel"]
+        scaling = bench.compressible_scaling(**study, eta_rel=eta_rel, threads=args.threads)
+        echo = {"mode": "scaling", **study}
+        _emit_batch(args, bench.write_scaling_csv, bench.scaling_report, echo, scaling)
         return 0
 
     _require(params, ["s"])
-    cfg = _trial_config(params, trials=trials, seed=seed)
+    cfg = _trial_config(params, trials=params["trials"])
     records = bench.run_trials(cfg, threads=args.threads)
-    if args.format == "csv":
-        _emit(_render_csv(bench.write_trials_csv, cfg, records), args.out)
-    else:
-        _emit(bench.render_json(bench.trials_report(cfg, records)), args.out)
+    _emit_batch(args, bench.write_trials_csv, bench.trials_report, cfg, records)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _SWEEP_KEYS)
-    defaults = {
-        "algorithm": "omp", "ensemble": "gaussian", "N": None,
-        "m_values": None, "s_values": None, "trials": None, "seed": None,
-        "noise_mode": "none", "noise_level": 0.0, "eta": 0.0, "eta_rel": None,
+    params = _params(args, ["N", "m_values", "s_values", "trials"])
+    grid = {
+        "algorithm": params["algorithm"], "ensemble": params["ensemble"], "N": params["N"],
+        "m_values": _int_list(params["m_values"]), "s_values": _int_list(params["s_values"]),
+        "trials_per_cell": params["trials"], "master_seed": params["seed"],
+        "noise_mode": params["noise_mode"], "noise_level": params["noise_level"],
     }
-    flags = {k: getattr(args, k) for k in defaults}
-    params = _merge(defaults, config, flags)
-    _require(params, ["N", "m_values", "s_values", "trials"])
-    seed = _resolve_seed(params["seed"])
-    m_values = _int_list(params["m_values"])
-    s_values = _int_list(params["s_values"])
-    trials = int(params["trials"])
-    if trials < 1:
-        raise UsageError(f"trial count must be at least 1, got {trials}")
-    cells = bench.phase_sweep(
-        N=int(params["N"]),
-        m_values=m_values,
-        s_values=s_values,
-        ensemble=params["ensemble"],
-        algorithm=params["algorithm"],
-        trials_per_cell=trials,
-        master_seed=seed,
-        noise_mode=params["noise_mode"],
-        noise_level=float(params["noise_level"]),
-        eta=float(params["eta"]),
-        eta_rel=None if params["eta_rel"] is None else float(params["eta_rel"]),
-        threads=args.threads,
-    )
-    echo = {
-        "mode": "sweep", "algorithm": params["algorithm"], "ensemble": params["ensemble"],
-        "N": int(params["N"]), "m_values": m_values, "s_values": s_values,
-        "trials_per_cell": trials, "master_seed": seed,
-        "noise_mode": params["noise_mode"], "noise_level": float(params["noise_level"]),
-    }
-    if args.format == "csv":
-        _emit(_render_csv(bench.write_sweep_csv, echo, cells), args.out)
-    else:
-        _emit(bench.render_json(bench.sweep_report(echo, cells)), args.out)
+    if params["trials"] < 1:
+        raise UsageError(f"trial count must be at least 1, got {params['trials']}")
+    cells = bench.phase_sweep(**grid, eta=params["eta"], eta_rel=params["eta_rel"], threads=args.threads)
+    echo = {"mode": "sweep", **grid}
+    _emit_batch(args, bench.write_sweep_csv, bench.sweep_report, echo, cells)
     return 0
 
 
 def cmd_ric(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _RIC_KEYS)
-    defaults = {
-        "ensemble": "gaussian", "m": None, "N": None, "op_seed": 0,
-        "n": None, "trials": None, "seed": None,
+    params = _params(args, ["m", "N", "n", "trials"])
+    op = make_operator(params["ensemble"], params["m"], params["N"], params["op_seed"])
+    estimate = empirical_ric(op, params["n"], params["trials"], params["seed"])
+    report = {
+        "format_version": bench.FORMAT_VERSION,
+        "config": {key: params[key] for key in args.keys},
+        "n": estimate.n,
+        "delta_lower": estimate.delta_lower,
+        "trials": estimate.trials,
+        "seed": estimate.seed,
     }
-    flags = {k: getattr(args, k) for k in defaults}
-    params = _merge(defaults, config, flags)
-    _require(params, ["m", "N", "n", "trials"])
-    seed = _resolve_seed(params["seed"])
-    op = make_operator(params["ensemble"], int(params["m"]), int(params["N"]), int(params["op_seed"]))
-    estimate = empirical_ric(op, int(params["n"]), int(params["trials"]), seed)
-    report = bench._json_safe(
-        {
-            "format_version": bench.FORMAT_VERSION,
-            "config": {
-                "ensemble": params["ensemble"], "m": int(params["m"]), "N": int(params["N"]),
-                "op_seed": int(params["op_seed"]), "n": int(params["n"]),
-                "trials": int(params["trials"]), "seed": seed,
-            },
-            "n": estimate.n,
-            "delta_lower": estimate.delta_lower,
-            "trials": estimate.trials,
-            "seed": estimate.seed,
-        }
-    )
     _emit(bench.render_json(report), args.out)
     return 0
+
+
+# Subcommand -> (handler, help, the parameters it takes as flags and config
+# keys).  Output destination, format and threading stay flag-only, so a
+# shared config file never hijacks where results land.
+_COMMANDS = {
+    "recover": (cmd_recover, "run one recovery on a synthetic instance", _RECOVER_KEYS),
+    "bench": (
+        cmd_bench,
+        "run a Monte Carlo batch (or scaling study)",
+        _RECOVER_KEYS + ("trials", "scaling_s"),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "success-rate sweep over an (m, s) grid",
+        ("algorithm", "ensemble", "N", "m_values", "s_values", "trials", "seed",
+         "noise_mode", "noise_level", "eta", "eta_rel"),
+    ),
+    "ric": (
+        cmd_ric,
+        "empirical restricted-isometry probe",
+        ("ensemble", "m", "N", "op_seed", "n", "trials", "seed"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,56 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Greedy sparse recovery over synthetic sensing ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    recover = sub.add_parser("recover", help="run one recovery on a synthetic instance")
-    _add_trial_flags(recover)
-    recover.set_defaults(func=cmd_recover)
-
-    bench_p = sub.add_parser("bench", help="run a Monte Carlo batch (or scaling study)")
-    _add_trial_flags(bench_p)
-    bench_p.add_argument("--trials", type=int, default=None)
-    bench_p.add_argument("--scaling-s", dest="scaling_s", default=None,
-                         help="comma-separated s list: compressible scaling study")
-    bench_p.add_argument("--threads", type=int, default=1)
-    bench_p.add_argument("--format", choices=["csv", "json"], default="csv")
-    bench_p.set_defaults(func=cmd_bench)
-
-    sweep = sub.add_parser("sweep", help="success-rate sweep over an (m, s) grid")
-    sweep.add_argument("--alg", "--algorithm", dest="algorithm",
-                       choices=["omp", "romp", "cosamp"], default=None)
-    sweep.add_argument("--ensemble",
-                       choices=["gaussian", "bernoulli", "partial_dct"], default=None)
-    sweep.add_argument("--N", type=int, default=None)
-    sweep.add_argument("--m-values", dest="m_values", default=None,
-                       help="comma-separated measurement counts")
-    sweep.add_argument("--s-values", dest="s_values", default=None,
-                       help="comma-separated sparsities")
-    sweep.add_argument("--trials", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--noise-mode", dest="noise_mode",
-                       choices=["none", "fixed", "fixed_rel", "sigma"], default=None)
-    sweep.add_argument("--noise-level", dest="noise_level", type=float, default=None)
-    sweep.add_argument("--eta", type=float, default=None)
-    sweep.add_argument("--eta-rel", dest="eta_rel", type=float, default=None)
-    sweep.add_argument("--threads", type=int, default=1)
-    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--config", default=None)
-    sweep.add_argument("--out", default=None)
-    sweep.set_defaults(func=cmd_sweep)
-
-    ric = sub.add_parser("ric", help="empirical restricted-isometry probe")
-    ric.add_argument("--ensemble",
-                     choices=["gaussian", "bernoulli", "partial_dct"], default=None)
-    ric.add_argument("--m", type=int, default=None)
-    ric.add_argument("--N", type=int, default=None)
-    ric.add_argument("--op-seed", dest="op_seed", type=int, default=None,
-                     help="operator seed (default 0)")
-    ric.add_argument("--n", type=int, default=None, help="sparsity level probed")
-    ric.add_argument("--trials", type=int, default=None)
-    ric.add_argument("--seed", type=int, default=None, help="probe seed")
-    ric.add_argument("--config", default=None)
-    ric.add_argument("--out", default=None)
-    ric.set_defaults(func=cmd_ric)
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in keys:
+            spec = _PARAMS[key]
+            flags = ([spec.alias] if spec.alias else []) + ["--" + key.replace("_", "-")]
+            if spec.type is _switch:
+                command.add_argument(*flags, dest=key, action="store_true", default=None, help=spec.help)
+            else:
+                command.add_argument(
+                    *flags, dest=key, type=spec.type, choices=spec.choices, default=None, help=spec.help
+                )
+        if name in ("bench", "sweep"):
+            command.add_argument("--threads", type=int, default=1)
+            command.add_argument("--format", choices=["csv", "json"], default="csv")
+        command.add_argument("--config", default=None, help="JSON config file")
+        command.add_argument("--out", default=None, help="output file (default: stdout)")
+        command.set_defaults(func=func, keys=keys)
     return parser
 
 
@@ -398,3 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

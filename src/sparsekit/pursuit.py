@@ -13,6 +13,7 @@ invariants can be audited after the fact.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -61,16 +62,83 @@ class RecoveryResult:
     iterates: List[dict] = field(default_factory=list)
 
 
-def _check_measurement(op, u) -> np.ndarray:
-    return as_vector(u, length=op.m, name="measurement")
+def _pursue(
+    name: str,
+    op,
+    u: np.ndarray,
+    rounds: int,
+    select,
+    ls: dict,
+    *,
+    prune=None,
+    halt=None,
+    halted: Optional[HaltReason] = None,
+    exhausted: HaltReason = HaltReason.MAX_ITERATIONS,
+) -> RecoveryResult:
+    """The iteration every pursuit shares: proxy, select, refit, update.
 
+    ``select(proxy, support)`` returns a halt reason, or the support to
+    refit on together with its trace entries.  ``prune(refit_support,
+    coeffs)`` returns the support and coefficients to keep, plus their
+    trace entries; without it the whole refit is kept.  ``halt(norm,
+    previous_norm, support, new_support)`` runs after every iteration.
+    A ``halted`` reason ends the run before the first iteration, and
+    ``exhausted`` is reported when all ``rounds`` ran without a halt.
+    """
+    start_count = op.matvec_count
+    support = np.empty(0, dtype=np.int64)
+    estimate = np.zeros(op.N)
+    residual = u.copy()
+    norm = float(np.linalg.norm(residual))
+    residual_norms = [norm]
+    iterates: List[dict] = []
 
-def _refit(op, support: np.ndarray, u: np.ndarray, *, tol, max_iter, method, stage: str):
-    system = RestrictedSystem(operator=op, support=SupportSet(support), rhs=u)
-    try:
-        return restricted_least_squares(system, tol=tol, max_iter=max_iter, method=method)
-    except SolverFailure as exc:
-        raise SolverFailure(f"{stage}: {exc}") from exc
+    iteration = 0
+    while halted is None and iteration < rounds:
+        iteration += 1
+        picked = select(op.adjoint(residual), support)
+        if isinstance(picked, HaltReason):
+            halted = picked
+            break
+        refit_support, entry = picked
+        system = RestrictedSystem(operator=op, support=SupportSet(refit_support), rhs=u)
+        try:
+            solution = restricted_least_squares(system, **ls)
+        except SolverFailure as exc:
+            raise SolverFailure(f"{name} iteration {iteration}: {exc}") from exc
+        new_support, coeffs = refit_support, solution.coeffs
+        if prune is not None:
+            new_support, coeffs, pruned = prune(refit_support, solution.coeffs)
+            entry.update(pruned)
+        estimate = embed(coeffs, new_support, op.N)
+        if new_support.size:
+            residual = u - op.forward_support(new_support, coeffs)
+        else:
+            residual = u.copy()
+        previous_norm = norm
+        norm = float(np.linalg.norm(residual))
+        residual_norms.append(norm)
+        iterates.append(
+            {
+                "iteration": iteration,
+                **entry,
+                "residual_norm": norm,
+                "ls_iterations": solution.iterations,
+            }
+        )
+        if halt is not None:
+            halted = halt(norm, previous_norm, support, new_support)
+        support = new_support
+
+    return RecoveryResult(
+        estimate=estimate,
+        support=SupportSet(support),
+        iterations=len(iterates),
+        residual_norms=residual_norms,
+        matvec_count=op.matvec_count - start_count,
+        halted_by=exhausted if halted is None else halted,
+        iterates=iterates,
+    )
 
 
 def omp(
@@ -89,60 +157,22 @@ def omp(
     refits all committed coordinates by least squares, so the residual is
     orthogonal to the selected columns and never increases.
     """
-    u = _check_measurement(op, u)
+    u = as_vector(u, length=op.m, name="measurement")
     if s < 1:
         raise UsageError(f"sparsity must be at least 1, got {s}")
     if s > op.m:
         raise UsageError(f"sparsity {s} exceeds measurement count {op.m}")
 
-    start_count = op.matvec_count
-    selected: List[int] = []
-    estimate = np.zeros(op.N)
-    residual = u.copy()
-    residual_norms = [float(np.linalg.norm(residual))]
-    iterates: List[dict] = []
-    halted: Optional[HaltReason] = None
-
-    for iteration in range(1, s + 1):
-        proxy = op.adjoint(residual)
-        if selected:
-            proxy[np.asarray(selected, dtype=np.int64)] = 0.0
+    def select(proxy, support):
+        proxy[support] = 0.0
         if not np.any(proxy != 0.0):
-            halted = HaltReason.PROXY_ZERO
-            break
+            return HaltReason.PROXY_ZERO
         chosen = int(largest_indices(proxy, 1)[0])
-        selected.append(chosen)
-        support = np.sort(np.asarray(selected, dtype=np.int64))
-        solution = _refit(
-            op, support, u,
-            tol=ls_tol, max_iter=ls_max_iter, method=ls_method,
-            stage=f"omp iteration {iteration}",
-        )
-        estimate = embed(solution.coeffs, support, op.N)
-        residual = u - op.forward_support(support, solution.coeffs)
-        norm = float(np.linalg.norm(residual))
-        residual_norms.append(norm)
-        iterates.append(
-            {
-                "iteration": iteration,
-                "selected": chosen,
-                "support_size": len(selected),
-                "residual_norm": norm,
-                "ls_iterations": solution.iterations,
-            }
-        )
-    if halted is None:
-        halted = HaltReason.SPARSITY_REACHED
+        merged = np.union1d(support, [chosen]).astype(np.int64)
+        return merged, {"selected": chosen, "support_size": int(merged.size)}
 
-    return RecoveryResult(
-        estimate=estimate,
-        support=SupportSet.from_iterable(selected),
-        iterations=len(iterates),
-        residual_norms=residual_norms,
-        matvec_count=op.matvec_count - start_count,
-        halted_by=halted,
-        iterates=iterates,
-    )
+    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    return _pursue("omp", op, u, s, select, ls, exhausted=HaltReason.SPARSITY_REACHED)
 
 
 def romp_regularize(proxy_values) -> SupportSet:
@@ -204,78 +234,41 @@ def romp(
     once the support holds ``2s`` coordinates, so the final support
     never exceeds ``3s`` entries.
     """
-    u = _check_measurement(op, u)
+    u = as_vector(u, length=op.m, name="measurement")
     if s < 1:
         raise UsageError(f"sparsity must be at least 1, got {s}")
     if s > op.m:
         raise UsageError(f"sparsity {s} exceeds measurement count {op.m}")
 
-    start_count = op.matvec_count
-    support = np.empty(0, dtype=np.int64)
-    estimate = np.zeros(op.N)
-    residual = u.copy()
-    residual_norms = [float(np.linalg.norm(residual))]
-    iterates: List[dict] = []
-    halted: Optional[HaltReason] = None
-
-    for iteration in range(1, s + 1):
-        if support.size >= 2 * s:
-            halted = HaltReason.SPARSITY_REACHED
-            break
-        proxy = op.adjoint(residual)
-        if support.size:
-            proxy[support] = 0.0
+    def select(proxy, support):
+        proxy[support] = 0.0
         nonzero = int(np.count_nonzero(proxy))
         if nonzero == 0:
-            halted = HaltReason.PROXY_ZERO
-            break
+            return HaltReason.PROXY_ZERO
         candidates = largest_indices(proxy, min(s, nonzero))
         candidates = candidates[proxy[candidates] != 0.0]
         window = romp_regularize(proxy[candidates])
         committed = np.sort(candidates[window.indices])
         if support.size + committed.size > op.m:
-            halted = HaltReason.SUPPORT_CAP
-            break
-        support = np.union1d(support, committed).astype(np.int64)
-        solution = _refit(
-            op, support, u,
-            tol=ls_tol, max_iter=ls_max_iter, method=ls_method,
-            stage=f"romp iteration {iteration}",
-        )
-        estimate = embed(solution.coeffs, support, op.N)
-        residual = u - op.forward_support(support, solution.coeffs)
-        norm = float(np.linalg.norm(residual))
-        residual_norms.append(norm)
-        iterates.append(
-            {
-                "iteration": iteration,
-                "candidates": candidates.tolist(),
-                "candidate_values": proxy[candidates].tolist(),
-                "committed": committed.tolist(),
-                "committed_values": proxy[committed].tolist(),
-                "support_size": int(support.size),
-                "residual_norm": norm,
-                "ls_iterations": solution.iterations,
-            }
-        )
-        if norm == 0.0:
-            halted = HaltReason.RESIDUAL_SMALL
-            break
-    if halted is None:
-        if support.size >= 2 * s:
-            halted = HaltReason.SPARSITY_REACHED
-        else:
-            halted = HaltReason.MAX_ITERATIONS
+            return HaltReason.SUPPORT_CAP
+        merged = np.union1d(support, committed).astype(np.int64)
+        return merged, {
+            "candidates": candidates.tolist(),
+            "candidate_values": proxy[candidates].tolist(),
+            "committed": committed.tolist(),
+            "committed_values": proxy[committed].tolist(),
+            "support_size": int(merged.size),
+        }
 
-    return RecoveryResult(
-        estimate=estimate,
-        support=SupportSet(support),
-        iterations=len(iterates),
-        residual_norms=residual_norms,
-        matvec_count=op.matvec_count - start_count,
-        halted_by=halted,
-        iterates=iterates,
-    )
+    def halt(norm, previous_norm, support, new_support):
+        if norm == 0.0:
+            return HaltReason.RESIDUAL_SMALL
+        if new_support.size >= 2 * s:
+            return HaltReason.SPARSITY_REACHED
+        return None
+
+    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    return _pursue("romp", op, u, s, select, ls, halt=halt)
 
 
 def cosamp(
@@ -298,7 +291,7 @@ def cosamp(
     support repeats without meaningful residual progress, or after
     ``max_iter`` iterations.
     """
-    u = _check_measurement(op, u)
+    u = as_vector(u, length=op.m, name="measurement")
     if s < 1:
         raise UsageError(f"sparsity must be at least 1, got {s}")
     if 3 * s > op.m:
@@ -306,79 +299,43 @@ def cosamp(
             f"need 3*s <= m for the merged support to stay determined; "
             f"got s={s}, m={op.m}"
         )
+    if not math.isfinite(eta):
+        raise UsageError(f"residual target eta must be finite, got {eta}")
     if eta < 0.0:
         raise UsageError("residual target eta must be non-negative")
     if max_iter < 1:
         raise UsageError("max_iter must be at least 1")
 
-    start_count = op.matvec_count
-    estimate = np.zeros(op.N)
-    support = np.empty(0, dtype=np.int64)
-    residual = u.copy()
-    norm = float(np.linalg.norm(residual))
-    residual_norms = [norm]
-    iterates: List[dict] = []
-    halted: Optional[HaltReason] = None
-
-    if norm <= eta:
-        halted = HaltReason.RESIDUAL_SMALL
-
-    iteration = 0
-    while halted is None and iteration < max_iter:
-        iteration += 1
-        proxy = op.adjoint(residual)
+    def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)
         picks = picks[proxy[picks] != 0.0]
         merged = np.union1d(picks, support).astype(np.int64)
         if merged.size == 0:
-            halted = HaltReason.PROXY_ZERO
-            break
-        solution = _refit(
-            op, merged, u,
-            tol=ls_tol, max_iter=ls_max_iter, method=ls_method,
-            stage=f"cosamp iteration {iteration}",
-        )
-        keep = largest_indices(solution.coeffs, s)
-        keep = keep[solution.coeffs[keep] != 0.0]
-        new_support = np.sort(merged[keep])
-        estimate = embed(solution.coeffs[keep], new_support, op.N)
-        if new_support.size:
-            residual = u - op.forward_support(new_support, estimate[new_support])
-        else:
-            residual = u.copy()
-        previous_norm = norm
-        norm = float(np.linalg.norm(residual))
-        residual_norms.append(norm)
-        iterates.append(
-            {
-                "iteration": iteration,
-                "proxy_picks": picks.tolist(),
-                "merged": merged.tolist(),
-                "merged_size": int(merged.size),
-                "merged_coeffs": solution.coeffs.tolist(),
-                "support": new_support.tolist(),
-                "residual_norm": norm,
-                "ls_iterations": solution.iterations,
-            }
-        )
+            return HaltReason.PROXY_ZERO
+        return merged, {
+            "proxy_picks": picks.tolist(),
+            "merged": merged.tolist(),
+            "merged_size": int(merged.size),
+        }
+
+    def prune(merged, coeffs):
+        keep = largest_indices(coeffs, s)
+        keep = keep[coeffs[keep] != 0.0]
+        kept = np.sort(merged[keep])
+        return kept, coeffs[keep], {"merged_coeffs": coeffs.tolist(), "support": kept.tolist()}
+
+    def halt(norm, previous_norm, support, new_support):
         if norm <= eta:
-            halted = HaltReason.RESIDUAL_SMALL
-        elif (
-            new_support.size == support.size
-            and np.array_equal(new_support, support)
+            return HaltReason.RESIDUAL_SMALL
+        if (
+            np.array_equal(new_support, support)
             and previous_norm - norm < STALL_RELATIVE_DECREASE * previous_norm
         ):
-            halted = HaltReason.SUPPORT_STALL
-        support = new_support
-    if halted is None:
-        halted = HaltReason.MAX_ITERATIONS
+            return HaltReason.SUPPORT_STALL
+        return None
 
-    return RecoveryResult(
-        estimate=estimate,
-        support=SupportSet(support),
-        iterations=len(iterates),
-        residual_norms=residual_norms,
-        matvec_count=op.matvec_count - start_count,
-        halted_by=halted,
-        iterates=iterates,
+    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    halted = HaltReason.RESIDUAL_SMALL if float(np.linalg.norm(u)) <= eta else None
+    return _pursue(
+        "cosamp", op, u, max_iter, select, ls, prune=prune, halt=halt, halted=halted
     )

@@ -117,9 +117,9 @@ class SplitMix64:
     def index_below(self, bound: int) -> int:
         """One integer in [0, bound) via modulo reduction.
 
-        The modulo bias is below 2**-50 for the bounds used here
-        (bound <= 2**13) and is accepted for the sake of a simple,
-        fully specified reduction.
+        The modulo bias is below bound / 2**64, negligible for any signal
+        length, and is accepted for the sake of a simple, fully specified
+        reduction.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")

@@ -99,6 +99,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.level):
+            raise UsageError(f"noise level must be finite, got {self.level!r}")
         if self.level < 0.0:
             raise UsageError("noise level must be non-negative")
 

@@ -75,6 +75,11 @@ def test_validate_passes_through_good_config():
         dict(signal_kind="compressible", p=0.5, R=-1.0),
         dict(signal_kind="compressible", p=0.5, R=1.0, signal_s=3),
         dict(signal_truncate=True),  # truncation only for compressible
+        dict(noise_mode="fixed", noise_level=math.inf),
+        dict(eta=math.nan),
+        dict(eta_rel=math.inf),
+        dict(signal_kind="compressible", p=math.nan, R=1.0),
+        dict(signal_kind="compressible", p=0.5, R=math.inf),
     ],
 )
 def test_validate_rejects_bad_values(overrides):

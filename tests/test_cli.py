@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparsekit
 from sparsekit import cli
 from sparsekit.errors import SolverFailure
 
@@ -306,3 +311,140 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, *RECOVER_ARGS)
     assert code == 3
     assert "solver failure: diverged at iteration 7" in err
+
+
+def test_module_entry_point_matches_main(capsys):
+    src = Path(sparsekit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "sparsekit.cli", *RECOVER_ARGS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run_cli(capsys, *RECOVER_ARGS)
+    assert done.returncode == code == 0
+    assert done.stderr == ""
+    assert done.stdout == out != ""
+
+
+# ------------------------------------------------------- input boundary
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["recover", "--alg", "cosamp", "--eta", "nan"], "eta"),
+        (["recover", "--alg", "cosamp", "--eta-rel", "inf"], "eta_rel"),
+        (["recover", "--noise-mode", "fixed", "--noise-level", "inf"], "noise_level"),
+        (["recover", "--signal-kind", "compressible", "--p", "nan", "--R", "1"], "p"),
+        (["recover", "--signal-kind", "compressible", "--p", "0.5", "--R", "inf"], "R"),
+        (["bench", "--trials", "2", "--noise-mode", "sigma", "--noise-level", "nan"], "noise_level"),
+    ],
+)
+def test_non_finite_parameters_exit_2(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv, "--m", "48", "--N", "96", "--s", "4")
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, fragment",
+    [
+        (["recover"], {"m": "abc", "N": 128, "s": 4}, "config key m"),
+        (["recover"], {"m": 64, "N": 128, "s": 4, "eta": [0.1]}, "config key eta"),
+        (["sweep"], {"N": 32, "m_values": "8", "s_values": "2", "trials": "x"}, "config key trials"),
+        (["sweep"], {"N": 32, "m_values": [8, "x"], "s_values": "2", "trials": 2}, "integer list"),
+        (["ric"], {"m": 16, "N": 32, "n": "two", "trials": 5}, "config key n"),
+        (
+            ["recover"],
+            {"m": 64, "N": 128, "s": 4, "signal_kind": "compressible", "p": 0.5, "R": 1.0,
+             "signal_truncate": "false"},
+            "config key signal_truncate",
+        ),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, argv, config, fragment):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
+# ---------------------------------------------------------- parser table
+
+_CHOICES = {
+    "algorithm": ("omp", "romp", "cosamp"),
+    "ensemble": ("gaussian", "bernoulli", "partial_dct"),
+    "signal_kind": ("sparse", "compressible"),
+    "noise_mode": ("none", "fixed", "fixed_rel", "sigma"),
+    "ls_method": ("cg", "richardson"),
+}
+
+# dest -> (option strings, type, choices, default); ``bool`` marks a switch.
+_RECOVER_OPTIONS = {
+    "algorithm": (("--alg", "--algorithm"), None, _CHOICES["algorithm"], None),
+    "ensemble": (("--ensemble",), None, _CHOICES["ensemble"], None),
+    "m": (("--m",), int, None, None),
+    "N": (("--N",), int, None, None),
+    "s": (("--s",), int, None, None),
+    "seed": (("--seed",), int, None, None),
+    "signal_kind": (("--signal-kind",), None, _CHOICES["signal_kind"], None),
+    "signal_s": (("--signal-s",), int, None, None),
+    "p": (("--p",), float, None, None),
+    "R": (("--R",), float, None, None),
+    "signal_truncate": (("--signal-truncate",), bool, None, None),
+    "noise_mode": (("--noise-mode",), None, _CHOICES["noise_mode"], None),
+    "noise_level": (("--noise-level",), float, None, None),
+    "eta": (("--eta",), float, None, None),
+    "eta_rel": (("--eta-rel",), float, None, None),
+    "max_iter": (("--max-iter",), int, None, None),
+    "ls_method": (("--ls-method",), None, _CHOICES["ls_method"], None),
+    "config": (("--config",), None, None, None),
+    "out": (("--out",), None, None, None),
+}
+_BATCH_OPTIONS = {
+    "threads": (("--threads",), int, None, 1),
+    "format": (("--format",), None, ("csv", "json"), "csv"),
+}
+PARSER_TABLE = {
+    "recover": _RECOVER_OPTIONS,
+    "bench": {
+        **_RECOVER_OPTIONS,
+        **_BATCH_OPTIONS,
+        "trials": (("--trials",), int, None, None),
+        "scaling_s": (("--scaling-s",), None, None, None),
+    },
+    "sweep": {
+        **{k: _RECOVER_OPTIONS[k] for k in (
+            "algorithm", "ensemble", "N", "seed", "noise_mode", "noise_level",
+            "eta", "eta_rel", "config", "out",
+        )},
+        **_BATCH_OPTIONS,
+        "m_values": (("--m-values",), None, None, None),
+        "s_values": (("--s-values",), None, None, None),
+        "trials": (("--trials",), int, None, None),
+    },
+    "ric": {
+        **{k: _RECOVER_OPTIONS[k] for k in ("ensemble", "m", "N", "seed", "config", "out")},
+        "op_seed": (("--op-seed",), int, None, None),
+        "n": (("--n",), int, None, None),
+        "trials": (("--trials",), int, None, None),
+    },
+}
+
+
+def test_parser_matches_option_table():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    assert sorted(commands.choices) == sorted(PARSER_TABLE)
+    for name, subparser in commands.choices.items():
+        found = {}
+        for action in subparser._actions:
+            if action.dest == "help":
+                continue
+            kind = bool if action.nargs == 0 else action.type
+            choices = tuple(action.choices) if action.choices is not None else None
+            found[action.dest] = (tuple(action.option_strings), kind, choices, action.default)
+        assert found == PARSER_TABLE[name], name

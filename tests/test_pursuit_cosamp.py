@@ -108,6 +108,9 @@ def test_validation_errors():
         cosamp(op, u, 9)  # 3*9 = 27 > 24 measurements
     with pytest.raises(UsageError):
         cosamp(op, u, 4, eta=-1.0)
+    for eta in (np.nan, np.inf):
+        with pytest.raises(UsageError, match="finite"):
+            cosamp(op, u, 4, eta=eta)
     with pytest.raises(UsageError):
         cosamp(op, u, 4, max_iter=0)
     with pytest.raises(UsageError):

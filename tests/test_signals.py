@@ -232,4 +232,7 @@ def test_noise_spec_validation():
         NoiseSpec.fixed_norm(-0.5)
     with pytest.raises(UsageError):
         NoiseSpec.gaussian(-1.0)
+    for level in (math.inf, math.nan):
+        with pytest.raises(UsageError, match="finite"):
+            NoiseSpec.gaussian(level)
     assert NoiseSpec.none().mode is NoiseMode.NONE
