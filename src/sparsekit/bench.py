@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,6 +38,10 @@ ALGORITHMS = ("omp", "romp", "cosamp")
 SIGNAL_KINDS = ("sparse", "compressible")
 NOISE_MODES = ("none", "fixed", "fixed_rel", "sigma")
 LS_METHODS = ("cg", "richardson")
+
+# A compressible scaling study's default eta_rel, for the library call
+# and the CLI alike.
+SCALING_ETA_REL = 1e-8
 
 # Stream tags hashed into the per-trial seed so the operator, signal,
 # and noise draws are independent of each other.
@@ -90,22 +94,22 @@ class TrialConfig:
     ls_method: str = "cg"
 
     def validate(self) -> "TrialConfig":
+        self._check_settings()
+        problem = self._shape_problem()
+        if problem is not None:
+            raise UsageError(problem)
+        return self
+
+    def _check_settings(self) -> None:
+        """Every check of ``validate`` except the (m, N, s) shape rule."""
         if self.algorithm not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         try:
             Ensemble(self.ensemble)
         except ValueError:
             raise UsageError(f"unknown ensemble {self.ensemble!r}") from None
-        if self.m < 1 or self.m > self.N:
-            raise UsageError(f"need 1 <= m <= N, got m={self.m}, N={self.N}")
         if self.trials < 1:
             raise UsageError(f"trial count must be at least 1, got {self.trials}")
-        if self.s < 1:
-            raise UsageError(f"sparsity must be at least 1, got {self.s}")
-        if self.algorithm in ("omp", "romp") and self.s > self.m:
-            raise UsageError(f"sparsity {self.s} exceeds measurement count {self.m}")
-        if self.algorithm == "cosamp" and 3 * self.s > self.m:
-            raise UsageError(f"cosamp needs 3*s <= m, got s={self.s}, m={self.m}")
         if self.signal_kind not in SIGNAL_KINDS:
             raise UsageError(f"unknown signal kind {self.signal_kind!r}")
         if self.signal_kind == "sparse":
@@ -113,9 +117,9 @@ class TrialConfig:
                 raise UsageError("p and R apply only to compressible signals")
             if self.signal_truncate:
                 raise UsageError("signal_truncate applies only to compressible signals")
-            s_sig = self.s if self.signal_s is None else self.signal_s
-            if s_sig < 0 or s_sig > self.N:
-                raise UsageError(f"need 0 <= signal_s <= N, got {s_sig}")
+            # An unset signal_s means s, which the shape rule bounds.
+            if self.signal_s is not None and not 0 <= self.signal_s <= self.N:
+                raise UsageError(f"need 0 <= signal_s <= N, got {self.signal_s}")
         else:
             if self.signal_s is not None:
                 raise UsageError("signal_s applies only to sparse signals")
@@ -139,7 +143,18 @@ class TrialConfig:
             raise UsageError("max_iter must be at least 1")
         if self.ls_method not in LS_METHODS:
             raise UsageError(f"unknown least-squares method {self.ls_method!r}")
-        return self
+
+    def _shape_problem(self) -> Optional[str]:
+        """The (m, N, s) condition the algorithm needs and this config breaks, or None."""
+        if self.m < 1 or self.m > self.N:
+            return f"need 1 <= m <= N, got m={self.m}, N={self.N}"
+        if self.s < 1:
+            return f"sparsity must be at least 1, got {self.s}"
+        if self.algorithm in ("omp", "romp") and self.s > self.m:
+            return f"sparsity {self.s} exceeds measurement count {self.m}"
+        if self.algorithm == "cosamp" and 3 * self.s > self.m:
+            return f"cosamp needs 3*s <= m, got s={self.s}, m={self.m}"
+        return None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -244,32 +259,16 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     tail_term = tail_l1(x, tail_s) / math.sqrt(cfg.s)
     noise_norm = float(np.linalg.norm(e))
 
-    if result is None:
-        return TrialRecord(
-            trial_index=trial_index,
-            l2_error=None,
-            rel_error=None,
-            support_exact=None,
-            success=False,
-            tail_term=tail_term,
-            noise_norm=noise_norm,
-            bound_ratio=None,
-            residual_norm=None,
-            iterations=None,
-            matvecs=None,
-            halted_by="solver_failure",
-            error=error_message,
-            wall_time=wall_time,
-        )
-
-    l2_error = float(np.linalg.norm(result.estimate - x))
-    rel_error = l2_error / x_norm if x_norm > 0 else None
-    success = l2_error <= SUCCESS_RELATIVE_TOL * x_norm
-    support_exact = None
-    if signal.true_support is not None:
-        support_exact = result.support == signal.true_support
-    denominator = tail_term + noise_norm
-    bound_ratio = l2_error / denominator if denominator > 0 else None
+    l2_error = rel_error = support_exact = bound_ratio = None
+    success = False
+    if result is not None:
+        l2_error = float(np.linalg.norm(result.estimate - x))
+        rel_error = l2_error / x_norm if x_norm > 0 else None
+        success = l2_error <= SUCCESS_RELATIVE_TOL * x_norm
+        if signal.true_support is not None:
+            support_exact = result.support == signal.true_support
+        denominator = tail_term + noise_norm
+        bound_ratio = l2_error / denominator if denominator > 0 else None
 
     return TrialRecord(
         trial_index=trial_index,
@@ -280,11 +279,11 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
         tail_term=tail_term,
         noise_norm=noise_norm,
         bound_ratio=bound_ratio,
-        residual_norm=result.residual_norms[-1],
-        iterations=result.iterations,
-        matvecs=result.matvec_count,
-        halted_by=result.halted_by.value,
-        error=None,
+        residual_norm=None if result is None else result.residual_norms[-1],
+        iterations=None if result is None else result.iterations,
+        matvecs=None if result is None else result.matvec_count,
+        halted_by="solver_failure" if result is None else result.halted_by.value,
+        error=error_message,
         wall_time=wall_time,
         result=result,
     )
@@ -365,39 +364,25 @@ def phase_sweep(
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
+    base = TrialConfig(
+        algorithm, ensemble, m_values[0], N, s_values[0], trials_per_cell, master_seed,
+        noise_mode=noise_mode, noise_level=noise_level, eta=eta, eta_rel=eta_rel,
+    )
+    base._check_settings()
     cells = []
     for m in m_values:
         for s in s_values:
-            valid = 1 <= s <= m <= N
-            if algorithm == "cosamp":
-                valid = valid and 3 * s <= m
-            if not valid:
-                cells.append(
-                    {"m": m, "s": s, "trials": trials_per_cell, "successes": None, "success_rate": None}
-                )
-                continue
-            cfg = TrialConfig(
-                algorithm=algorithm,
-                ensemble=ensemble,
-                m=m,
-                N=N,
-                s=s,
-                trials=trials_per_cell,
-                master_seed=master_seed,
-                noise_mode=noise_mode,
-                noise_level=noise_level,
-                eta=eta,
-                eta_rel=eta_rel,
-            )
-            records = run_trials(cfg, threads=threads)
-            successes = sum(1 for r in records if r.success)
+            cfg = replace(base, m=m, s=s)
+            successes = None
+            if cfg._shape_problem() is None:
+                successes = sum(1 for r in run_trials(cfg, threads=threads) if r.success)
             cells.append(
                 {
                     "m": m,
                     "s": s,
                     "trials": trials_per_cell,
                     "successes": successes,
-                    "success_rate": successes / trials_per_cell,
+                    "success_rate": None if successes is None else successes / trials_per_cell,
                 }
             )
     return cells
@@ -435,7 +420,7 @@ def compressible_scaling(
     trials: int,
     master_seed: int,
     *,
-    eta_rel: Optional[float] = 1e-8,
+    eta_rel: Optional[float] = SCALING_ETA_REL,
     truncate: bool = False,
     threads: int = 1,
 ) -> dict:
@@ -449,23 +434,13 @@ def compressible_scaling(
         raise UsageError("scaling needs at least one s value")
     if list(s_values) != sorted(set(s_values)):
         raise UsageError("s values must be strictly increasing")
+    base = TrialConfig(
+        algorithm, ensemble, m, N, s_values[0], trials, master_seed,
+        signal_kind="compressible", p=p, R=R, signal_truncate=truncate, eta_rel=eta_rel,
+    )
     rows = []
     for s in s_values:
-        cfg = TrialConfig(
-            algorithm=algorithm,
-            ensemble=ensemble,
-            m=m,
-            N=N,
-            s=s,
-            trials=trials,
-            master_seed=master_seed,
-            signal_kind="compressible",
-            p=p,
-            R=R,
-            signal_truncate=truncate,
-            eta_rel=eta_rel,
-        )
-        records = run_trials(cfg, threads=threads)
+        records = run_trials(replace(base, s=s), threads=threads)
         median = summarize(records)["median_l2_error"]
         rows.append({"s": int(s), "trials": trials, "median_l2_error": median})
     medians = [row["median_l2_error"] for row in rows]

@@ -84,11 +84,15 @@ _DEFAULTS = {
     "op_seed": 0,
 }
 
-_RECOVER_KEYS = (
-    "algorithm", "ensemble", "m", "N", "s", "seed", "signal_kind", "signal_s",
-    "p", "R", "signal_truncate", "noise_mode", "noise_level", "eta", "eta_rel",
-    "max_iter", "ls_method",
+# The TrialConfig fields, in order; the batch size is bench-only.
+_RECOVER_KEYS = tuple(
+    "seed" if f.name == "master_seed" else f.name
+    for f in dataclasses.fields(TrialConfig)
+    if f.name != "trials"
 )
+
+# TrialConfig fields a scaling study fixes itself or does not read.
+_SCALING_UNUSED = ("s", "signal_s", "noise_mode", "noise_level", "eta", "max_iter", "ls_method")
 
 
 def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
@@ -110,10 +114,19 @@ def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:
         convert = _PARAMS[key].type
         if convert is not None and value is not None:
             try:
-                data[key] = convert(value)
+                data[key] = _config_value(convert, value)
             except (TypeError, ValueError):
                 raise UsageError(f"config key {key}: invalid value {value!r}") from None
     return data
+
+
+def _config_value(convert, value):
+    """Convert a config value; a JSON number must be of the parameter's kind."""
+    if convert in (int, float) and isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return convert(value)
 
 
 def _params(args: argparse.Namespace, required: Sequence[str]) -> dict:
@@ -141,7 +154,7 @@ def _resolve_seed(value) -> int:
 def _int_list(text) -> List[int]:
     try:
         if isinstance(text, list):
-            return [int(v) for v in text]
+            return [_config_value(int, v) for v in text]
         return [int(part) for part in str(text).split(",") if part != ""]
     except (TypeError, ValueError):
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
@@ -192,14 +205,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if params["signal_kind"] != "compressible":
             raise UsageError("--scaling-s requires --signal-kind compressible")
         _require(params, ["p", "R"])
+        unused = [k for k in _SCALING_UNUSED if params[k] != _DEFAULTS.get(k)]
+        if unused:
+            raise UsageError(f"a scaling study does not use {', '.join(unused)}")
         study = {
             "algorithm": params["algorithm"], "ensemble": params["ensemble"],
             "m": params["m"], "N": params["N"], "p": params["p"], "R": params["R"],
             "s_values": _int_list(params["scaling_s"]), "trials": params["trials"],
             "master_seed": params["seed"], "truncate": params["signal_truncate"],
+            "eta_rel": bench.SCALING_ETA_REL if params["eta_rel"] is None else params["eta_rel"],
         }
-        eta_rel = 1e-8 if params["eta_rel"] is None else params["eta_rel"]
-        scaling = bench.compressible_scaling(**study, eta_rel=eta_rel, threads=args.threads)
+        scaling = bench.compressible_scaling(**study, threads=args.threads)
         echo = {"mode": "scaling", **study}
         _emit_batch(args, bench.write_scaling_csv, bench.scaling_report, echo, scaling)
         return 0
@@ -218,10 +234,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "m_values": _int_list(params["m_values"]), "s_values": _int_list(params["s_values"]),
         "trials_per_cell": params["trials"], "master_seed": params["seed"],
         "noise_mode": params["noise_mode"], "noise_level": params["noise_level"],
+        "eta": params["eta"], "eta_rel": params["eta_rel"],
     }
-    if params["trials"] < 1:
-        raise UsageError(f"trial count must be at least 1, got {params['trials']}")
-    cells = bench.phase_sweep(**grid, eta=params["eta"], eta_rel=params["eta_rel"], threads=args.threads)
+    cells = bench.phase_sweep(**grid, threads=args.threads)
     echo = {"mode": "sweep", **grid}
     _emit_batch(args, bench.write_sweep_csv, bench.sweep_report, echo, cells)
     return 0
@@ -294,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

@@ -23,7 +23,7 @@ from sparsekit.bench import (
     write_sweep_csv,
     write_trials_csv,
 )
-from sparsekit.errors import UsageError
+from sparsekit.errors import SolverFailure, UsageError
 
 
 def base_config(**overrides):
@@ -166,6 +166,23 @@ def test_run_trial_indexes_into_stream():
     records = run_trials(cfg)
     solo = run_trial(cfg, 3)
     assert solo.to_row() == records[3].to_row()
+
+
+def test_solver_failure_leaves_outcome_fields_empty(monkeypatch):
+    def diverge(*args, **kwargs):
+        raise SolverFailure("omp iteration 2: diverged")
+
+    monkeypatch.setattr("sparsekit.bench.omp", diverge)
+    record = run_trial(base_config(), 0)
+    row = record.to_row()
+    for name in ("l2_error", "rel_error", "support_exact", "bound_ratio",
+                 "residual_norm", "iterations", "matvecs"):
+        assert row[name] is None
+    assert row["success"] is False
+    assert row["halted_by"] == "solver_failure"
+    assert row["error"] == "omp iteration 2: diverged"
+    assert row["tail_term"] == 0.0 and row["noise_norm"] == 0.0
+    assert record.result is None
 
 
 def test_summarize_counts():

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sparsekit
-from sparsekit import cli
+from sparsekit import bench, cli
 from sparsekit.errors import SolverFailure
 
 
@@ -236,6 +237,58 @@ def test_scaling_study_json(capsys):
     assert payload["slope"] is not None
 
 
+SCALING_ARGS = [
+    "bench", "--m", "64", "--N", "128", "--trials", "2", "--scaling-s", "4,8",
+    "--signal-kind", "compressible", "--p", "0.5", "--R", "1.0", "--seed", "5",
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--s", "4"),
+        ("--signal-s", "4"),
+        ("--noise-mode", "fixed"),
+        ("--noise-level", "0.1"),
+        ("--eta", "0.1"),
+        ("--max-iter", "5"),
+        ("--ls-method", "richardson"),
+    ],
+)
+def test_scaling_rejects_keys_it_does_not_use(capsys, flag, value):
+    code, out, err = run_cli(capsys, *SCALING_ARGS, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"scaling study does not use {flag[2:].replace('-', '_')}" in err
+
+
+def test_scaling_accepts_unused_keys_at_their_defaults(tmp_path, capsys):
+    config = tmp_path / "shared.json"
+    config.write_text(json.dumps({
+        "s": None, "signal_s": None, "noise_mode": "none", "noise_level": 0.0,
+        "eta": 0.0, "max_iter": 100, "ls_method": "cg",
+    }))
+    code, out, _ = run_cli(capsys, *SCALING_ARGS, "--config", str(config))
+    assert code == 0
+    assert out == run_cli(capsys, *SCALING_ARGS)[1]
+
+
+def _header(csv_text: str) -> dict:
+    line = next(l for l in csv_text.splitlines() if l.startswith("# config="))
+    header = json.loads(line[len("# config="):])
+    del header["mode"]
+    return header
+
+
+def test_scaling_header_regenerates_its_run(capsys):
+    code, out, _ = run_cli(capsys, *SCALING_ARGS, "--alg", "cosamp", "--eta-rel", "0.5")
+    assert code == 0
+    header = _header(out)
+    buffer = io.StringIO()
+    bench.write_scaling_csv(buffer, {"mode": "scaling", **header}, bench.compressible_scaling(**header))
+    assert buffer.getvalue() == out
+
+
 # ----------------------------------------------------------------- sweep
 
 
@@ -260,6 +313,28 @@ def test_sweep_json_marks_invalid_cells(capsys):
     cells = {cell["m"]: cell for cell in payload["cells"]}
     assert cells[8]["success_rate"] is None
     assert cells[32]["success_rate"] is not None
+
+
+def test_sweep_header_regenerates_its_run(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--alg", "cosamp", "--N", "128", "--m-values", "48,96",
+        "--s-values", "4,8", "--trials", "4", "--seed", "3", "--eta", "1000",
+    )
+    assert code == 0
+    header = _header(out)
+    buffer = io.StringIO()
+    bench.write_sweep_csv(buffer, {"mode": "sweep", **header}, bench.phase_sweep(**header))
+    assert buffer.getvalue() == out
+
+
+def test_sweep_validates_when_every_cell_is_na(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--alg", "cosamp", "--N", "4", "--m-values", "8", "--s-values", "2",
+        "--noise-mode", "fixed", "--noise-level", "-1", "--trials", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "noise level" in err
 
 
 def test_sweep_missing_grid(capsys):
@@ -313,6 +388,11 @@ def test_solver_failure_exit_code(monkeypatch, capsys):
     assert "solver failure: diverged at iteration 7" in err
 
 
+@pytest.mark.parametrize("argv, expected", [(["recover", "--m", "x"], 2), (["recover", "--help"], 0)])
+def test_main_returns_argparse_exit_code(capsys, argv, expected):
+    assert run_cli(capsys, *argv)[0] == expected
+
+
 def test_module_entry_point_matches_main(capsys):
     src = Path(sparsekit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -361,6 +441,11 @@ def test_non_finite_parameters_exit_2(capsys, argv, name):
              "signal_truncate": "false"},
             "config key signal_truncate",
         ),
+        (["recover"], {"m": 64.7, "N": 128, "s": 4}, "config key m"),
+        (["recover"], {"m": 64, "N": 128, "s": True}, "config key s"),
+        (["recover"], {"m": 64, "N": 128, "s": 4, "eta": False}, "config key eta"),
+        (["sweep"], {"N": 32, "m_values": [8, 16.5], "s_values": "2", "trials": 2}, "integer list"),
+        (["sweep"], {"N": 32, "m_values": [8, True], "s_values": "2", "trials": 2}, "integer list"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, capsys, argv, config, fragment):
