@@ -289,6 +289,11 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     )
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise UsageError("threads must be at least 1")
+
+
 def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False) -> List[TrialRecord]:
     """Run the whole batch; records come back ordered by trial index.
 
@@ -297,8 +302,7 @@ def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False
     for any thread count.
     """
     cfg.validate()
-    if threads < 1:
-        raise UsageError("threads must be at least 1")
+    _check_threads(threads)
     indices = range(cfg.trials)
     if threads == 1:
         records = [run_trial(cfg, i) for i in indices]
@@ -369,6 +373,7 @@ def phase_sweep(
         noise_mode=noise_mode, noise_level=noise_level, eta=eta, eta_rel=eta_rel,
     )
     base._check_settings()
+    _check_threads(threads)
     cells = []
     for m in m_values:
         for s in s_values:

@@ -55,9 +55,16 @@ def derive_seed(master_seed: int, *parts: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on a uint64 array, in place; returns ``z``."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= np.uint64(_MIX_A)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= np.uint64(_MIX_B)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class SplitMix64:
@@ -82,8 +89,9 @@ class SplitMix64:
             raise ValueError("draw count must be non-negative")
         start = self._position
         self._position += n
-        index = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        state = np.uint64(self._seed) + index * np.uint64(_GAMMA)
+        state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        state *= np.uint64(_GAMMA)
+        state += np.uint64(self._seed)
         return _mix64_array(state)
 
     def raw_scalar(self) -> int:
@@ -98,21 +106,37 @@ class SplitMix64:
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles via Box-Muller."""
         pairs = (n + 1) // 2
-        words = self.raw(2 * pairs)
-        # u1 in (0, 1] so log never sees zero; u2 in [0, 1).
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        words = self.raw(2 * pairs).reshape(pairs, 2)
+        words >>= np.uint64(11)
+        # u1 in (0, 1] so log never sees zero; u2 in [0, 1).  The columns
+        # are copied out contiguous: numpy may take another loop for strided
+        # input, and the bits of log/cos/sin must not depend on that.
+        radius = words[:, 0].astype(np.float64)
+        radius += 1.0
+        radius *= _INV_2_53
+        angle = words[:, 1].astype(np.float64)
+        del words
+        angle *= _INV_2_53
+        angle *= 2.0 * math.pi
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        # Row i of ``out`` holds variates 2i and 2i + 1.
+        out = np.empty((pairs, 2))
+        trig = np.cos(angle)
+        np.multiply(radius, trig, out=out[:, 0])
+        np.sin(angle, out=trig)
+        np.multiply(radius, trig, out=out[:, 1])
+        return out.reshape(-1)[:n]
 
     def signs(self, n: int) -> np.ndarray:
         """``n`` equiprobable +-1.0 values (top bit of each word)."""
-        bit = (self.raw(n) >> np.uint64(63)).astype(np.float64)
-        return 2.0 * bit - 1.0
+        words = self.raw(n)
+        words >>= np.uint64(63)
+        out = words.astype(np.float64)
+        out *= 2.0
+        out -= 1.0
+        return out
 
     def index_below(self, bound: int) -> int:
         """One integer in [0, bound) via modulo reduction.

@@ -49,9 +49,14 @@ class SenseOperator:
     """An m x N linear measurement map with forward and adjoint application.
 
     ``matvec_count`` counts operator applications (forward, adjoint, and
-    their support-restricted variants each count as one).  Recovery calls
-    are single-threaded; when running trials concurrently, give each trial
-    its own operator so the counter needs no locking.
+    their support-restricted variants each count as one).  Gaussian and
+    Bernoulli operators also keep the column block ``matrix[:, T]`` of the
+    last support ``T`` they applied, so the repeated Gram applies of one
+    restricted least-squares solve gather it only once.  Both are plain
+    per-operator state without a lock: recovery calls are single-threaded,
+    and when running trials concurrently each trial gets its own operator.
+    An operator shared across threads would lose counter increments, and
+    calls on different supports would evict each other's block.
     """
 
     def __init__(self, ensemble: Ensemble, m: int, N: int, seed: int):
@@ -131,7 +136,9 @@ class _DenseEnsembleOperator(SenseOperator):
         else:
             entries = rng.signs(m * N)
         # Row-major fill order is part of the determinism contract.
-        self._matrix = (entries * scale).reshape(m, N)
+        entries *= scale
+        self._matrix = entries.reshape(m, N)
+        self._gathered = (None, None)
 
     def _forward(self, x):
         return self._matrix @ x
@@ -139,11 +146,25 @@ class _DenseEnsembleOperator(SenseOperator):
     def _adjoint(self, v):
         return self._matrix.T @ v
 
+    def _columns(self, indices):
+        """``matrix[:, indices]``, gathered again only when the support changes.
+
+        The one-entry memo is keyed on the index values (shape and bytes),
+        so a caller that mutates its index array in place never gets a
+        stale block.
+        """
+        key = (indices.shape, indices.tobytes())
+        cached_key, block = self._gathered
+        if key != cached_key:
+            block = self._matrix[:, indices]
+            self._gathered = (key, block)
+        return block
+
     def _forward_support(self, indices, coeffs):
-        return self._matrix[:, indices] @ coeffs
+        return self._columns(indices) @ coeffs
 
     def _adjoint_support(self, indices, v):
-        return self._matrix[:, indices].T @ v
+        return self._columns(indices).T @ v
 
     def dense_matrix(self):
         return self._matrix.copy()

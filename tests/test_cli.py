@@ -337,6 +337,16 @@ def test_sweep_validates_when_every_cell_is_na(capsys):
     assert "noise level" in err
 
 
+def test_sweep_checks_threads_when_every_cell_is_na(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--N", "4", "--m-values", "8", "--s-values", "2",
+        "--trials", "2", "--threads", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "threads must be at least 1" in err
+
+
 def test_sweep_missing_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--N", "32", "--trials", "2")
     assert code == 2

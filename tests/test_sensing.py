@@ -63,6 +63,36 @@ def test_restricted_application_matches_full(ensemble):
     np.testing.assert_allclose(op.adjoint_support(support, v), (dense.T @ v)[support], atol=1e-10)
 
 
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
+def test_support_applies_equal_freshly_gathered_columns(ensemble):
+    # Dense operators keep the last gathered column block.  Whatever the
+    # call order, and even when the caller rewrites its index array in
+    # place, each apply must give the bytes of a fresh gather and count once.
+    op = make_operator(ensemble, 24, 60, seed=4)
+    dense = op.dense_matrix()
+    gen = SplitMix64(13)
+    a = np.array([2, 9, 31, 58])
+    b = np.array([0, 9, 40, 41, 59])
+    mutable = a.copy()
+    plan = [
+        (a, None), (b, None), (a, None), (a, None),  # alternating, then repeated
+        (mutable, None),  # a new array with the values of the last support
+        (mutable, [5, 9, 31, 58]), (mutable, [5, 9, 31, 57]),  # rewritten in place
+        (b, None), (mutable, None),
+    ]
+    for indices, values in plan:
+        if values is not None:
+            indices[:] = values
+        block = dense[:, indices]
+        coeffs = gen.normal(len(indices))
+        v = gen.normal(24)
+        count = op.matvec_count
+        assert op.forward_support(indices, coeffs).tobytes() == (block @ coeffs).tobytes()
+        assert op.matvec_count == count + 1
+        assert op.adjoint_support(indices, v).tobytes() == (block.T @ v).tobytes()
+        assert op.matvec_count == count + 2
+
+
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
 def test_determinism_and_seed_sensitivity(ensemble):
     a = make_operator(ensemble, 16, 32, seed=77)
