@@ -43,17 +43,33 @@ def dot(a, b) -> float:
 def largest_indices(values, k: int) -> np.ndarray:
     """Positions of the ``k`` largest-magnitude entries, ascending.
 
-    Ties are broken in favour of the lowest position (stable sort on
-    descending magnitude), so the selection is deterministic.
+    Ties are broken in favour of the lowest position, so the selection is
+    deterministic: the result is the first ``k`` positions of a stable sort
+    on descending magnitude, in which NaN ranks below every magnitude.
+    Selection is O(N): one ``np.partition`` finds the k-th magnitude, and
+    everything above it is kept together with the lowest-position entries
+    equal to it (for ``k = 1``, one ``argmax``).
     """
     v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise UsageError(f"values must be 1-D, got shape {v.shape}")
     if k < 0:
         raise UsageError("k must be non-negative")
-    k = min(k, v.shape[0])
-    order = np.argsort(-np.abs(v), kind="stable")[:k]
-    out = np.asarray(order, dtype=np.int64)
-    out.sort()
-    return out
+    n = v.shape[0]
+    k = min(k, n)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    magnitude = np.abs(v)
+    # Every magnitude is >= 0, so NaN as -1 ranks below them all and its
+    # ties go to the lowest position like any other.
+    np.copyto(magnitude, -1.0, where=np.isnan(magnitude))
+    if k == 1:
+        return np.array([np.argmax(magnitude)], dtype=np.int64)
+    kth = np.partition(magnitude, n - k)[n - k]
+    keep = magnitude > kth
+    ties = np.flatnonzero(magnitude == kth)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
 
 
 def embed(coeffs, indices, length: int) -> np.ndarray:

@@ -124,6 +124,8 @@ def _pursue(
                 **entry,
                 "residual_norm": norm,
                 "ls_iterations": solution.iterations,
+                "ls_converged": solution.converged,
+                "ls_applications": solution.applications,
             }
         )
         if halt is not None:

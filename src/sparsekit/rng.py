@@ -73,6 +73,10 @@ class SplitMix64:
     ``raw``/``uniform``/``normal`` consume a documented number of stream
     positions, so generation is reproducible regardless of block sizes.
     ``normal(n)`` always consumes ``2 * ceil(n / 2)`` positions.
+    ``choose_without_replacement(population, k)`` consumes exactly ``k``
+    positions and ``permutation(n)`` consumes ``max(n - 1, 0)``: one word
+    per Fisher-Yates step, reduced modulo the population still unpicked
+    at that step, as ``index_below`` would.
     """
 
     def __init__(self, seed: int):
@@ -156,18 +160,34 @@ class SplitMix64:
         """
         if not 0 <= k <= population:
             raise ValueError("need 0 <= k <= population")
-        pool = np.arange(population, dtype=np.int64)
-        for i in range(k):
-            j = i + self.index_below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        picked = pool[:k]
-        picked.sort()
-        return picked
+        picked, _ = self._fisher_yates(population, k)
+        out = np.array(picked, dtype=np.int64)
+        out.sort()
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Full Fisher-Yates permutation of [0, n)."""
-        order = np.arange(n, dtype=np.int64)
-        for i in range(n - 1):
-            j = i + self.index_below(n - i)
-            order[i], order[j] = order[j], order[i]
-        return order
+        order, displaced = self._fisher_yates(n, max(n - 1, 0))
+        if n > 0:  # the one entry no step picked
+            order.append(displaced.get(n - 1, n - 1))
+        return np.array(order, dtype=np.int64)
+
+    def _fisher_yates(self, population: int, k: int):
+        """The first ``k`` steps of a Fisher-Yates shuffle of [0, population).
+
+        Step ``i`` swaps entry ``i`` with entry ``i + word_i % (population - i)``.
+        All ``k`` words come from one ``raw(k)`` block, which lands on the
+        same stream positions as ``k`` calls of ``index_below``.  Only the
+        entries moved past the prefix are stored, so the cost is O(k) for
+        any population.  Returns the ``k`` picks in order and the map from
+        each later position that was moved to the entry now there.
+        """
+        bounds = np.arange(population, population - k, -1, dtype=np.uint64)
+        offsets = (self.raw(k) % bounds).tolist()
+        picked = []
+        displaced = {}
+        for i, offset in enumerate(offsets):
+            j = i + offset
+            picked.append(displaced.get(j, j))
+            displaced[j] = displaced.pop(i, i)
+        return picked, displaced

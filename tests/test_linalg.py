@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.linalg import (
@@ -93,6 +95,37 @@ def test_largest_indices_tie_cases():
     assert largest_indices([5.0, 5.0, 5.0], 2).tolist() == [0, 1]
     assert largest_indices([1.0, 2.0], 10).tolist() == [0, 1]  # k clamped
     assert largest_indices([1.0, 2.0], 0).tolist() == []
+
+
+def nan_last_oracle(values):
+    """Every position ranked by ``(isnan, -|v|, index)``: NaN below every
+    magnitude, ``inf`` included; a NaN's magnitude key is not used."""
+    def key(i):
+        nan = math.isnan(values[i])
+        return (nan, 0.0 if nan else -abs(values[i]), i)
+    return sorted(range(len(values)), key=key)
+
+
+# Few distinct magnitudes of both signs force ties, signed zeros and
+# infinities; arbitrary floats (NaN included) fill in the rest.
+tie_prone = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan])
+entries = st.one_of(tie_prone, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(entries, max_size=300))
+def test_largest_indices_every_k_against_nan_last_oracle(values):
+    ranked = nan_last_oracle(values)
+    for k in range(len(values) + 3):
+        got = largest_indices(np.array(values), k)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(ranked[:k])
+
+
+@pytest.mark.parametrize("values", [np.zeros((2, 3)), np.float64(1.5)], ids=["2-D", "0-d"])
+def test_largest_indices_rejects_non_vector(values):
+    with pytest.raises(UsageError, match="1-D"):
+        largest_indices(values, 1)
 
 
 def test_embed_scatter():

@@ -123,3 +123,20 @@ def test_estimate_sparsity_bound():
     result = omp(op, u, 9)
     assert int(np.count_nonzero(result.estimate)) <= 9
     assert len(result.support) <= 9
+
+
+def test_iterates_record_least_squares_convergence():
+    # A 4-column Gaussian refit needs more than one CG step, so a cap of one
+    # step leaves the later solves unconverged; the trace must say so.
+    op = make_operator("gaussian", 32, 64, seed=8)
+    sig = gen_sparse(64, 4, seed=9)
+    u, _ = measure(op, sig)
+    capped = omp(op, u, 4, ls_max_iter=1)
+    assert capped.iterates[-1]["ls_converged"] is False
+    assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
+    full = omp(op, u, 4)
+    assert all(it["ls_converged"] is True for it in full.iterates)
+    assert any(it["ls_iterations"] > 1 for it in full.iterates)
+    for it in capped.iterates + full.iterates:
+        # one adjoint for the right-hand side, then a forward/adjoint pair per step
+        assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]

@@ -130,3 +130,58 @@ def test_variate_bits_pinned():
             digest.update(out.tobytes())
             digest.update(gen.position.to_bytes(8, "little"))
     assert digest.hexdigest() == "353bed001aace7653d7134281c09f745cb1bff315370b6853b7d4acddc95da1a"
+
+
+def reference_fisher_yates(seed, population, steps):
+    """Pure-Python Fisher-Yates over ``reference_stream``: the oracle for the
+    index draws.  Step ``i`` swaps entry ``i`` with entry ``i + word % (population - i)``,
+    one stream word per step; returns the shuffled list."""
+    pool = list(range(population))
+    for i, word in enumerate(reference_stream(seed, steps)):
+        j = i + word % (population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool
+
+
+CHOOSE_SIZES = [(0, 0), (1, 1), (2, 1), (10, 10), (50, 12), (2048, 32), (4096, 1024)]
+PERMUTATION_SIZES = [0, 1, 2, 31, 4096]
+
+
+@pytest.mark.parametrize("population, k", CHOOSE_SIZES)
+def test_choose_matches_reference_fisher_yates(population, k):
+    for seed in (0, 3, MASK):
+        gen = SplitMix64(seed)
+        got = gen.choose_without_replacement(population, k)
+        pool = reference_fisher_yates(seed, population, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(pool[:k])
+        assert gen.position == k
+
+
+@pytest.mark.parametrize("n", PERMUTATION_SIZES)
+def test_permutation_matches_reference_fisher_yates(n):
+    for seed in (0, 3, MASK):
+        gen = SplitMix64(seed)
+        got = gen.permutation(n)
+        pool = reference_fisher_yates(seed, n, max(n - 1, 0))
+        assert got.dtype == np.int64
+        assert got.tolist() == pool
+        assert gen.position == max(n - 1, 0)
+
+
+def test_index_draw_bits_pinned():
+    # Every size above from one stream, so each call starts mid-stream; the
+    # sha256 covers the indices and the position after each call.
+    gen = SplitMix64(0x1D5)
+    digest = hashlib.sha256()
+
+    def record(out):
+        digest.update(out.dtype.str.encode())
+        digest.update(out.tobytes())
+        digest.update(gen.position.to_bytes(8, "little"))
+
+    for population, k in CHOOSE_SIZES:
+        record(gen.choose_without_replacement(population, k))
+    for n in PERMUTATION_SIZES:
+        record(gen.permutation(n))
+    assert digest.hexdigest() == "7bd46b411b3c40f643a73985f73c5474454fba868de35a4714c4833cba438373"
