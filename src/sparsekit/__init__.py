@@ -2,8 +2,9 @@
 
 Public surface: sensing operators (Gaussian, Bernoulli, partial DCT) with
 an empirical restricted-isometry probe, sparse/compressible signal
-generators, the OMP / ROMP / CoSaMP recovery algorithms backed by an
-iterative restricted least-squares solver, and a deterministic Monte
+generators, the OMP / ROMP / CoSaMP recovery algorithms backed by a
+restricted least-squares solver (a growing Cholesky factor for OMP,
+iterative for ROMP and CoSaMP), and a deterministic Monte
 Carlo benchmark harness with a CLI (``sparsekit``).
 """
 
@@ -18,6 +19,7 @@ from .bench import (
 )
 from .errors import SolverFailure, UsageError
 from .linalg import (
+    GramFactor,
     LsSolution,
     RestrictedSystem,
     SupportSet,
@@ -53,6 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ensemble",
+    "GramFactor",
     "HaltReason",
     "LsSolution",
     "NoiseMode",

@@ -143,6 +143,11 @@ class TrialConfig:
             raise UsageError("max_iter must be at least 1")
         if self.ls_method not in LS_METHODS:
             raise UsageError(f"unknown least-squares method {self.ls_method!r}")
+        if self.algorithm == "omp" and self.ls_method != "cg":
+            raise UsageError(
+                f"ls_method {self.ls_method!r} does not apply to omp, which refits "
+                "by a Cholesky update; it applies to romp and cosamp"
+            )
 
     def _shape_problem(self) -> Optional[str]:
         """The (m, N, s) condition the algorithm needs and this config breaks, or None."""
@@ -242,7 +247,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     result: Optional[RecoveryResult] = None
     try:
         if cfg.algorithm == "omp":
-            result = omp(op, u, cfg.s, ls_method=cfg.ls_method)
+            result = omp(op, u, cfg.s)
         elif cfg.algorithm == "romp":
             result = romp(op, u, cfg.s, ls_method=cfg.ls_method)
         else:

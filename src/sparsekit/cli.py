@@ -63,7 +63,7 @@ _PARAMS = {
     "eta": _Param(float, help="residual-norm halting target (cosamp)"),
     "eta_rel": _Param(float, help="eta as a fraction of the measurement norm"),
     "max_iter": _Param(int),
-    "ls_method": _Param(choices=bench.LS_METHODS),
+    "ls_method": _Param(choices=bench.LS_METHODS, help="least-squares refit for romp and cosamp"),
     "trials": _Param(int),
     "scaling_s": _Param(help="comma-separated s list: compressible scaling study"),
     "m_values": _Param(help="comma-separated measurement counts"),

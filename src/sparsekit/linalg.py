@@ -2,12 +2,15 @@
 all pursuit algorithms.
 
 The least-squares solve is matrix-free: it only touches the measurement
-operator through ``forward_support`` / ``adjoint_support``, so its cost is
-a fixed number of operator applications per iteration.
+operator through ``forward_support`` / ``adjoint_support``.  It either
+iterates on the normal equations (CG or Richardson, a fixed number of
+operator applications per iteration) or, for a support that only grows,
+updates a ``GramFactor`` directly at two applications per added column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,11 @@ DEFAULT_LS_MAX_ITER = 100
 
 _POWER_ITER_SEED_TAG = 0x524943
 _POWER_ITERATIONS = 30
+
+# A column is numerically dependent on the support when the squared norm of
+# its part orthogonal to the support, d^2 = ||phi_j||^2 - ||w||^2, is at most
+# this fraction of ||phi_j||^2: d^2 is then mostly cancellation round-off.
+DEPENDENT_COLUMN_RATIO = 1e-12
 
 
 def as_vector(x, length=None, name="vector") -> np.ndarray:
@@ -154,9 +162,115 @@ class LsSolution:
     coeffs: np.ndarray
     iterations: int
     converged: bool
-    stop_reason: str  # "converged" or "max_iterations"
+    stop_reason: str  # "converged" or "max_iterations"; "direct" for a factor solve
     normal_residual: float
     applications: int = field(default=0)  # operator applications consumed
+
+
+class GramFactor:
+    """Inverse Cholesky factor of ``Phi_T^* Phi_T`` for a support that only grows.
+
+    With ``Phi_T^* Phi_T = L L^T``, the factor holds ``L^{-1}`` and
+    ``z = L^{-1} Phi_T^* rhs`` in the order the columns were added.  Adding
+    column ``j`` costs one ``forward_support([j], [1.0])`` for ``phi_j`` and,
+    once ``T`` is non-empty, one ``adjoint_support(T, phi_j)`` for
+    ``g = Phi_T^* phi_j``.  The new row of ``L`` is ``(w, d)`` with
+    ``w = L^{-1} g`` and ``d^2 = ||phi_j||^2 - ||w||^2``, so the new row of
+    ``L^{-1}`` is ``(-w^T L^{-1} / d, 1 / d)`` and the new entry of ``z`` is
+    ``(phi_j . rhs - w . z) / d``.  The coefficients are ``L^{-T} z``.  Past
+    the two applies everything is a matrix product on ``|T|``-sized arrays.
+    The Gram matrix and ``Phi_T^* rhs`` are kept too, so every solve reports
+    its normal-equation residual without another apply.
+    """
+
+    def __init__(self, operator, rhs):
+        self.operator = operator
+        self.rhs = as_vector(rhs, operator.m, name="rhs")
+        self._size = 0
+        # Room for 8 columns, doubled when full; entries past ``_size`` (and
+        # above the diagonal of L^{-1}) stay zero.
+        self._columns = np.zeros(8, dtype=np.int64)
+        self._inverse = np.zeros((8, 8))  # L^{-1}, lower triangular
+        self._gram = np.zeros((8, 8))
+        self._target = np.zeros(8)  # Phi_T^* rhs
+        self._z = np.zeros(8)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The factor's columns in the order they were added."""
+        return self._columns[: self._size]
+
+    def solve(self, system: RestrictedSystem, tol: float) -> LsSolution:
+        """Grow the factor to ``system.support`` and solve on it.
+
+        The support must hold every column already in the factor.  The
+        coefficients come back in support order; ``converged`` says whether
+        the normal-equation residual is within ``tol * ||Phi_T^* rhs||``.
+        """
+        if system.operator is not self.operator or not (
+            system.rhs is self.rhs or np.array_equal(system.rhs, self.rhs)
+        ):
+            raise UsageError("the factor was built for another operator or right-hand side")
+        support = system.support.indices.tolist()
+        held = set(self.columns.tolist())
+        new = [j for j in support if j not in held]
+        if len(held) + len(new) != len(support):
+            raise UsageError("a factor only grows: the support must hold all its columns")
+        applications = sum(self._add(j) for j in new)
+        k = self._size
+        coeffs = self._inverse[:k, :k].T @ self._z[:k]
+        target = self._target[:k]
+        residual = target - self._gram[:k, :k] @ coeffs
+        normal_residual = math.sqrt(float(residual @ residual))
+        return LsSolution(
+            coeffs=coeffs[np.argsort(self.columns)],
+            iterations=0,
+            converged=normal_residual <= tol * math.sqrt(float(target @ target)),
+            stop_reason="direct",
+            normal_residual=normal_residual,
+            applications=applications,
+        )
+
+    def _add(self, j: int) -> int:
+        """Grow the factor by column ``j``; returns the applications made."""
+        op = self.operator
+        k = self._size
+        phi = op.forward_support(np.array([j], dtype=np.int64), np.ones(1))
+        cross = op.adjoint_support(self.columns, phi) if k else np.empty(0)
+        inverse = self._inverse[:k, :k]
+        w = inverse @ cross
+        norm2 = float(phi @ phi)
+        d2 = norm2 - float(w @ w)
+        if not d2 > DEPENDENT_COLUMN_RATIO * norm2:
+            raise SolverFailure(
+                f"column {j} is numerically dependent on the support: the squared "
+                f"norm of its part orthogonal to the support, {d2:.3e}, is at most "
+                f"{DEPENDENT_COLUMN_RATIO:g} of its own, {norm2:.3e}"
+            )
+        if k == self._z.size:
+            self._columns, self._inverse, self._gram, self._target, self._z = (
+                _grown(a, 2 * k)
+                for a in (self._columns, self._inverse, self._gram, self._target, self._z)
+            )
+        d = math.sqrt(d2)
+        target = float(phi @ self.rhs)
+        self._inverse[k, :k] = (w @ inverse) / -d
+        self._inverse[k, k] = 1.0 / d
+        self._gram[k, :k] = cross
+        self._gram[:k, k] = cross
+        self._gram[k, k] = norm2
+        self._z[k] = (target - float(w @ self._z[:k])) / d
+        self._target[k] = target
+        self._columns[k] = j
+        self._size = k + 1
+        return 2 if k else 1
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """A zero array of ``size`` along every axis with ``a`` in its leading block."""
+    out = np.zeros((size,) * a.ndim, dtype=a.dtype)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
 
 
 def restricted_least_squares(
@@ -164,8 +278,9 @@ def restricted_least_squares(
     tol: float = DEFAULT_LS_TOL,
     max_iter: int = DEFAULT_LS_MAX_ITER,
     method: str = "cg",
+    factor: GramFactor | None = None,
 ) -> LsSolution:
-    """Minimize ``||rhs - Phi_T w||_2`` by iterating on the normal equations.
+    """Minimize ``||rhs - Phi_T w||_2`` on the normal equations.
 
     Parameters
     ----------
@@ -180,6 +295,11 @@ def restricted_least_squares(
         ``"cg"`` (conjugate gradient on the normal equations, default) or
         ``"richardson"`` (fixed-step iteration with step ``2/(lmin+lmax)``
         estimated by power iteration).
+    factor : GramFactor, optional
+        Solve directly instead: grow ``factor`` (built for this operator
+        and right-hand side) by the support's new columns, at two
+        applications each (one for the first).  ``tol`` then only decides
+        ``converged``; ``max_iter`` and ``method`` go unused.
 
     Returns
     -------
@@ -189,10 +309,12 @@ def restricted_least_squares(
     Raises
     ------
     UsageError
-        Empty support, bad tolerance, or unknown method.
+        Empty support, bad tolerance, unknown method, or a factor built for
+        another system or holding a column outside the support.
     SolverFailure
         The residual grew 10x above its running minimum (divergence),
-        naming the offending iteration.
+        naming the offending iteration; or a column new to the factor is
+        numerically dependent on the others (see ``DEPENDENT_COLUMN_RATIO``).
     """
     if len(system.support) == 0:
         raise UsageError("restricted least squares needs a non-empty support")
@@ -202,6 +324,8 @@ def restricted_least_squares(
         raise UsageError("max_iter must be at least 1")
     if method not in ("cg", "richardson"):
         raise UsageError(f"unknown method {method!r}")
+    if factor is not None:
+        return factor.solve(system, tol)
 
     op = system.operator
     support = system.support.indices

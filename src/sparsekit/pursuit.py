@@ -23,6 +23,7 @@ from .errors import SolverFailure, UsageError
 from .linalg import (
     DEFAULT_LS_MAX_ITER,
     DEFAULT_LS_TOL,
+    GramFactor,
     RestrictedSystem,
     SupportSet,
     as_vector,
@@ -143,21 +144,18 @@ def _pursue(
     )
 
 
-def omp(
-    op,
-    u,
-    s: int,
-    *,
-    ls_tol: float = DEFAULT_LS_TOL,
-    ls_max_iter: int = DEFAULT_LS_MAX_ITER,
-    ls_method: str = "cg",
-) -> RecoveryResult:
+def omp(op, u, s: int) -> RecoveryResult:
     """Orthogonal matching pursuit: one coordinate per iteration, s iterations.
 
     Each round applies the adjoint to the residual, commits the largest
     proxy coordinate not already selected (ties to the lowest index), and
     refits all committed coordinates by least squares, so the residual is
-    orthogonal to the selected columns and never increases.
+    orthogonal to the selected columns and never increases.  The refit
+    grows a ``GramFactor`` by the new column instead of iterating, so
+    ``s`` rounds cost ``4s - 1`` operator applications: per round the
+    proxy adjoint, the residual's forward apply and the factor's two
+    (one in the first round).  A column numerically dependent on the
+    support raises ``SolverFailure``.
     """
     u = as_vector(u, length=op.m, name="measurement")
     if s < 1:
@@ -173,7 +171,7 @@ def omp(
         merged = np.union1d(support, [chosen]).astype(np.int64)
         return merged, {"selected": chosen, "support_size": int(merged.size)}
 
-    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    ls = dict(factor=GramFactor(op, u))
     return _pursue("omp", op, u, s, select, ls, exhausted=HaltReason.SPARSITY_REACHED)
 
 

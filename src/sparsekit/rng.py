@@ -32,6 +32,15 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
+# The array path's constants and shift counts as uint64 scalars, built once:
+# rebuilt on every call, they were about a third of a small draw's cost.
+_GAMMA_U64 = np.uint64(_GAMMA)
+_MIX_A_U64 = np.uint64(_MIX_A)
+_MIX_B_U64 = np.uint64(_MIX_B)
+_SHIFT_30 = np.uint64(30)
+_SHIFT_27 = np.uint64(27)
+_SHIFT_31 = np.uint64(31)
+
 
 def mix64(value: int) -> int:
     """SplitMix64 finalizer on a 64-bit integer (scalar path)."""
@@ -56,13 +65,13 @@ def derive_seed(master_seed: int, *parts: int) -> int:
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place; returns ``z``."""
-    shifted = z >> np.uint64(30)
+    shifted = z >> _SHIFT_30
     z ^= shifted
-    z *= np.uint64(_MIX_A)
-    np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX_A_U64
+    np.right_shift(z, _SHIFT_27, out=shifted)
     z ^= shifted
-    z *= np.uint64(_MIX_B)
-    np.right_shift(z, np.uint64(31), out=shifted)
+    z *= _MIX_B_U64
+    np.right_shift(z, _SHIFT_31, out=shifted)
     z ^= shifted
     return z
 
@@ -81,6 +90,7 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self._seed = seed & _MASK64
+        self._seed_u64 = np.uint64(self._seed)
         self._position = 0
 
     @property
@@ -94,8 +104,8 @@ class SplitMix64:
         start = self._position
         self._position += n
         state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        state *= np.uint64(_GAMMA)
-        state += np.uint64(self._seed)
+        state *= _GAMMA_U64
+        state += self._seed_u64
         return _mix64_array(state)
 
     def raw_scalar(self) -> int:

@@ -87,6 +87,15 @@ def test_validate_rejects_bad_values(overrides):
         base_config(**overrides).validate()
 
 
+def test_ls_method_applies_only_to_romp_and_cosamp():
+    # OMP refits by a Cholesky update, so an iterative method would be ignored.
+    with pytest.raises(UsageError, match="ls_method 'richardson' does not apply to omp"):
+        base_config(ls_method="richardson").validate()
+    base_config(ls_method="cg").validate()
+    for algorithm in ("romp", "cosamp"):
+        base_config(algorithm=algorithm, ls_method="richardson").validate()
+
+
 def test_config_round_trips_through_dict():
     cfg = base_config(noise_mode="fixed_rel", noise_level=0.1, eta_rel=1e-8)
     clone = TrialConfig.from_dict(cfg.to_dict())

@@ -385,6 +385,46 @@ def test_ric_rejects_oversparse_probe(capsys):
     assert "exceeds m" in err
 
 
+# ----------------------------------------------------- omp and ls_method
+
+OMP_BENCH_ARGS = ["bench", "--alg", "omp", "--m", "64", "--N", "128", "--s", "4", "--trials", "2"]
+OMP_SWEEP_ARGS = ["sweep", "--alg", "omp", "--N", "64", "--m-values", "32", "--s-values", "4", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, fragment",
+    [
+        (RECOVER_ARGS + ["--ls-method", "richardson"], None, "does not apply to omp"),
+        (RECOVER_ARGS, {"ls_method": "richardson"}, "does not apply to omp"),
+        (OMP_BENCH_ARGS + ["--ls-method", "richardson"], None, "does not apply to omp"),
+        (OMP_BENCH_ARGS, {"ls_method": "richardson"}, "does not apply to omp"),
+        # A sweep has no ls_method parameter at all.
+        (OMP_SWEEP_ARGS + ["--ls-method", "richardson"], None, "unrecognized arguments"),
+        (OMP_SWEEP_ARGS, {"ls_method": "richardson"}, "unknown config keys: ls_method"),
+    ],
+)
+def test_omp_rejects_ls_method_before_any_work(tmp_path, monkeypatch, capsys, argv, config, fragment):
+    def no_trials(cfg, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "run_trial", no_trials)
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
+@pytest.mark.parametrize("argv", [RECOVER_ARGS, OMP_BENCH_ARGS])
+def test_omp_accepts_ls_method_cg(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--ls-method", "cg")
+    assert code == 0
+    assert out == run_cli(capsys, *argv)[1]
+
+
 # ------------------------------------------------------------ exit wiring
 
 

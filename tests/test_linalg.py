@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.linalg import (
+    GramFactor,
     LsSolution,
     RestrictedSystem,
     SupportSet,
@@ -303,3 +304,41 @@ def test_ls_on_real_ensemble_operator():
     )
     expected = cholesky_least_squares(op.dense_matrix(), support, rhs)
     assert np.linalg.norm(sol.coeffs - expected) / np.linalg.norm(expected) < 1e-8
+
+
+# --- GramFactor ---------------------------------------------------------------
+
+def test_factor_solves_grow_to_the_cholesky_oracle():
+    gen = SplitMix64(73)
+    matrix = gen.normal(20 * 8).reshape(20, 8) / np.sqrt(20)
+    op = MatrixOperator(matrix)
+    rhs = gen.normal(20)
+    factor = GramFactor(op, rhs)
+    # Columns arrive out of order, one or two at a time; coefficients come
+    # back in support order, at two applies per column (one for the first).
+    for support, applications in (([5], 1), ([2, 5, 7], 4), ([0, 2, 5, 6, 7], 4)):
+        system = RestrictedSystem(operator=op, support=SupportSet.from_iterable(support), rhs=rhs)
+        before = op.matvec_count
+        sol = restricted_least_squares(system, factor=factor)
+        assert op.matvec_count - before == sol.applications == applications
+        assert (sol.iterations, sol.converged, sol.stop_reason) == (0, True, "direct")
+        expected = cholesky_least_squares(matrix, support, rhs)
+        assert np.linalg.norm(sol.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert sol.normal_residual <= 1e-12 * np.linalg.norm(matrix[:, support].T @ rhs)
+    assert factor.columns.tolist() == [5, 2, 7, 0, 6]
+
+
+def test_factor_rejects_another_system_or_a_shrinking_support():
+    gen = SplitMix64(79)
+    op = MatrixOperator(gen.normal(10 * 4).reshape(10, 4))
+    rhs = gen.normal(10)
+    factor = GramFactor(op, rhs)
+    restricted_least_squares(RestrictedSystem(op, SupportSet.from_iterable([0, 1]), rhs), factor=factor)
+    for system in (
+        RestrictedSystem(op, SupportSet.from_iterable([0, 1, 2]), rhs + 1.0),
+        RestrictedSystem(MatrixOperator(op.matrix), SupportSet.from_iterable([0, 1, 2]), rhs),
+        RestrictedSystem(op, SupportSet.from_iterable([1, 2]), rhs),
+    ):
+        with pytest.raises(UsageError):
+            restricted_least_squares(system, factor=factor)
+    assert factor.columns.tolist() == [0, 1]

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sparsekit.errors import UsageError
+from sparsekit import pursuit
+from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.pursuit import HaltReason, omp
 from sparsekit.rng import SplitMix64, derive_seed
 from sparsekit.sensing import make_operator
-from sparsekit.signals import gen_sparse, measure
+from sparsekit.signals import NoiseSpec, gen_sparse, measure
+
+ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
 
 
 def test_identity_single_spike():
@@ -125,18 +129,79 @@ def test_estimate_sparsity_bound():
     assert len(result.support) <= 9
 
 
-def test_iterates_record_least_squares_convergence():
-    # A 4-column Gaussian refit needs more than one CG step, so a cap of one
-    # step leaves the later solves unconverged; the trace must say so.
-    op = make_operator("gaussian", 32, 64, seed=8)
-    sig = gen_sparse(64, 4, seed=9)
-    u, _ = measure(op, sig)
-    capped = omp(op, u, 4, ls_max_iter=1)
-    assert capped.iterates[-1]["ls_converged"] is False
-    assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
-    full = omp(op, u, 4)
-    assert all(it["ls_converged"] is True for it in full.iterates)
-    assert any(it["ls_iterations"] > 1 for it in full.iterates)
-    for it in capped.iterates + full.iterates:
-        # one adjoint for the right-hand side, then a forward/adjoint pair per step
-        assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]
+def noisy_instance(ensemble, m, N, s, trial):
+    op = make_operator(ensemble, m, N, seed=derive_seed(3000, trial))
+    sig = gen_sparse(N, s, seed=derive_seed(4000, trial))
+    u, _ = measure(op, sig, NoiseSpec.gaussian(0.01, derive_seed(5000, trial)))
+    return op, u
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_each_refit_matches_dense_cholesky(monkeypatch, ensemble):
+    # Every round refits through pursuit.restricted_least_squares, looked up
+    # at call time, and matches the dense normal-equation solve on Phi_T.
+    solves = []
+    solve = pursuit.restricted_least_squares
+
+    def recording(system, **kwargs):
+        solution = solve(system, **kwargs)
+        solves.append((system.support.indices, solution.coeffs))
+        return solution
+
+    monkeypatch.setattr(pursuit, "restricted_least_squares", recording)
+    for trial in range(10):
+        op, u = noisy_instance(ensemble, 64, 256, 10, trial)
+        solves.clear()
+        result = omp(op, u, 10)
+        assert len(solves) == result.iterations == 10
+        dense = op.dense_matrix()
+        for support, coeffs in solves:
+            a = dense[:, support]
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a.T @ a), a.T @ u)
+            assert np.linalg.norm(coeffs - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_costs_four_applies_per_round_less_one(ensemble):
+    # Per round: the proxy adjoint, the new column, its correlation with the
+    # support (not in round one), and the residual's forward apply.
+    for trial in range(5):
+        op, u = noisy_instance(ensemble, 48, 128, 6, trial)
+        result = omp(op, u, 8)
+        assert result.halted_by is HaltReason.SPARSITY_REACHED
+        n = result.iterations
+        assert result.matvec_count == 4 * n - 1
+        assert sum(it["ls_applications"] for it in result.iterates) == 2 * n - 1
+        assert all(it["ls_iterations"] == 0 and it["ls_converged"] for it in result.iterates)
+
+
+class MatrixOperator:
+    """Duck-typed operator over an explicit matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.m, self.N = matrix.shape
+        self.matvec_count = 0
+
+    def adjoint(self, v):
+        self.matvec_count += 1
+        return self.matrix.T @ v
+
+    def forward_support(self, indices, coeffs):
+        self.matvec_count += 1
+        return self.matrix[:, indices] @ coeffs
+
+    def adjoint_support(self, indices, v):
+        self.matvec_count += 1
+        return self.matrix[:, indices].T @ v
+
+
+def test_dependent_column_raises_solver_failure():
+    # Columns a and a * (1 + 2**-40) span one direction to working precision;
+    # the third round must report that rather than split a's weight.
+    for seed in range(20):
+        gen = SplitMix64(seed)
+        a, b = gen.normal(8), gen.normal(8)
+        op = MatrixOperator(np.column_stack([a, a * (1.0 + 2.0**-40), b]))
+        with pytest.raises(SolverFailure, match=r"^omp iteration 3: column [01] is numerically dependent"):
+            omp(op, a + b, 3)

@@ -17,8 +17,8 @@ seeds = st.integers(0, 2**64 - 1)
 
 
 @st.composite
-def instances(draw):
-    algorithm = draw(st.sampled_from(["omp", "romp", "cosamp"]))
+def instances(draw, algorithms=("omp", "romp", "cosamp")):
+    algorithm = draw(st.sampled_from(algorithms))
     ensemble = draw(st.sampled_from(["gaussian", "bernoulli", "partial_dct"]))
     N = draw(st.integers(3, 40))
     m = draw(st.integers(3 if algorithm == "cosamp" else 1, N))
@@ -54,3 +54,20 @@ def test_pursuit_structural_invariants(instance):
             assert len(it["proxy_picks"]) <= 2 * s
             assert it["merged_size"] <= 3 * s
             assert len(it["support"]) <= s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instances(algorithms=("omp",)))
+def test_omp_residual_never_increases_and_is_orthogonal(instance):
+    _, op, u, s = instance
+    try:
+        result = omp(op, u, s)
+    except SolverFailure:
+        reject()
+
+    norms = result.residual_norms
+    assert all(b <= a + 1e-12 * norms[0] for a, b in zip(norms, norms[1:]))
+    support = result.support.indices
+    if support.size:
+        residual = u - op.forward_support(support, result.estimate[support])
+        assert np.linalg.norm(op.adjoint_support(support, residual)) <= 1e-9 * np.linalg.norm(op.adjoint(u))

@@ -184,3 +184,21 @@ def test_deterministic_results():
     b = romp(op, u, 7)
     assert np.array_equal(a.estimate, b.estimate)
     assert a.residual_norms == b.residual_norms
+
+
+def test_iterates_record_least_squares_convergence():
+    # ROMP refits by CG: a 4-column Gaussian refit needs more than one CG
+    # step, so a cap of one step leaves the solves unconverged; the trace
+    # must say so.
+    op = make_operator("gaussian", 32, 64, seed=8)
+    sig = gen_sparse(64, 4, seed=9)
+    u, _ = measure(op, sig)
+    capped = romp(op, u, 4, ls_max_iter=1)
+    assert capped.iterates[-1]["ls_converged"] is False
+    assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
+    full = romp(op, u, 4)
+    assert all(it["ls_converged"] is True for it in full.iterates)
+    assert any(it["ls_iterations"] > 1 for it in full.iterates)
+    for it in capped.iterates + full.iterates:
+        # one adjoint for the right-hand side, then a forward/adjoint pair per step
+        assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]
