@@ -21,9 +21,7 @@ from .errors import SolverFailure, UsageError
 from .linalg import (
     GramFactor,
     LsSolution,
-    RestrictedSystem,
     SupportSet,
-    dot,
     embed,
     largest_indices,
     restricted_least_squares,
@@ -36,7 +34,6 @@ from .sensing import (
     SenseOperator,
     empirical_ric,
     make_operator,
-    operator_from_descriptor,
 )
 from .signals import (
     NoiseMode,
@@ -47,7 +44,6 @@ from .signals import (
     gen_sparse,
     head,
     measure,
-    signal_from_descriptor,
     tail_l1,
 )
 
@@ -61,7 +57,6 @@ __all__ = [
     "NoiseMode",
     "NoiseSpec",
     "RecoveryResult",
-    "RestrictedSystem",
     "RicEstimate",
     "SenseOperator",
     "Signal",
@@ -75,7 +70,6 @@ __all__ = [
     "compressible_scaling",
     "cosamp",
     "derive_seed",
-    "dot",
     "embed",
     "empirical_ric",
     "gen_compressible",
@@ -85,14 +79,12 @@ __all__ = [
     "make_operator",
     "measure",
     "omp",
-    "operator_from_descriptor",
     "phase_sweep",
     "restricted_least_squares",
     "romp",
     "romp_regularize",
     "run_trial",
     "run_trials",
-    "signal_from_descriptor",
     "summarize",
     "tail_l1",
 ]

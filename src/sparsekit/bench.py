@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SolverFailure, UsageError
 from .pursuit import RecoveryResult, cosamp, omp, romp
 from .rng import derive_seed
-from .sensing import Ensemble, make_operator
+from .sensing import Ensemble, check_dense_size, make_operator
 from .signals import NoiseSpec, Signal, gen_compressible, gen_sparse, head, measure, tail_l1
 
 FORMAT_VERSION = 1
@@ -98,6 +98,7 @@ class TrialConfig:
         problem = self._shape_problem()
         if problem is not None:
             raise UsageError(problem)
+        check_dense_size(self.ensemble, self.m, self.N)
         return self
 
     def _check_settings(self) -> None:
@@ -379,6 +380,8 @@ def phase_sweep(
     )
     base._check_settings()
     _check_threads(threads)
+    # The largest m that builds an operator (m > N cells are NA) bounds them all.
+    check_dense_size(ensemble, max([m for m in m_values if m <= N], default=0), N)
     cells = []
     for m in m_values:
         for s in s_values:

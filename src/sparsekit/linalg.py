@@ -41,13 +41,6 @@ def as_vector(x, length=None, name="vector") -> np.ndarray:
     return v
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va = as_vector(a, name="a")
-    vb = as_vector(b, len(va), name="b")
-    return float(np.dot(va, vb))
-
-
 def largest_indices(values, k: int) -> np.ndarray:
     """Positions of the ``k`` largest-magnitude entries, ascending.
 
@@ -87,6 +80,16 @@ def embed(coeffs, indices, length: int) -> np.ndarray:
     return out
 
 
+def as_support(indices) -> np.ndarray:
+    """Validate and return support indices: 1-D int64, strictly increasing, non-negative."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise UsageError("support indices must be 1-D")
+    if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
+        raise UsageError("support indices must be strictly increasing and non-negative")
+    return idx
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """Ordered set of column indices, strictly increasing, no duplicates."""
@@ -94,11 +97,7 @@ class SupportSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).copy()
-        if idx.ndim != 1:
-            raise UsageError("support indices must be 1-D")
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-            raise UsageError("support indices must be strictly increasing and non-negative")
+        idx = as_support(self.indices).copy()
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -107,13 +106,6 @@ class SupportSet:
         """Build from any iterable; duplicates are rejected."""
         idx = np.asarray(sorted(int(i) for i in it), dtype=np.int64)
         return cls(idx)
-
-    @classmethod
-    def empty(cls) -> "SupportSet":
-        return cls(np.empty(0, dtype=np.int64))
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet(np.union1d(self.indices, other.indices))
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -128,31 +120,6 @@ class SupportSet:
 
     def __hash__(self):
         return hash(self.indices.tobytes())
-
-
-@dataclass(frozen=True)
-class RestrictedSystem:
-    """Least-squares data: minimize ||rhs - Phi_T w|| over w.
-
-    ``operator`` is anything exposing ``m``, ``N``, ``forward_support`` and
-    ``adjoint_support`` (see ``sensing.SenseOperator``).
-    """
-
-    operator: object
-    support: SupportSet
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.support) > self.operator.m:
-            raise UsageError(
-                f"support size {len(self.support)} exceeds measurement count "
-                f"{self.operator.m}: restricted system is underdetermined"
-            )
-        if len(self.support) and int(self.support.indices[-1]) >= self.operator.N:
-            raise UsageError("support index out of range")
-        object.__setattr__(
-            self, "rhs", as_vector(self.rhs, self.operator.m, name="rhs")
-        )
 
 
 @dataclass
@@ -200,18 +167,14 @@ class GramFactor:
         """The factor's columns in the order they were added."""
         return self._columns[: self._size]
 
-    def solve(self, system: RestrictedSystem, tol: float) -> LsSolution:
-        """Grow the factor to ``system.support`` and solve on it.
+    def solve(self, support: np.ndarray, tol: float) -> LsSolution:
+        """Grow the factor to ``support`` (ascending) and solve on it.
 
         The support must hold every column already in the factor.  The
         coefficients come back in support order; ``converged`` says whether
         the normal-equation residual is within ``tol * ||Phi_T^* rhs||``.
         """
-        if system.operator is not self.operator or not (
-            system.rhs is self.rhs or np.array_equal(system.rhs, self.rhs)
-        ):
-            raise UsageError("the factor was built for another operator or right-hand side")
-        support = system.support.indices.tolist()
+        support = support.tolist()
         held = set(self.columns.tolist())
         new = [j for j in support if j not in held]
         if len(held) + len(new) != len(support):
@@ -274,7 +237,10 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def restricted_least_squares(
-    system: RestrictedSystem,
+    op,
+    support,
+    rhs,
+    *,
     tol: float = DEFAULT_LS_TOL,
     max_iter: int = DEFAULT_LS_MAX_ITER,
     method: str = "cg",
@@ -284,8 +250,14 @@ def restricted_least_squares(
 
     Parameters
     ----------
-    system : RestrictedSystem
-        Operator, support ``T`` and right-hand side.
+    op
+        Anything exposing ``m``, ``N``, ``forward_support`` and
+        ``adjoint_support`` (see ``sensing.SenseOperator``).
+    support : 1-D integer array
+        The columns ``T``: strictly increasing, non-negative, below ``N``,
+        and at most ``m`` of them.
+    rhs : 1-D float array
+        Finite, of length ``m``.
     tol : float
         Relative stopping tolerance: iterate until the normal-equation
         residual satisfies ``||Phi_T^*(rhs - Phi_T w)|| <= tol * ||Phi_T^* rhs||``.
@@ -309,14 +281,26 @@ def restricted_least_squares(
     Raises
     ------
     UsageError
-        Empty support, bad tolerance, unknown method, or a factor built for
-        another system or holding a column outside the support.
+        A support that is empty, unsorted, repeated, negative, out of range
+        or larger than ``m``; a wrong-length or non-finite ``rhs``; bad
+        tolerance; unknown method; or a factor built for another operator
+        or right-hand side, or holding a column outside the support.
     SolverFailure
         The residual grew 10x above its running minimum (divergence),
         naming the offending iteration; or a column new to the factor is
         numerically dependent on the others (see ``DEPENDENT_COLUMN_RATIO``).
     """
-    if len(system.support) == 0:
+    support = as_support(support)
+    k = support.size
+    if k > op.m:
+        raise UsageError(
+            f"support size {k} exceeds measurement count "
+            f"{op.m}: restricted system is underdetermined"
+        )
+    if k and int(support[-1]) >= op.N:
+        raise UsageError("support index out of range")
+    rhs = as_vector(rhs, op.m, name="rhs")
+    if k == 0:
         raise UsageError("restricted least squares needs a non-empty support")
     if tol <= 0:
         raise UsageError("tol must be positive")
@@ -325,11 +309,10 @@ def restricted_least_squares(
     if method not in ("cg", "richardson"):
         raise UsageError(f"unknown method {method!r}")
     if factor is not None:
-        return factor.solve(system, tol)
+        if factor.operator is not op or not (rhs is factor.rhs or np.array_equal(rhs, factor.rhs)):
+            raise UsageError("the factor was built for another operator or right-hand side")
+        return factor.solve(support, tol)
 
-    op = system.operator
-    support = system.support.indices
-    k = support.size
     applications = 0
 
     def gram_apply(w):
@@ -338,7 +321,7 @@ def restricted_least_squares(
         return op.adjoint_support(support, op.forward_support(support, w))
 
     applications += 1
-    target = op.adjoint_support(support, system.rhs)
+    target = op.adjoint_support(support, rhs)
     target_norm = float(np.linalg.norm(target))
     if target_norm == 0.0:
         return LsSolution(

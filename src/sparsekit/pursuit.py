@@ -24,7 +24,6 @@ from .linalg import (
     DEFAULT_LS_MAX_ITER,
     DEFAULT_LS_TOL,
     GramFactor,
-    RestrictedSystem,
     SupportSet,
     as_vector,
     embed,
@@ -102,9 +101,8 @@ def _pursue(
             halted = picked
             break
         refit_support, entry = picked
-        system = RestrictedSystem(operator=op, support=SupportSet(refit_support), rhs=u)
         try:
-            solution = restricted_least_squares(system, **ls)
+            solution = restricted_least_squares(op, refit_support, u, **ls)
         except SolverFailure as exc:
             raise SolverFailure(f"{name} iteration {iteration}: {exc}") from exc
         new_support, coeffs = refit_support, solution.coeffs

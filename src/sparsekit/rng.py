@@ -1,18 +1,20 @@
-"""Portable seeded random number generation.
+"""Seeded random number generation from one documented bit stream.
 
 Every random draw in this package comes from one fixed, fully documented
-generator so that fixtures and benchmark outputs are reproducible bit for
-bit across platforms and releases:
+generator.  Its words and index draws are integer arithmetic and match a
+pure-Python reference on any platform.  Its Gaussian variates go through
+numpy's ``log``, ``cos`` and ``sin``, whose last bits can differ between
+CPUs (ROADMAP item 1), so variates, fixtures and benchmark outputs are
+verified bit for bit across reruns and thread counts on one numpy/BLAS
+build only:
 
 * Bit stream: SplitMix64.  Output ``i`` (0-based) for seed ``s`` is
   ``mix64((s + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64)`` where ``mix64``
   is the standard SplitMix64 finalizer (xor-shift 30 / multiply
   0xBF58476D1CE4E5B9 / xor-shift 27 / multiply 0x94D049BB133111EB /
   xor-shift 31).
-* Uniforms: the top 53 bits of an output word, scaled by 2**-53.
-* Gaussians: the Box-Muller transform on uniform pairs (no ziggurat, no
-  rejection), so the mapping from bit stream to variates is identical in
-  any conforming implementation.
+* Gaussians: the Box-Muller transform on pairs of words, each taken as
+  its top 53 bits scaled by 2**-53 (no ziggurat, no rejection).
 * Derived seeds: ``derive_seed(master, *parts)`` folds each integer part
   into the state with one mix64 round.  Trial ``i`` of a benchmark uses
   ``derive_seed(master_seed, i)``, and the operator / signal / noise
@@ -79,18 +81,17 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 class SplitMix64:
     """Seedable counter-based SplitMix64 stream.
 
-    ``raw``/``uniform``/``normal`` consume a documented number of stream
-    positions, so generation is reproducible regardless of block sizes.
-    ``normal(n)`` always consumes ``2 * ceil(n / 2)`` positions.
-    ``choose_without_replacement(population, k)`` consumes exactly ``k``
-    positions and ``permutation(n)`` consumes ``max(n - 1, 0)``: one word
-    per Fisher-Yates step, reduced modulo the population still unpicked
-    at that step, as ``index_below`` would.
+    Every draw consumes a documented number of stream positions, so
+    generation is reproducible regardless of block sizes.  ``raw(n)`` and
+    ``signs(n)`` consume ``n``; ``normal(n)`` always consumes
+    ``2 * ceil(n / 2)``.  ``choose_without_replacement(population, k)``
+    consumes exactly ``k`` positions and ``permutation(n)`` consumes
+    ``max(n - 1, 0)``: one word per Fisher-Yates step, reduced modulo the
+    population still unpicked at that step.
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
-        self._seed_u64 = np.uint64(self._seed)
+        self._seed_u64 = np.uint64(seed & _MASK64)
         self._position = 0
 
     @property
@@ -107,15 +108,6 @@ class SplitMix64:
         state *= _GAMMA_U64
         state += self._seed_u64
         return _mix64_array(state)
-
-    def raw_scalar(self) -> int:
-        """Next single output word (pure-integer path)."""
-        self._position += 1
-        return mix64((self._seed + self._position * _GAMMA) & _MASK64)
-
-    def uniform(self, n: int) -> np.ndarray:
-        """``n`` doubles in [0, 1)."""
-        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles via Box-Muller."""
@@ -152,17 +144,6 @@ class SplitMix64:
         out -= 1.0
         return out
 
-    def index_below(self, bound: int) -> int:
-        """One integer in [0, bound) via modulo reduction.
-
-        The modulo bias is below bound / 2**64, negligible for any signal
-        length, and is accepted for the sake of a simple, fully specified
-        reduction.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.raw_scalar() % bound
-
     def choose_without_replacement(self, population: int, k: int) -> np.ndarray:
         """``k`` distinct indices from [0, population), sorted ascending.
 
@@ -185,9 +166,10 @@ class SplitMix64:
     def _fisher_yates(self, population: int, k: int):
         """The first ``k`` steps of a Fisher-Yates shuffle of [0, population).
 
-        Step ``i`` swaps entry ``i`` with entry ``i + word_i % (population - i)``.
-        All ``k`` words come from one ``raw(k)`` block, which lands on the
-        same stream positions as ``k`` calls of ``index_below``.  Only the
+        Step ``i`` swaps entry ``i`` with entry ``i + word_i % (population - i)``;
+        the modulo bias, below population / 2**64, is accepted for a simple,
+        fully specified reduction.  All ``k`` words come from one ``raw(k)``
+        block.  Only the
         entries moved past the prefix are stored, so the cost is O(k) for
         any population.  Returns the ``k`` picks in order and the map from
         each later position that was moved to the entry now there.

@@ -10,9 +10,9 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
   matrix, drawn uniformly without replacement and scaled by
   ``sqrt(N/m)``.  Application uses an O(N log N) fast transform.
 
-Operators are deterministic functions of ``(ensemble, m, N, seed)`` and
-serialize to a JSON descriptor of exactly those fields; entries are never
-stored on disk, always regenerated.
+Operators are deterministic functions of ``(ensemble, m, N, seed)``.
+Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
+they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ from scipy import fft
 from .errors import UsageError
 from .linalg import as_vector
 from .rng import SplitMix64
+
+
+# Gaussian and Bernoulli operators store their m * N entries as float64, and
+# drawing them peaks at about 2.5 times that.  2**26 entries are 512 MiB; a
+# larger dense operator is refused as a usage error rather than left to fail,
+# or to exhaust memory, in the allocator.
+MAX_DENSE_ENTRIES = 2**26
 
 
 class Ensemble(enum.Enum):
@@ -92,17 +99,6 @@ class SenseOperator:
         self.matvec_count += 1
         return self._adjoint_support(np.asarray(indices, dtype=np.int64), np.asarray(v, dtype=np.float64))
 
-    # -- serialization ---------------------------------------------------
-
-    def descriptor(self) -> dict:
-        """JSON-ready descriptor; entries are regenerated on load."""
-        return {
-            "ensemble": self.ensemble.value,
-            "m": self.m,
-            "N": self.N,
-            "seed": self.seed,
-        }
-
     # -- hooks ------------------------------------------------------------
 
     def _forward(self, x):
@@ -151,8 +147,12 @@ class _DenseEnsembleOperator(SenseOperator):
 
         The one-entry memo is keyed on the index values (shape and bytes),
         so a caller that mutates its index array in place never gets a
-        stale block.
+        stale block.  A single column is gathered without the memo, so a
+        one-column apply such as OMP's ``forward_support([j])`` leaves the
+        block in place.
         """
+        if indices.size == 1:
+            return self._matrix[:, indices]
         key = (indices.shape, indices.tobytes())
         cached_key, block = self._gathered
         if key != cached_key:
@@ -196,29 +196,24 @@ class _PartialDctOperator(SenseOperator):
         return self._scale * mat
 
 
+def check_dense_size(ensemble, m: int, N: int) -> None:
+    """Raise ``UsageError`` when a Gaussian or Bernoulli operator of this
+    shape would hold more than ``MAX_DENSE_ENTRIES`` entries."""
+    kind = _coerce_ensemble(ensemble)
+    if kind is not Ensemble.PARTIAL_DCT and m * N > MAX_DENSE_ENTRIES:
+        raise UsageError(
+            f"a {kind.value} operator with m={m}, N={N} holds {m * N} entries, "
+            f"more than the cap of {MAX_DENSE_ENTRIES} (sensing.MAX_DENSE_ENTRIES)"
+        )
+
+
 def make_operator(ensemble, m: int, N: int, seed: int) -> SenseOperator:
     """Build a measurement operator; same parameters give identical entries."""
     kind = _coerce_ensemble(ensemble)
+    check_dense_size(kind, m, N)
     if kind is Ensemble.PARTIAL_DCT:
         return _PartialDctOperator(m, N, seed)
     return _DenseEnsembleOperator(kind, m, N, seed)
-
-
-def operator_from_descriptor(descriptor: dict) -> SenseOperator:
-    """Rebuild an operator from its JSON descriptor."""
-    expected = {"ensemble", "m", "N", "seed"}
-    unknown = set(descriptor) - expected
-    if unknown:
-        raise UsageError(f"unknown descriptor keys: {sorted(unknown)}")
-    missing = expected - set(descriptor)
-    if missing:
-        raise UsageError(f"descriptor missing keys: {sorted(missing)}")
-    return make_operator(
-        descriptor["ensemble"],
-        int(descriptor["m"]),
-        int(descriptor["N"]),
-        int(descriptor["seed"]),
-    )
 
 
 @dataclass

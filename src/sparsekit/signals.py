@@ -33,9 +33,6 @@ class Signal:
     values: np.ndarray
     kind: SignalKind = SignalKind.ARBITRARY
     true_support: Optional[SupportSet] = None
-    p: Optional[float] = None
-    R: Optional[float] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         self.values = as_vector(self.values, name="signal values")
@@ -43,45 +40,6 @@ class Signal:
             off = np.delete(self.values, self.true_support.indices)
             if off.size and np.any(off != 0.0):
                 raise UsageError("sparse signal has nonzeros off its declared support")
-
-    @property
-    def N(self) -> int:
-        return int(self.values.size)
-
-    def descriptor(self) -> dict:
-        """JSON descriptor; values are regenerated on load."""
-        if self.seed is None:
-            raise UsageError("only generated signals serialize to a descriptor")
-        if self.kind is SignalKind.EXACT_SPARSE:
-            return {
-                "kind": self.kind.value,
-                "N": self.N,
-                "s": len(self.true_support),
-                "seed": self.seed,
-            }
-        if self.kind is SignalKind.COMPRESSIBLE:
-            return {
-                "kind": self.kind.value,
-                "N": self.N,
-                "p": self.p,
-                "R": self.R,
-                "seed": self.seed,
-            }
-        raise UsageError("arbitrary signals do not serialize")
-
-
-def signal_from_descriptor(descriptor: dict) -> Signal:
-    kind = descriptor.get("kind")
-    if kind == SignalKind.EXACT_SPARSE.value:
-        return gen_sparse(int(descriptor["N"]), int(descriptor["s"]), int(descriptor["seed"]))
-    if kind == SignalKind.COMPRESSIBLE.value:
-        return gen_compressible(
-            int(descriptor["N"]),
-            float(descriptor["p"]),
-            float(descriptor["R"]),
-            int(descriptor["seed"]),
-        )
-    raise UsageError(f"unknown signal descriptor kind {kind!r}")
 
 
 class NoiseMode(enum.Enum):
@@ -138,7 +96,6 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
         values=embed(coeffs, support, N),
         kind=SignalKind.EXACT_SPARSE,
         true_support=SupportSet(support),
-        seed=seed,
     )
 
 
@@ -155,7 +112,7 @@ def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
     positions = rng.permutation(N)
     values = np.empty(N)
     values[positions] = signs * magnitudes
-    return Signal(values=values, kind=SignalKind.COMPRESSIBLE, p=p, R=R, seed=seed)
+    return Signal(values=values, kind=SignalKind.COMPRESSIBLE)
 
 
 def _signal_values(x) -> np.ndarray:

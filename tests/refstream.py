@@ -1,0 +1,39 @@
+"""The tests' pure-Python reference for the SplitMix64 bit stream, and the
+scalar draws the tests take from a generator's words.
+
+``word``, ``index_below`` and ``uniform`` read the next words of a
+``SplitMix64`` through ``raw``, so a test that draws its instances with
+them consumes the same stream positions as one word per scalar draw.
+"""
+
+import numpy as np
+
+MASK = (1 << 64) - 1
+
+
+def reference_stream(seed, count):
+    """Scalar reference implementation of the counter-based generator."""
+    out = []
+    state = seed & MASK
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def word(gen):
+    """The next output word of ``gen`` as a Python int."""
+    return int(gen.raw(1)[0])
+
+
+def index_below(gen, bound):
+    """One integer in [0, bound): the next word modulo ``bound``."""
+    return word(gen) % bound
+
+
+def uniform(gen, n):
+    """``n`` doubles in [0, 1): the top 53 bits of each next word, scaled by 2**-53."""
+    return (gen.raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

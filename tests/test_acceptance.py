@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from refstream import index_below, word
 from sparsekit.bench import TrialConfig, compressible_scaling, run_trials, trial_seeds, trials_report, render_json, write_trials_csv
 from sparsekit.cli import main as cli_main
-from sparsekit.linalg import RestrictedSystem, SupportSet, restricted_least_squares
+from sparsekit.linalg import restricted_least_squares
 from sparsekit.pursuit import romp_regularize
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import empirical_ric, make_operator
@@ -177,7 +178,7 @@ def _exhaustive_window(values):
 def test_a5_regularizer_equals_exhaustive_search():
     rng = SplitMix64(707)
     for trial in range(1000):
-        size = 1 + int(rng.index_below(12))
+        size = 1 + index_below(rng, 12)
         values = rng.normal(size)
         values[values == 0.0] = 1.0
         if trial % 4 == 0:
@@ -194,8 +195,8 @@ def test_a5_regularizer_equals_exhaustive_search():
 
 def _draw_system(gen):
     while True:
-        op = make_operator("gaussian", 48, 96, seed=gen.raw_scalar())
-        k = 1 + int(gen.index_below(16))
+        op = make_operator("gaussian", 48, 96, seed=word(gen))
+        k = 1 + index_below(gen, 16)
         support = gen.choose_without_replacement(96, k)
         dense = op.dense_matrix()[:, support]
         if np.linalg.cond(dense) < 100.0:
@@ -208,15 +209,14 @@ def test_a6_iterative_solver_matches_cholesky_oracle():
     for index in range(200):
         op, support, dense, rhs = _draw_system(gen)
         oracle = cho_solve(cho_factor(dense.T @ dense), dense.T @ rhs)
-        system = RestrictedSystem(op, SupportSet.from_iterable(support), rhs)
-        solved = restricted_least_squares(system, method="cg")
+        solved = restricted_least_squares(op, support, rhs, method="cg")
         rel = np.linalg.norm(solved.coeffs - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-8, f"system {index}: cg off by {rel:.3e}"
         if index < 50:
             # the one-step stationary method converges linearly, so it
             # needs a tighter target and more iterations to match
             slow = restricted_least_squares(
-                system, method="richardson", tol=1e-12, max_iter=5000
+                op, support, rhs, method="richardson", tol=1e-12, max_iter=5000
             )
             rel = np.linalg.norm(slow.coeffs - oracle) / np.linalg.norm(oracle)
             assert rel <= 1e-8, f"system {index}: richardson off by {rel:.3e}"

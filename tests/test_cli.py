@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sparsekit
-from sparsekit import bench, cli
+from sparsekit import bench, cli, sensing
 from sparsekit.errors import SolverFailure
 
 
@@ -423,6 +423,45 @@ def test_omp_accepts_ls_method_cg(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--ls-method", "cg")
     assert code == 0
     assert out == run_cli(capsys, *argv)[1]
+
+
+# Gaussian and Bernoulli at m * N = 1e11 entries (745 GiB), far over the cap.
+BIG = ["--m", "100000", "--N", "1000000"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--s", "1", *BIG],
+        ["recover", "--ensemble", "bernoulli", "--s", "1", *BIG],
+        ["bench", "--alg", "romp", "--ensemble", "bernoulli", "--s", "1", "--trials", "2", *BIG],
+        ["bench", "--alg", "cosamp", "--signal-kind", "compressible", "--p", "0.5", "--R", "1",
+         "--scaling-s", "1,2", "--trials", "2", *BIG],
+        # The largest m decides, though the m = 16 cell alone would fit.
+        ["sweep", "--N", "1000000", "--m-values", "16,100000", "--s-values", "1", "--trials", "2"],
+        ["ric", "--n", "1", "--trials", "2", *BIG],
+    ],
+    ids=["recover", "recover-bernoulli", "bench", "scaling", "sweep", "ric"],
+)
+def test_dense_operator_over_the_size_cap_exits_2_before_any_work(monkeypatch, capsys, argv):
+    def no_work(*args):
+        raise AssertionError("a trial ran or an operator was built")
+
+    monkeypatch.setattr(bench, "run_trial", no_work)
+    monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "sensing.MAX_DENSE_ENTRIES" in err
+
+
+def test_sweep_size_cap_skips_cells_that_build_no_operator(capsys):
+    # m > N cells are NA and build nothing, so an m of 10**9 is no size problem.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--N", "64", "--m-values", "32,1000000000", "--s-values", "4", "--trials", "2"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "1000000000,4,2,NA,NA"
 
 
 # ------------------------------------------------------------ exit wiring

@@ -10,13 +10,12 @@ from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.linalg import (
     GramFactor,
     LsSolution,
-    RestrictedSystem,
     SupportSet,
-    dot,
     embed,
     largest_indices,
     restricted_least_squares,
 )
+from refstream import index_below
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
 
@@ -46,32 +45,7 @@ def cholesky_least_squares(matrix, support, rhs):
     return scipy.linalg.cho_solve(factor, a.T @ rhs)
 
 
-# --- dot / largest_indices / embed -----------------------------------------
-
-def test_dot_examples():
-    assert dot([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 14.0
-    assert dot([1.0, -2.0, 4.0], [0.0, 0.0, 0.0]) == 0.0
-
-
-def test_dot_against_fsum_oracle():
-    gen = SplitMix64(17)
-    for _ in range(20):
-        a = gen.normal(100)
-        b = gen.normal(100)
-        expected = math.fsum(float(x) * float(y) for x, y in zip(a, b))
-        got = dot(a, b)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(UsageError):
-        dot([1.0, 2.0], [1.0])
-
-
-def test_dot_rejects_nonfinite():
-    with pytest.raises(UsageError):
-        dot([1.0, np.nan], [1.0, 2.0])
-
+# --- largest_indices / embed --------------------------------------------------
 
 def sort_oracle(values, k):
     """Independent top-k-by-magnitude with lowest-index ties."""
@@ -82,11 +56,11 @@ def sort_oracle(values, k):
 def test_largest_indices_against_sort_oracle():
     gen = SplitMix64(23)
     for trial in range(50):
-        n = 1 + int(gen.index_below(40))
+        n = 1 + index_below(gen, 40)
         v = gen.normal(n)
         if trial % 3 == 0:  # force magnitude ties
             v = np.round(v)
-        k = int(gen.index_below(n + 1))
+        k = index_below(gen, n + 1)
         assert largest_indices(v, k).tolist() == sort_oracle(v.tolist(), k)
 
 
@@ -154,13 +128,13 @@ def test_support_set_from_iterable_sorts():
         SupportSet.from_iterable([2, 2])
 
 
-def test_support_set_union_eq_hash():
+def test_support_set_eq_hash():
     a = SupportSet.from_iterable([1, 5])
     b = SupportSet.from_iterable([2, 5])
-    assert a.union(b) == SupportSet.from_iterable([1, 2, 5])
+    assert a == SupportSet(np.array([1, 5]))
     assert hash(a) == hash(SupportSet.from_iterable([5, 1]))
     assert a != b
-    assert len(SupportSet.empty()) == 0
+    assert len(SupportSet(np.empty(0, dtype=np.int64))) == 0
 
 
 def test_support_set_is_immutable():
@@ -169,16 +143,33 @@ def test_support_set_is_immutable():
         s.indices[0] = 7
 
 
-# --- RestrictedSystem / restricted_least_squares ----------------------------
+# --- restricted_least_squares --------------------------------------------------
 
-def test_restricted_system_rejects_underdetermined():
+# Every input the solver refuses at its entry, with the message it gives;
+# the operator is 3 x 5.
+BAD_LS_INPUTS = {
+    "underdetermined": ([0, 1, 2, 3], np.zeros(3), "support size 4 exceeds measurement count 3"),
+    "out-of-range": ([5], np.zeros(3), "support index out of range"),
+    "unsorted": ([2, 0], np.zeros(3), "strictly increasing and non-negative"),
+    "duplicate": ([1, 1], np.zeros(3), "strictly increasing and non-negative"),
+    "negative": ([-1, 2], np.zeros(3), "strictly increasing and non-negative"),
+    "2-D-support": ([[0, 1]], np.zeros(3), "support indices must be 1-D"),
+    "empty": (np.empty(0, dtype=np.int64), np.ones(3), "needs a non-empty support"),
+    "rhs-length": ([0], np.zeros(4), "rhs must have length 3, got 4"),
+    "rhs-nan": ([0], np.array([1.0, np.nan, 0.0]), "rhs contains NaN or Inf"),
+    "rhs-inf": ([0], np.array([1.0, np.inf, 0.0]), "rhs contains NaN or Inf"),
+}
+
+
+@pytest.mark.parametrize("support, rhs, message", BAD_LS_INPUTS.values(), ids=BAD_LS_INPUTS.keys())
+def test_ls_rejects_bad_input_at_entry(support, rhs, message):
     op = MatrixOperator(np.eye(3, 5))
-    with pytest.raises(UsageError):
-        RestrictedSystem(operator=op, support=SupportSet.from_iterable([0, 1, 2, 3]), rhs=np.zeros(3))
-    with pytest.raises(UsageError):
-        RestrictedSystem(operator=op, support=SupportSet.from_iterable([5]), rhs=np.zeros(3))
-    with pytest.raises(UsageError):
-        RestrictedSystem(operator=op, support=SupportSet.from_iterable([0]), rhs=np.zeros(4))
+    for method in ("cg", "richardson"):
+        with pytest.raises(UsageError, match=message):
+            restricted_least_squares(op, support, rhs, method=method)
+    with pytest.raises(UsageError, match=message):
+        restricted_least_squares(op, support, rhs, factor=GramFactor(op, np.zeros(3)))
+    assert op.matvec_count == 0
 
 
 def test_ls_identity_operator():
@@ -186,8 +177,7 @@ def test_ls_identity_operator():
     rhs = np.zeros(6)
     rhs[2] = 1.0
     rhs[5] = 3.0
-    system = RestrictedSystem(operator=op, support=SupportSet.from_iterable([2, 5]), rhs=rhs)
-    sol = restricted_least_squares(system)
+    sol = restricted_least_squares(op, [2, 5], rhs)
     assert isinstance(sol, LsSolution)
     assert sol.converged
     np.testing.assert_allclose(sol.coeffs, [1.0, 3.0], atol=1e-12)
@@ -201,8 +191,7 @@ def test_ls_orthonormal_columns_is_adjoint():
     q, _ = np.linalg.qr(a)
     op = MatrixOperator(q)
     rhs = gen.normal(20)
-    support = SupportSet.from_iterable(range(4))
-    sol = restricted_least_squares(RestrictedSystem(operator=op, support=support, rhs=rhs))
+    sol = restricted_least_squares(op, np.arange(4), rhs)
     np.testing.assert_allclose(sol.coeffs, q.T @ rhs, rtol=1e-10, atol=1e-12)
 
 
@@ -218,10 +207,7 @@ def test_ls_matches_cholesky_oracle(method):
         rhs = gen.normal(m)
         support = [1, 3, 5, 6]
         expected = cholesky_least_squares(full, support, rhs)
-        sol = restricted_least_squares(
-            RestrictedSystem(operator=op, support=SupportSet.from_iterable(support), rhs=rhs),
-            method=method,
-        )
+        sol = restricted_least_squares(op, support, rhs, method=method)
         assert sol.converged, sol.stop_reason
         err = np.linalg.norm(sol.coeffs - expected) / np.linalg.norm(expected)
         assert err < 1e-8
@@ -232,8 +218,7 @@ def test_ls_residual_orthogonality():
     matrix = gen.normal(30 * 5).reshape(30, 5)
     op = MatrixOperator(matrix)
     rhs = gen.normal(30)
-    support = SupportSet.from_iterable(range(5))
-    sol = restricted_least_squares(RestrictedSystem(operator=op, support=support, rhs=rhs))
+    sol = restricted_least_squares(op, np.arange(5), rhs)
     residual = rhs - matrix @ sol.coeffs
     for j in range(5):
         column = matrix[:, j]
@@ -246,8 +231,7 @@ def test_ls_stops_at_max_iterations():
     matrix = gen.normal(12 * 3).reshape(12, 3)
     op = MatrixOperator(matrix)
     rhs = gen.normal(12)
-    system = RestrictedSystem(operator=op, support=SupportSet.from_iterable([0, 1, 2]), rhs=rhs)
-    sol = restricted_least_squares(system, tol=1e-300, max_iter=1)
+    sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=1e-300, max_iter=1)
     assert not sol.converged
     assert sol.stop_reason == "max_iterations"
     assert sol.iterations == 1
@@ -255,24 +239,21 @@ def test_ls_stops_at_max_iterations():
 
 def test_ls_zero_rhs_short_circuits():
     op = MatrixOperator(np.eye(4))
-    system = RestrictedSystem(operator=op, support=SupportSet.from_iterable([0, 2]), rhs=np.zeros(4))
-    sol = restricted_least_squares(system)
+    sol = restricted_least_squares(op, [0, 2], np.zeros(4))
     assert sol.converged
     assert np.all(sol.coeffs == 0.0)
 
 
 def test_ls_validation_errors():
     op = MatrixOperator(np.eye(4))
-    system = RestrictedSystem(operator=op, support=SupportSet.from_iterable([0]), rhs=np.ones(4))
     with pytest.raises(UsageError):
-        restricted_least_squares(system, tol=0.0)
+        restricted_least_squares(op, [0], np.ones(4), tol=0.0)
     with pytest.raises(UsageError):
-        restricted_least_squares(system, max_iter=0)
+        restricted_least_squares(op, [0], np.ones(4), max_iter=0)
     with pytest.raises(UsageError):
-        restricted_least_squares(system, method="lobpcg")
-    empty = RestrictedSystem(operator=op, support=SupportSet.empty(), rhs=np.ones(4))
+        restricted_least_squares(op, [0], np.ones(4), method="lobpcg")
     with pytest.raises(UsageError):
-        restricted_least_squares(empty)
+        restricted_least_squares(op, [], np.ones(4))
 
 
 class BrokenAdjointOperator(MatrixOperator):
@@ -289,9 +270,8 @@ def test_ls_divergence_raises_solver_failure(method):
     gen = SplitMix64(67)
     op = BrokenAdjointOperator(gen.normal(12 * 3).reshape(12, 3))
     rhs = gen.normal(12)
-    system = RestrictedSystem(operator=op, support=SupportSet.from_iterable([0, 1, 2]), rhs=rhs)
     with pytest.raises(SolverFailure, match="iteration"):
-        restricted_least_squares(system, method=method)
+        restricted_least_squares(op, [0, 1, 2], rhs, method=method)
 
 
 def test_ls_on_real_ensemble_operator():
@@ -299,9 +279,7 @@ def test_ls_on_real_ensemble_operator():
     gen = SplitMix64(71)
     rhs = gen.normal(32)
     support = [3, 17, 40, 59]
-    sol = restricted_least_squares(
-        RestrictedSystem(operator=op, support=SupportSet.from_iterable(support), rhs=rhs)
-    )
+    sol = restricted_least_squares(op, support, rhs)
     expected = cholesky_least_squares(op.dense_matrix(), support, rhs)
     assert np.linalg.norm(sol.coeffs - expected) / np.linalg.norm(expected) < 1e-8
 
@@ -317,9 +295,8 @@ def test_factor_solves_grow_to_the_cholesky_oracle():
     # Columns arrive out of order, one or two at a time; coefficients come
     # back in support order, at two applies per column (one for the first).
     for support, applications in (([5], 1), ([2, 5, 7], 4), ([0, 2, 5, 6, 7], 4)):
-        system = RestrictedSystem(operator=op, support=SupportSet.from_iterable(support), rhs=rhs)
         before = op.matvec_count
-        sol = restricted_least_squares(system, factor=factor)
+        sol = restricted_least_squares(op, support, rhs, factor=factor)
         assert op.matvec_count - before == sol.applications == applications
         assert (sol.iterations, sol.converged, sol.stop_reason) == (0, True, "direct")
         expected = cholesky_least_squares(matrix, support, rhs)
@@ -333,12 +310,12 @@ def test_factor_rejects_another_system_or_a_shrinking_support():
     op = MatrixOperator(gen.normal(10 * 4).reshape(10, 4))
     rhs = gen.normal(10)
     factor = GramFactor(op, rhs)
-    restricted_least_squares(RestrictedSystem(op, SupportSet.from_iterable([0, 1]), rhs), factor=factor)
+    restricted_least_squares(op, [0, 1], rhs, factor=factor)
     for system in (
-        RestrictedSystem(op, SupportSet.from_iterable([0, 1, 2]), rhs + 1.0),
-        RestrictedSystem(MatrixOperator(op.matrix), SupportSet.from_iterable([0, 1, 2]), rhs),
-        RestrictedSystem(op, SupportSet.from_iterable([1, 2]), rhs),
+        (op, [0, 1, 2], rhs + 1.0),
+        (MatrixOperator(op.matrix), [0, 1, 2], rhs),
+        (op, [1, 2], rhs),
     ):
         with pytest.raises(UsageError):
-            restricted_least_squares(system, factor=factor)
+            restricted_least_squares(*system, factor=factor)
     assert factor.columns.tolist() == [0, 1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from refstream import word
 from sparsekit.errors import UsageError
 from sparsekit.pursuit import HaltReason, cosamp
 from sparsekit.rng import SplitMix64
@@ -24,8 +25,8 @@ def test_orthonormal_spikes_single_iteration():
 def test_gaussian_exact_recovery_batch():
     successes = 0
     for trial in range(20):
-        op = make_operator("gaussian", 128, 256, seed=SplitMix64(trial).raw_scalar())
-        sig = gen_sparse(256, 8, seed=SplitMix64(trial + 900).raw_scalar())
+        op = make_operator("gaussian", 128, 256, seed=word(SplitMix64(trial)))
+        sig = gen_sparse(256, 8, seed=word(SplitMix64(trial + 900)))
         u, _ = measure(op, sig)
         result = cosamp(op, u, 8, eta=1e-8 * np.linalg.norm(u))
         err = np.linalg.norm(result.estimate - sig.values) / np.linalg.norm(sig.values)

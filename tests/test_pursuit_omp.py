@@ -143,9 +143,9 @@ def test_each_refit_matches_dense_cholesky(monkeypatch, ensemble):
     solves = []
     solve = pursuit.restricted_least_squares
 
-    def recording(system, **kwargs):
-        solution = solve(system, **kwargs)
-        solves.append((system.support.indices, solution.coeffs))
+    def recording(op, support, rhs, **kwargs):
+        solution = solve(op, support, rhs, **kwargs)
+        solves.append((support, solution.coeffs))
         return solution
 
     monkeypatch.setattr(pursuit, "restricted_least_squares", recording)

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from refstream import index_below, word
 from sparsekit.errors import UsageError
 from sparsekit.pursuit import HaltReason, romp, romp_regularize
 from sparsekit.rng import SplitMix64
@@ -56,7 +57,7 @@ def test_regularize_prefers_energy_over_size():
 def test_regularize_against_brute_force():
     gen = SplitMix64(101)
     for trial in range(300):
-        size = 1 + int(gen.index_below(12))
+        size = 1 + index_below(gen, 12)
         values = gen.normal(size)
         values[values == 0.0] = 1.0
         if trial % 5 == 0:
@@ -91,8 +92,8 @@ def test_orthonormal_two_spikes_one_round():
 def test_gaussian_exact_recovery_batch():
     successes = 0
     for trial in range(20):
-        op = make_operator("gaussian", 128, 256, seed=SplitMix64(trial).raw_scalar())
-        sig = gen_sparse(256, 8, seed=SplitMix64(trial + 500).raw_scalar())
+        op = make_operator("gaussian", 128, 256, seed=word(SplitMix64(trial)))
+        sig = gen_sparse(256, 8, seed=word(SplitMix64(trial + 500)))
         u, _ = measure(op, sig)
         result = romp(op, u, 8)
         err = np.linalg.norm(result.estimate - sig.values) / np.linalg.norm(sig.values)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from sparsekit import sensing
 from sparsekit.errors import UsageError
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import (
+    MAX_DENSE_ENTRIES,
     Ensemble,
+    check_dense_size,
     empirical_ric,
     make_operator,
-    operator_from_descriptor,
 )
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
@@ -73,9 +75,11 @@ def test_support_applies_equal_freshly_gathered_columns(ensemble):
     gen = SplitMix64(13)
     a = np.array([2, 9, 31, 58])
     b = np.array([0, 9, 40, 41, 59])
+    one = np.array([31])  # gathered without the memo, between applies on a
     mutable = a.copy()
     plan = [
         (a, None), (b, None), (a, None), (a, None),  # alternating, then repeated
+        (one, None), (a, None), (one, None),
         (mutable, None),  # a new array with the values of the last support
         (mutable, [5, 9, 31, 58]), (mutable, [5, 9, 31, 57]),  # rewritten in place
         (b, None), (mutable, None),
@@ -184,23 +188,31 @@ def test_dimension_validation():
         op.adjoint(np.zeros(9))
 
 
-def test_descriptor_round_trip():
-    for ensemble in ENSEMBLES:
-        op = make_operator(ensemble, 10, 20, seed=55)
-        desc = op.descriptor()
-        assert desc == {"ensemble": ensemble, "m": 10, "N": 20, "seed": 55}
-        clone = operator_from_descriptor(desc)
-        x = SplitMix64(1).normal(20)
-        assert np.array_equal(op.forward(x), clone.forward(x))
+@pytest.mark.parametrize(
+    "ensemble, m, N, refused",
+    [
+        ("gaussian", 2**13, 2**13, False),  # exactly MAX_DENSE_ENTRIES
+        ("gaussian", 2**13, 2**13 + 1, True),
+        ("bernoulli", 2**13 + 1, 2**13, True),
+        ("bernoulli", 100_000, 1_000_000, True),
+        ("partial_dct", 100_000, 1_000_000, False),  # stores no entries
+    ],
+)
+def test_dense_size_cap(monkeypatch, ensemble, m, N, refused):
+    assert MAX_DENSE_ENTRIES == 2**26
+    if not refused:
+        check_dense_size(ensemble, m, N)
+        return
 
+    def no_operator(*args):
+        raise AssertionError("the entries were allocated")
 
-def test_descriptor_rejects_junk():
-    with pytest.raises(UsageError):
-        operator_from_descriptor({"ensemble": "gaussian", "m": 4, "N": 8})
-    with pytest.raises(UsageError):
-        operator_from_descriptor(
-            {"ensemble": "gaussian", "m": 4, "N": 8, "seed": 0, "scale": 2}
-        )
+    monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_operator)
+    message = f"m={m}, N={N} holds {m * N} entries"
+    with pytest.raises(UsageError, match=message):
+        check_dense_size(ensemble, m, N)
+    with pytest.raises(UsageError, match=message):
+        make_operator(ensemble, m, N, seed=0)
 
 
 def test_ensemble_enum_accepts_instances():

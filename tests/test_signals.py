@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from refstream import index_below, uniform, word
 from sparsekit.errors import UsageError
 from sparsekit.linalg import SupportSet
 from sparsekit.rng import SplitMix64
@@ -16,7 +17,6 @@ from sparsekit.signals import (
     gen_sparse,
     head,
     measure,
-    signal_from_descriptor,
     tail_l1,
 )
 
@@ -26,9 +26,9 @@ from sparsekit.signals import (
 def test_gen_sparse_exact_support_count():
     gen = SplitMix64(1)
     for _ in range(100):
-        N = 2 + int(gen.index_below(200))
-        s = int(gen.index_below(N)) + 1
-        sig = gen_sparse(N, s, seed=int(gen.raw_scalar()))
+        N = 2 + index_below(gen, 200)
+        s = index_below(gen, N) + 1
+        sig = gen_sparse(N, s, seed=word(gen))
         assert int(np.count_nonzero(sig.values)) == s
         assert len(sig.true_support) == s
         assert np.array_equal(np.flatnonzero(sig.values), sig.true_support.indices)
@@ -71,10 +71,10 @@ def test_compressible_small_example():
 def test_compressible_envelope_holds_with_equality():
     gen = SplitMix64(7)
     for _ in range(100):
-        N = 4 + int(gen.index_below(120))
-        p = 0.2 + float(gen.uniform(1)[0]) * 1.5
-        R = 0.5 + float(gen.uniform(1)[0]) * 4.0
-        sig = gen_compressible(N, p, R, seed=int(gen.raw_scalar()))
+        N = 4 + index_below(gen, 120)
+        p = 0.2 + float(uniform(gen, 1)[0]) * 1.5
+        R = 0.5 + float(uniform(gen, 1)[0]) * 4.0
+        sig = gen_compressible(N, p, R, seed=word(gen))
         mags = np.sort(np.abs(sig.values))[::-1]
         envelope = R * np.arange(1, N + 1, dtype=float) ** (-1.0 / p)
         assert np.array_equal(mags, envelope)
@@ -118,11 +118,11 @@ def test_head_examples():
 def test_head_matches_sort_oracle():
     gen = SplitMix64(19)
     for trial in range(100):
-        n = 1 + int(gen.index_below(30))
+        n = 1 + index_below(gen, 30)
         v = gen.normal(n)
         if trial % 4 == 0:
             v = np.round(v * 2.0) / 2.0  # create magnitude ties
-        s = int(gen.index_below(n + 1))
+        s = index_below(gen, n + 1)
         np.testing.assert_array_equal(head(v, s), head_oracle(v.tolist(), s))
 
 
@@ -145,7 +145,7 @@ def test_l1_splits_into_head_plus_tail():
     gen = SplitMix64(37)
     for _ in range(50):
         v = gen.normal(25)
-        s = int(gen.index_below(26))
+        s = index_below(gen, 26)
         total = float(np.sum(np.abs(v)))
         head_l1 = float(np.sum(np.abs(head(v, s))))
         assert head_l1 + tail_l1(v, s) == pytest.approx(total, rel=1e-12)
@@ -166,7 +166,7 @@ def test_tail_matches_partial_sum_oracle():
     assert tail_l1(sig, s) <= R / s
 
 
-# --- Signal type / descriptors ----------------------------------------------
+# --- Signal type -------------------------------------------------------------
 
 def test_sparse_signal_rejects_offsupport_values():
     values = np.zeros(8)
@@ -175,22 +175,6 @@ def test_sparse_signal_rejects_offsupport_values():
     Signal(values=values, kind=SignalKind.EXACT_SPARSE, true_support=SupportSet.from_iterable([2, 5]))
     with pytest.raises(UsageError):
         Signal(values=values, kind=SignalKind.EXACT_SPARSE, true_support=SupportSet.from_iterable([2]))
-
-
-def test_signal_descriptor_round_trip():
-    sparse = gen_sparse(32, 4, seed=13)
-    assert sparse.descriptor() == {"kind": "sparse", "N": 32, "s": 4, "seed": 13}
-    np.testing.assert_array_equal(signal_from_descriptor(sparse.descriptor()).values, sparse.values)
-
-    comp = gen_compressible(16, 0.7, 2.5, seed=14)
-    desc = comp.descriptor()
-    assert desc["kind"] == "compressible" and desc["p"] == 0.7 and desc["R"] == 2.5
-    np.testing.assert_array_equal(signal_from_descriptor(desc).values, comp.values)
-
-    with pytest.raises(UsageError):
-        signal_from_descriptor({"kind": "chirp", "N": 8, "seed": 0})
-    with pytest.raises(UsageError):
-        Signal(values=np.ones(3)).descriptor()
 
 
 # --- measure -----------------------------------------------------------------
