@@ -7,6 +7,13 @@ streams for the operator, the signal, and the noise.  Records are always
 ordered by trial index, so running a batch with any number of threads
 emits identical bytes.  Wall-clock timings are kept on the in-memory
 records but never written to output files for the same reason.
+
+Sweeps and scaling studies run trial-major.  Trial ``i``'s operator seed
+depends on neither m nor s, so for each trial index the largest m is drawn
+once and every cell's trial ``i`` builds its operator from a prefix of
+that draw (``sensing.shared_draw``), byte-identical to a draw of its own.
+Trial indices run in one pool, so peak memory is one largest-m draw per
+worker, and the results are folded per cell in grid order.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from .errors import SolverFailure, UsageError
 from .pursuit import RecoveryResult, cosamp, omp, romp
 from .rng import derive_seed
-from .sensing import Ensemble, check_dense_size, make_operator
+from .sensing import Ensemble, check_dense_size, make_operator, shared_draw
 from .signals import NoiseSpec, Signal, gen_compressible, gen_sparse, head, measure, tail_l1
 
 FORMAT_VERSION = 1
@@ -305,7 +312,8 @@ def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False
 
     Trials are independent (each builds its own operator, so the matvec
     counter is never shared across threads) and the output is identical
-    for any thread count.
+    for any thread count.  A sweep's cells do not come through here: see
+    ``_run_trial_major``.
     """
     cfg.validate()
     _check_threads(threads)
@@ -319,6 +327,41 @@ def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False
         for record in records:
             record.result = None
     return records
+
+
+def _run_trial_major(configs: Sequence[TrialConfig], threads: int) -> List[List[TrialRecord]]:
+    """Every config's batch as one record list per config, in trial order.
+
+    The configs differ only in m and s, so trial ``i`` has one operator
+    seed: one ``shared_draw`` of the largest m serves ``run_trial(cfg, i)``
+    of every config.  The pool runs trial indices, so each worker holds one
+    draw.  Each ``result`` is dropped as soon as its trial returns.
+    """
+    for cfg in configs:
+        cfg.validate()
+    _check_threads(threads)
+    if not configs:
+        return []
+    first = configs[0]
+    m_max = max(cfg.m for cfg in configs)
+
+    def trial_index(i: int) -> List[TrialRecord]:
+        records = []
+        seed = trial_seeds(first.master_seed, i)["operator"]
+        with shared_draw(first.ensemble, m_max, first.N, seed):
+            for cfg in configs:
+                record = run_trial(cfg, i)
+                record.result = None
+                records.append(record)
+        return records
+
+    indices = range(first.trials)
+    if threads == 1:
+        by_index = [trial_index(i) for i in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            by_index = list(pool.map(trial_index, indices))
+    return [list(records) for records in zip(*by_index)]
 
 
 def summarize(records: Sequence[TrialRecord]) -> dict:
@@ -371,6 +414,9 @@ def phase_sweep(
     Cells that violate the algorithm's dimensional preconditions are
     emitted with ``None`` statistics rather than being skipped, so the
     grid shape of the output is always ``len(m_values) * len(s_values)``.
+    The live cells run trial-major (``_run_trial_major``): one draw of the
+    largest live m per trial index serves every cell, and the cells equal
+    ``run_trials`` of each cell's config at any thread count.
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
@@ -382,22 +428,21 @@ def phase_sweep(
     _check_threads(threads)
     # The largest m that builds an operator (m > N cells are NA) bounds them all.
     check_dense_size(ensemble, max([m for m in m_values if m <= N], default=0), N)
+    grid = [replace(base, m=m, s=s) for m in m_values for s in s_values]
+    live = {k: cfg for k, cfg in enumerate(grid) if cfg._shape_problem() is None}
+    batches = dict(zip(live, _run_trial_major(list(live.values()), threads)))
     cells = []
-    for m in m_values:
-        for s in s_values:
-            cfg = replace(base, m=m, s=s)
-            successes = None
-            if cfg._shape_problem() is None:
-                successes = sum(1 for r in run_trials(cfg, threads=threads) if r.success)
-            cells.append(
-                {
-                    "m": m,
-                    "s": s,
-                    "trials": trials_per_cell,
-                    "successes": successes,
-                    "success_rate": None if successes is None else successes / trials_per_cell,
-                }
-            )
+    for k, cfg in enumerate(grid):
+        successes = sum(1 for r in batches[k] if r.success) if k in batches else None
+        cells.append(
+            {
+                "m": cfg.m,
+                "s": cfg.s,
+                "trials": trials_per_cell,
+                "successes": successes,
+                "success_rate": None if successes is None else successes / trials_per_cell,
+            }
+        )
     return cells
 
 
@@ -441,7 +486,9 @@ def compressible_scaling(
 
     Noiseless by construction.  Fits the decay slope described in
     ``fit_decay_slope``; a degenerate fit (for example when truncation
-    makes every error vanish) is reported rather than raised.
+    makes every error vanish) is reported rather than raised.  The rows
+    run trial-major like ``phase_sweep``: m is fixed, so one operator draw
+    per trial index serves every s.
     """
     if not s_values:
         raise UsageError("scaling needs at least one s value")
@@ -451,11 +498,11 @@ def compressible_scaling(
         algorithm, ensemble, m, N, s_values[0], trials, master_seed,
         signal_kind="compressible", p=p, R=R, signal_truncate=truncate, eta_rel=eta_rel,
     )
-    rows = []
-    for s in s_values:
-        records = run_trials(replace(base, s=s), threads=threads)
-        median = summarize(records)["median_l2_error"]
-        rows.append({"s": int(s), "trials": trials, "median_l2_error": median})
+    batches = _run_trial_major([replace(base, s=s) for s in s_values], threads)
+    rows = [
+        {"s": int(s), "trials": trials, "median_l2_error": summarize(records)["median_l2_error"]}
+        for s, records in zip(s_values, batches)
+    ]
     medians = [row["median_l2_error"] for row in rows]
     # Medians at the solver-tolerance floor (e.g. a zeroed tail making every
     # trial exact) carry no decay information; the envelope scale R sets the

@@ -13,12 +13,16 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
 Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
 they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``).
+Inside a ``shared_draw`` block, the operators of one seed and any m up to
+the block's are built from prefixes of one draw, byte-identical to fresh.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +70,11 @@ class SenseOperator:
     calls on different supports would evict each other's block.
     """
 
-    def __init__(self, ensemble: Ensemble, m: int, N: int, seed: int):
-        if m < 1 or m > N:
-            raise UsageError(f"need 1 <= m <= N, got m={m}, N={N}")
+    def __init__(self, ensemble: Ensemble, m: int, N: int):
+        _check_shape(m, N)
         self.ensemble = ensemble
         self.m = int(m)
         self.N = int(N)
-        self.seed = int(seed)
         self.matvec_count = 0
 
     # -- application ----------------------------------------------------
@@ -124,15 +126,17 @@ class _DenseEnsembleOperator(SenseOperator):
     """Gaussian / Bernoulli operator backed by an explicit entry matrix."""
 
     def __init__(self, ensemble, m, N, seed):
-        super().__init__(ensemble, m, N, seed)
-        rng = SplitMix64(seed)
+        super().__init__(ensemble, m, N)
         scale = 1.0 / math.sqrt(m)
-        if ensemble is Ensemble.GAUSSIAN:
-            entries = rng.normal(m * N)
+        shared = _scope_draw(ensemble, m, N, seed)
+        if shared is None:
+            entries = _draw(ensemble, m, N, seed)
+            entries *= scale
         else:
-            entries = rng.signs(m * N)
+            # Into a fresh array, leaving the shared draw unscaled for the
+            # other operators built from it; the products are the same bits.
+            entries = shared[: m * N] * scale
         # Row-major fill order is part of the determinism contract.
-        entries *= scale
         self._matrix = entries.reshape(m, N)
         self._gathered = (None, None)
 
@@ -174,9 +178,12 @@ class _PartialDctOperator(SenseOperator):
     """Random rows of the orthonormal DCT-II, applied via fast transforms."""
 
     def __init__(self, m, N, seed):
-        super().__init__(Ensemble.PARTIAL_DCT, m, N, seed)
-        rng = SplitMix64(seed)
-        self.rows = rng.choose_without_replacement(N, m)
+        super().__init__(Ensemble.PARTIAL_DCT, m, N)
+        picks = _scope_draw(Ensemble.PARTIAL_DCT, m, N, seed)
+        if picks is None:
+            self.rows = SplitMix64(seed).choose_without_replacement(N, m)
+        else:
+            self.rows = np.sort(picks[:m])
         self._scale = math.sqrt(N / m)
 
     def _forward(self, x):
@@ -194,6 +201,65 @@ class _PartialDctOperator(SenseOperator):
         mat = math.sqrt(2.0 / self.N) * np.cos(math.pi * k * (2.0 * n + 1.0) / (2.0 * self.N))
         mat[self.rows == 0, :] /= math.sqrt(2.0)
         return self._scale * mat
+
+
+def _check_shape(m: int, N: int) -> None:
+    if m < 1 or m > N:
+        raise UsageError(f"need 1 <= m <= N, got m={m}, N={N}")
+
+
+def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
+    """The unscaled draw an (m, N) operator is built from.
+
+    Gaussian and Bernoulli: the ``m * N`` entries in row-major order.
+    Partial DCT: the ``m`` rows in Fisher-Yates pick order, which
+    ``choose_without_replacement`` would return sorted.  Either way, the
+    draw for m rows is a prefix of the draw for any larger m: variate ``i``
+    of ``normal`` uses words ``2*(i//2)`` and ``2*(i//2) + 1`` whatever the
+    length, and pick ``i`` uses word ``i``.
+    """
+    rng = SplitMix64(seed)
+    if kind is Ensemble.GAUSSIAN:
+        return rng.normal(m * N)
+    if kind is Ensemble.BERNOULLI:
+        return rng.signs(m * N)
+    picks, _ = rng._fisher_yates(N, m)
+    return np.array(picks, dtype=np.int64)
+
+
+# The open ``shared_draw`` block of each thread: (ensemble, N, seed, m, draw).
+_scope = threading.local()
+
+
+@contextlib.contextmanager
+def shared_draw(ensemble, m: int, N: int, seed: int):
+    """Build this thread's operators of one seed from one draw of m rows.
+
+    Until the block exits, ``make_operator(ensemble, m2, N, seed)`` on the
+    calling thread, with the same ensemble, N and seed and any ``m2 <= m``,
+    takes its entries (or rows) from a prefix of a single m-row draw made on
+    entry, instead of drawing its own; the operator is byte-identical to a
+    fresh one.  Any other call draws afresh.  A sweep opens one block per
+    trial index around every cell's trial.  The draw is released when the
+    block exits, also through an exception.
+    """
+    kind = _coerce_ensemble(ensemble)
+    check_dense_size(kind, m, N)
+    _check_shape(m, N)
+    outer = getattr(_scope, "draw", None)
+    _scope.draw = (kind, N, seed, m, _draw(kind, m, N, seed))
+    try:
+        yield
+    finally:
+        _scope.draw = outer
+
+
+def _scope_draw(kind: Ensemble, m: int, N: int, seed: int):
+    """The open block's draw if it serves this operator, else None."""
+    shared = getattr(_scope, "draw", None)
+    if shared is None or shared[:3] != (kind, N, seed) or m > shared[3]:
+        return None
+    return shared[4]
 
 
 def check_dense_size(ensemble, m: int, N: int) -> None:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sparsekit import bench
 from sparsekit.bench import (
     TRIAL_CSV_COLUMNS,
     TrialConfig,
@@ -256,6 +257,101 @@ def test_phase_sweep_grid_is_rectangular():
         (8, 2), (8, 4), (8, 20), (16, 2), (16, 4), (16, 20)
     ]
     assert all(c["success_rate"] is None for c in cells if c["s"] == 20)
+
+
+def cell_by_cell_sweep(N, m_values, s_values, ensemble, algorithm, trials_per_cell, master_seed, **noise):
+    """The sweep as a fold over ``run_trials``, one cell at a time."""
+    cells = []
+    for m in m_values:
+        for s in s_values:
+            cfg = TrialConfig(algorithm, ensemble, m, N, s, trials_per_cell, master_seed, **noise)
+            successes = None
+            if cfg._shape_problem() is None:
+                successes = sum(1 for r in run_trials(cfg) if r.success)
+            rate = None if successes is None else successes / trials_per_cell
+            cells.append({"m": m, "s": s, "trials": trials_per_cell, "successes": successes, "success_rate": rate})
+    return cells
+
+
+def cell_by_cell_scaling(N, m, p, R, s_values, ensemble, algorithm, trials, master_seed):
+    """The scaling study's rows as a fold over ``run_trials``, one s at a time."""
+    rows = []
+    for s in s_values:
+        cfg = TrialConfig(
+            algorithm, ensemble, m, N, s, trials, master_seed,
+            signal_kind="compressible", p=p, R=R, eta_rel=1e-8,
+        )
+        median = summarize(run_trials(cfg))["median_l2_error"]
+        rows.append({"s": s, "trials": trials, "median_l2_error": median})
+    return rows
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Every ``run_trial`` call the code under test makes, with its record."""
+    calls = []
+
+    def recording(*args):
+        record = run_trial(*args)
+        calls.append((args, record))
+        return record
+
+    monkeypatch.setattr(bench, "run_trial", recording)
+    return calls
+
+
+# m = 80 > N, s = 9 > m = 8 and, for cosamp, 3s > m are NA; m = 24 repeats.
+SWEEP_GRID = dict(N=64, m_values=[8, 24, 80, 24, 64], s_values=[2, 9, 6], trials_per_cell=5)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ensemble, algorithm, noise",
+    [
+        ("gaussian", "omp", {}),
+        ("bernoulli", "cosamp", {"noise_mode": "fixed_rel", "noise_level": 0.01, "eta_rel": 0.01}),
+        ("partial_dct", "romp", {}),
+    ],
+)
+def test_phase_sweep_equals_cell_by_cell_oracle(sweep_calls, threads, ensemble, algorithm, noise):
+    expected = cell_by_cell_sweep(
+        ensemble=ensemble, algorithm=algorithm, master_seed=11, **SWEEP_GRID, **noise
+    )
+    del sweep_calls[:]
+    cells = phase_sweep(
+        ensemble=ensemble, algorithm=algorithm, master_seed=11, threads=threads, **SWEEP_GRID, **noise
+    )
+    assert cells == expected
+    assert any(c["successes"] is None for c in cells)
+    live = sum(1 for c in cells if c["successes"] is not None)
+    # One two-argument run_trial call per live cell and trial, and no
+    # recovery trace kept past its trial.
+    assert len(sweep_calls) == live * SWEEP_GRID["trials_per_cell"]
+    assert all(len(args) == 2 for args, _ in sweep_calls)
+    assert all(record.result is None for _, record in sweep_calls)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial_dct"])
+def test_compressible_scaling_equals_cell_by_cell_oracle(sweep_calls, threads, ensemble):
+    shape = dict(N=64, m=32, p=0.7, R=1.0, s_values=[2, 4, 8], ensemble=ensemble, algorithm="omp", trials=4)
+    expected_rows = cell_by_cell_scaling(master_seed=13, **shape)
+    del sweep_calls[:]
+    result = compressible_scaling(master_seed=13, threads=threads, **shape)
+    assert result["rows"] == expected_rows
+    fit = fit_decay_slope(shape["s_values"], [row["median_l2_error"] for row in expected_rows])
+    assert (result["slope"], result["intercept"], result["fit_residual"]) == fit
+    assert len(sweep_calls) == len(shape["s_values"]) * shape["trials"]
+    assert all(record.result is None for _, record in sweep_calls)
+
+
+def test_all_na_sweep_runs_no_trial(sweep_calls):
+    cells = phase_sweep(
+        16, m_values=[4, 32], s_values=[8], ensemble="gaussian", algorithm="omp",
+        trials_per_cell=3, master_seed=1,
+    )
+    assert [c["successes"] for c in cells] == [None, None]
+    assert sweep_calls == []
 
 
 # --------------------------------------------------------------- scaling

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -301,6 +302,22 @@ def test_sweep_csv_grid(capsys):
     lines = out.splitlines()
     assert lines[2] == "m,s,trials,successes,success_rate"
     assert len(lines) == 3 + 2
+
+
+README_SWEEP = [
+    "sweep", "--alg", "omp", "--N", "256", "--m-values", "16,32,64,128,256",
+    "--s-values", "4,8", "--trials", "40", "--seed", "7",
+]
+# The README sweep's CSV as the cell-by-cell runner wrote it, before sweeps
+# ran trial-major; the trial-major runner must keep every byte.
+README_SWEEP_SHA256 = "c8c1a3223886ba883816f9af97612fff93591fe1ef9d75c4e46479c827cda54c"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_sweep_bytes_are_pinned(capsys, threads):
+    code, out, _ = run_cli(capsys, *README_SWEEP, "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_SHA256
 
 
 def test_sweep_json_marks_invalid_cells(capsys):

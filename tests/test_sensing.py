@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparsekit.sensing import (
     check_dense_size,
     empirical_ric,
     make_operator,
+    shared_draw,
 )
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
@@ -213,6 +215,116 @@ def test_dense_size_cap(monkeypatch, ensemble, m, N, refused):
         check_dense_size(ensemble, m, N)
     with pytest.raises(UsageError, match=message):
         make_operator(ensemble, m, N, seed=0)
+
+
+# --- operators built from a shared draw --------------------------------------
+
+def _count_draws(monkeypatch):
+    """Record the seed of each random stream ``sensing`` opens from now on."""
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return SplitMix64(seed)
+
+    monkeypatch.setattr(sensing, "SplitMix64", counted)
+    return draws
+
+
+def assert_same_operator(a, b):
+    assert (a.ensemble, a.m, a.N) == (b.ensemble, b.m, b.N)
+    assert a.dense_matrix().tobytes() == b.dense_matrix().tobytes()
+    if a.ensemble is Ensemble.PARTIAL_DCT:
+        assert a.rows.tobytes() == b.rows.tobytes()
+
+
+def reference_operator_bytes(ensemble, m, N, seed):
+    """An operator's entries (dense) or rows (partial DCT), drawn directly."""
+    rng = SplitMix64(seed)
+    if ensemble == "partial_dct":
+        return rng.choose_without_replacement(N, m).tobytes()
+    entries = rng.normal(m * N) if ensemble == "gaussian" else rng.signs(m * N)
+    entries *= 1.0 / math.sqrt(m)
+    return entries.tobytes()
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
+    # N = 129 makes m * N odd for every odd m, so a prefix can end half way
+    # through a Box-Muller pair.
+    N, seed = 129, 0x5EED_F00D
+    fresh = {m: make_operator(ensemble, m, N, seed) for m in (1, 15, 33, 129)}
+    for m, op in fresh.items():
+        built = op.rows if ensemble == "partial_dct" else op.dense_matrix()
+        assert built.tobytes() == reference_operator_bytes(ensemble, m, N, seed)
+    draws = _count_draws(monkeypatch)
+    with shared_draw(ensemble, N, N, seed):
+        for m, op in fresh.items():
+            assert_same_operator(make_operator(ensemble, m, N, seed), op)
+    assert len(draws) == 1  # every operator came from the block's one draw
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, N, seed",
+    [
+        ("bernoulli", 16, 64, 3),  # another ensemble
+        ("gaussian", 16, 65, 3),  # another N
+        ("gaussian", 16, 64, 4),  # another seed
+        ("gaussian", 33, 64, 3),  # more rows than were drawn
+    ],
+    ids=["ensemble", "N", "seed", "larger-m"],
+)
+def test_shared_draw_serves_only_its_own_operators(monkeypatch, ensemble, m, N, seed):
+    with shared_draw("gaussian", 32, 64, 3):
+        draws = _count_draws(monkeypatch)
+        op = make_operator(ensemble, m, N, seed)
+        assert len(draws) == 1
+    assert_same_operator(op, make_operator(ensemble, m, N, seed))
+
+
+def test_shared_draw_does_not_outlive_its_block(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    with shared_draw("gaussian", 32, 64, 3):
+        make_operator("gaussian", 8, 64, 3)
+    assert len(draws) == 1
+    make_operator("gaussian", 8, 64, 3)
+    assert len(draws) == 2
+
+    with pytest.raises(RuntimeError, match="inside"):
+        with shared_draw("partial_dct", 32, 64, 3):
+            raise RuntimeError("raised inside the block")
+    assert len(draws) == 3
+    make_operator("partial_dct", 8, 64, 3)
+    assert len(draws) == 4
+    assert sensing._scope.draw is None
+
+
+def test_shared_draw_is_per_thread_and_nests(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    with shared_draw("gaussian", 32, 64, 3):
+        worker = threading.Thread(target=make_operator, args=("gaussian", 8, 64, 3))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(draws) == 2  # the other thread drew its own
+        with shared_draw("bernoulli", 16, 64, 5):
+            make_operator("bernoulli", 16, 64, 5)
+            make_operator("gaussian", 8, 64, 3)
+        assert len(draws) == 4  # the inner block hides the outer one
+        make_operator("gaussian", 8, 64, 3)
+        assert len(draws) == 4  # and restores it on exit
+
+
+def test_shared_draw_checks_its_shape_before_drawing(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    for m, N in [(0, 64), (65, 64)]:
+        with pytest.raises(UsageError, match="need 1 <= m <= N"):
+            with shared_draw("partial_dct", m, N, 3):
+                pass
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        with shared_draw("gaussian", 2**13 + 1, 2**13 + 1, 3):
+            pass
+    assert draws == []
 
 
 def test_ensemble_enum_accepts_instances():
