@@ -10,10 +10,11 @@ records but never written to output files for the same reason.
 
 Sweeps and scaling studies run trial-major.  Trial ``i``'s operator seed
 depends on neither m nor s, so for each trial index the largest m is drawn
-once and every cell's trial ``i`` builds its operator from a prefix of
-that draw (``sensing.shared_draw``), byte-identical to a draw of its own.
-Trial indices run in one pool, so peak memory is one largest-m draw per
-worker, and the results are folded per cell in grid order.
+once and every cell's trial ``i`` builds its dense operator from a prefix
+of that draw (``sensing.shared_draw``), byte-identical to a draw of its
+own; partial-DCT cells draw their own rows.  Trial indices run in one pool,
+so a worker holds one unscaled largest-m draw plus the scaled operator of
+the cell it is running, and the results are folded per cell in grid order.
 """
 
 from __future__ import annotations
@@ -335,7 +336,8 @@ def _run_trial_major(configs: Sequence[TrialConfig], threads: int) -> List[List[
     The configs differ only in m and s, so trial ``i`` has one operator
     seed: one ``shared_draw`` of the largest m serves ``run_trial(cfg, i)``
     of every config.  The pool runs trial indices, so each worker holds one
-    draw.  Each ``result`` is dropped as soon as its trial returns.
+    unscaled draw plus the operator of the cell it is running.  Each
+    ``result`` is dropped as soon as its trial returns.
     """
     for cfg in configs:
         cfg.validate()
@@ -414,9 +416,9 @@ def phase_sweep(
     Cells that violate the algorithm's dimensional preconditions are
     emitted with ``None`` statistics rather than being skipped, so the
     grid shape of the output is always ``len(m_values) * len(s_values)``.
-    The live cells run trial-major (``_run_trial_major``): one draw of the
-    largest live m per trial index serves every cell, and the cells equal
-    ``run_trials`` of each cell's config at any thread count.
+    The live cells run trial-major (``_run_trial_major``): one dense draw
+    of the largest live m per trial index serves every cell, and the cells
+    equal ``run_trials`` of each cell's config at any thread count.
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")

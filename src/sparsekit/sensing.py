@@ -13,8 +13,9 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
 Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
 they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``).
-Inside a ``shared_draw`` block, the operators of one seed and any m up to
-the block's are built from prefixes of one draw, byte-identical to fresh.
+Inside a ``shared_draw`` block, the Gaussian or Bernoulli operators of one
+seed and any m up to the block's are built from prefixes of one draw,
+byte-identical to fresh ones.
 """
 
 from __future__ import annotations
@@ -179,11 +180,8 @@ class _PartialDctOperator(SenseOperator):
 
     def __init__(self, m, N, seed):
         super().__init__(Ensemble.PARTIAL_DCT, m, N)
-        picks = _scope_draw(Ensemble.PARTIAL_DCT, m, N, seed)
-        if picks is None:
-            self.rows = SplitMix64(seed).choose_without_replacement(N, m)
-        else:
-            self.rows = np.sort(picks[:m])
+        rng = SplitMix64(seed)
+        self.rows = rng.choose_without_replacement(N, m)
         self._scale = math.sqrt(N / m)
 
     def _forward(self, x):
@@ -209,22 +207,16 @@ def _check_shape(m: int, N: int) -> None:
 
 
 def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
-    """The unscaled draw an (m, N) operator is built from.
+    """The unscaled, row-major ``m * N`` entries of a dense operator.
 
-    Gaussian and Bernoulli: the ``m * N`` entries in row-major order.
-    Partial DCT: the ``m`` rows in Fisher-Yates pick order, which
-    ``choose_without_replacement`` would return sorted.  Either way, the
-    draw for m rows is a prefix of the draw for any larger m: variate ``i``
-    of ``normal`` uses words ``2*(i//2)`` and ``2*(i//2) + 1`` whatever the
-    length, and pick ``i`` uses word ``i``.
+    The draw for m rows is a prefix of the draw for any larger m: variate
+    ``i`` of ``normal`` uses words ``2*(i//2)`` and ``2*(i//2) + 1`` whatever
+    the length, and sign ``i`` uses word ``i``.
     """
     rng = SplitMix64(seed)
     if kind is Ensemble.GAUSSIAN:
         return rng.normal(m * N)
-    if kind is Ensemble.BERNOULLI:
-        return rng.signs(m * N)
-    picks, _ = rng._fisher_yates(N, m)
-    return np.array(picks, dtype=np.int64)
+    return rng.signs(m * N)
 
 
 # The open ``shared_draw`` block of each thread: (ensemble, N, seed, m, draw).
@@ -233,21 +225,23 @@ _scope = threading.local()
 
 @contextlib.contextmanager
 def shared_draw(ensemble, m: int, N: int, seed: int):
-    """Build this thread's operators of one seed from one draw of m rows.
+    """Build this thread's dense operators of one seed from one m-row draw.
 
     Until the block exits, ``make_operator(ensemble, m2, N, seed)`` on the
     calling thread, with the same ensemble, N and seed and any ``m2 <= m``,
-    takes its entries (or rows) from a prefix of a single m-row draw made on
-    entry, instead of drawing its own; the operator is byte-identical to a
-    fresh one.  Any other call draws afresh.  A sweep opens one block per
-    trial index around every cell's trial.  The draw is released when the
-    block exits, also through an exception.
+    takes its entries from a prefix of a single m-row draw made on entry,
+    instead of drawing its own; the operator is byte-identical to a fresh
+    one.  Any other call draws afresh.  A partial-DCT block shares nothing:
+    such an operator draws only m words.  A sweep opens one block per trial
+    index around every cell's trial.  The draw is released when the block
+    exits, also through an exception.
     """
     kind = _coerce_ensemble(ensemble)
     check_dense_size(kind, m, N)
     _check_shape(m, N)
     outer = getattr(_scope, "draw", None)
-    _scope.draw = (kind, N, seed, m, _draw(kind, m, N, seed))
+    if kind is not Ensemble.PARTIAL_DCT:
+        _scope.draw = (kind, N, seed, m, _draw(kind, m, N, seed))
     try:
         yield
     finally:
