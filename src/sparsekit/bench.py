@@ -8,13 +8,17 @@ ordered by trial index, so running a batch with any number of threads
 emits identical bytes.  Wall-clock timings are kept on the in-memory
 records but never written to output files for the same reason.
 
-Sweeps and scaling studies run trial-major.  Trial ``i``'s operator seed
-depends on neither m nor s, so for each trial index the largest m is drawn
-once and every cell's trial ``i`` builds its dense operator from a prefix
+One runner, ``_run_trial_major``, executes batches, sweeps and scaling
+studies: it validates every config and the thread count before the first
+trial, runs trial indices in one pool, drops each trial's recovery trace
+as soon as the trial returns, and folds the records per config.  A batch
+is its one-config case.  Trial ``i``'s operator seed depends on neither m
+nor s, so with more than one config the largest m is drawn once per trial
+index and every cell's trial ``i`` builds its dense operator from a prefix
 of that draw (``sensing.shared_draw``), byte-identical to a draw of its
-own; partial-DCT cells draw their own rows.  Trial indices run in one pool,
-so a worker holds one unscaled largest-m draw plus the scaled operator of
-the cell it is running, and the results are folded per cell in grid order.
+own; partial-DCT cells draw their own rows.  A sweep worker then holds one
+unscaled largest-m draw plus the scaled operator of the cell it is
+running; a batch worker holds only its trial's operator.
 """
 
 from __future__ import annotations
@@ -303,59 +307,52 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     )
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise UsageError("threads must be at least 1")
-
-
 def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False) -> List[TrialRecord]:
     """Run the whole batch; records come back ordered by trial index.
 
-    Trials are independent (each builds its own operator, so the matvec
-    counter is never shared across threads) and the output is identical
-    for any thread count.  A sweep's cells do not come through here: see
-    ``_run_trial_major``.
+    The one-config case of ``_run_trial_major``: each trial builds its own
+    operator, so the matvec counter is never shared across threads, and the
+    output is identical for any thread count.  Unless ``keep_results``,
+    each record's ``result`` is dropped as soon as its trial returns.
     """
-    cfg.validate()
-    _check_threads(threads)
-    indices = range(cfg.trials)
-    if threads == 1:
-        records = [run_trial(cfg, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda i: run_trial(cfg, i), indices))
-    if not keep_results:
-        for record in records:
-            record.result = None
-    return records
+    return _run_trial_major([cfg], threads, keep_results=keep_results)[0]
 
 
-def _run_trial_major(configs: Sequence[TrialConfig], threads: int) -> List[List[TrialRecord]]:
+def _run_trial_major(
+    configs: Sequence[TrialConfig], threads: int, *, keep_results: bool = False
+) -> List[List[TrialRecord]]:
     """Every config's batch as one record list per config, in trial order.
 
-    The configs differ only in m and s, so trial ``i`` has one operator
-    seed: one ``shared_draw`` of the largest m serves ``run_trial(cfg, i)``
-    of every config.  The pool runs trial indices, so each worker holds one
-    unscaled draw plus the operator of the cell it is running.  Each
-    ``result`` is dropped as soon as its trial returns.
+    Every config and the thread count are validated before the first
+    trial.  The configs differ only in m and s, so trial ``i`` has one
+    operator seed: with more than one config, one ``shared_draw`` of the
+    largest m serves ``run_trial(cfg, i)`` of every config, and each worker
+    holds that unscaled draw plus the operator of the cell it is running.
+    A single config opens no block, so each trial draws its operator alone.
+    The pool runs trial indices.  Unless ``keep_results``, each ``result``
+    is dropped as soon as its trial returns.
     """
     for cfg in configs:
         cfg.validate()
-    _check_threads(threads)
+    if threads < 1:
+        raise UsageError("threads must be at least 1")
     if not configs:
         return []
     first = configs[0]
     m_max = max(cfg.m for cfg in configs)
 
+    def run(cfg: TrialConfig, i: int) -> TrialRecord:
+        record = run_trial(cfg, i)
+        if not keep_results:
+            record.result = None
+        return record
+
     def trial_index(i: int) -> List[TrialRecord]:
-        records = []
+        if len(configs) == 1:
+            return [run(first, i)]
         seed = trial_seeds(first.master_seed, i)["operator"]
         with shared_draw(first.ensemble, m_max, first.N, seed):
-            for cfg in configs:
-                record = run_trial(cfg, i)
-                record.result = None
-                records.append(record)
-        return records
+            return [run(cfg, i) for cfg in configs]
 
     indices = range(first.trials)
     if threads == 1:
@@ -416,9 +413,12 @@ def phase_sweep(
     Cells that violate the algorithm's dimensional preconditions are
     emitted with ``None`` statistics rather than being skipped, so the
     grid shape of the output is always ``len(m_values) * len(s_values)``.
-    The live cells run trial-major (``_run_trial_major``): one dense draw
-    of the largest live m per trial index serves every cell, and the cells
-    equal ``run_trials`` of each cell's config at any thread count.
+    The live cells run trial-major (``_run_trial_major``), which validates
+    them and ``threads`` before the first trial: one dense draw of the
+    largest live m per trial index serves every cell, and each cell's
+    counts equal those of ``run_trial`` over its own config at any thread
+    count.  Only live cells meet the size cap: an m whose cells are all
+    NA builds no operator, however large.
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
@@ -427,9 +427,6 @@ def phase_sweep(
         noise_mode=noise_mode, noise_level=noise_level, eta=eta, eta_rel=eta_rel,
     )
     base._check_settings()
-    _check_threads(threads)
-    # The largest m that builds an operator (m > N cells are NA) bounds them all.
-    check_dense_size(ensemble, max([m for m in m_values if m <= N], default=0), N)
     grid = [replace(base, m=m, s=s) for m in m_values for s in s_values]
     live = {k: cfg for k, cfg in enumerate(grid) if cfg._shape_problem() is None}
     batches = dict(zip(live, _run_trial_major(list(live.values()), threads)))

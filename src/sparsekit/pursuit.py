@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .linalg import (
-    DEFAULT_LS_MAX_ITER,
-    DEFAULT_LS_TOL,
     GramFactor,
     SupportSet,
     as_vector,
@@ -214,15 +212,7 @@ def romp_regularize(proxy_values) -> SupportSet:
     return SupportSet.from_iterable(order[best_start:best_stop])
 
 
-def romp(
-    op,
-    u,
-    s: int,
-    *,
-    ls_tol: float = DEFAULT_LS_TOL,
-    ls_max_iter: int = DEFAULT_LS_MAX_ITER,
-    ls_method: str = "cg",
-) -> RecoveryResult:
+def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
     """Regularized OMP: commit a comparable-magnitude batch per iteration.
 
     Each round takes the ``s`` largest nonzero proxy coordinates outside
@@ -265,7 +255,7 @@ def romp(
             return HaltReason.SPARSITY_REACHED
         return None
 
-    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    ls = dict(method=ls_method)
     return _pursue("romp", op, u, s, select, ls, halt=halt)
 
 
@@ -276,8 +266,6 @@ def cosamp(
     *,
     eta: float = 0.0,
     max_iter: int = DEFAULT_COSAMP_MAX_ITER,
-    ls_tol: float = DEFAULT_LS_TOL,
-    ls_max_iter: int = DEFAULT_LS_MAX_ITER,
     ls_method: str = "cg",
 ) -> RecoveryResult:
     """Compressive sampling matching pursuit with pruning.
@@ -332,7 +320,7 @@ def cosamp(
             return HaltReason.SUPPORT_STALL
         return None
 
-    ls = dict(tol=ls_tol, max_iter=ls_max_iter, method=ls_method)
+    ls = dict(method=ls_method)
     halted = HaltReason.RESIDUAL_SMALL if float(np.linalg.norm(u)) <= eta else None
     return _pursue(
         "cosamp", op, u, max_iter, select, ls, prune=prune, halt=halt, halted=halted

@@ -12,7 +12,8 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
 
 Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
-they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``).
+they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``);
+a partial-DCT operator works on length-N vectors, so N is capped there.
 Inside a ``shared_draw`` block, the Gaussian or Bernoulli operators of one
 seed and any m up to the block's are built from prefixes of one draw,
 byte-identical to fresh ones.
@@ -36,8 +37,9 @@ from .rng import SplitMix64
 
 # Gaussian and Bernoulli operators store their m * N entries as float64, and
 # drawing them peaks at about 2.5 times that.  2**26 entries are 512 MiB; a
-# larger dense operator is refused as a usage error rather than left to fail,
-# or to exhaust memory, in the allocator.
+# larger dense operator, or a partial-DCT operator whose length-N signal,
+# proxy and transform vectors would each exceed it, is refused as a usage
+# error rather than left to fail, or to exhaust memory, in the allocator.
 MAX_DENSE_ENTRIES = 2**26
 
 
@@ -257,12 +259,18 @@ def _scope_draw(kind: Ensemble, m: int, N: int, seed: int):
 
 
 def check_dense_size(ensemble, m: int, N: int) -> None:
-    """Raise ``UsageError`` when a Gaussian or Bernoulli operator of this
-    shape would hold more than ``MAX_DENSE_ENTRIES`` entries."""
+    """Raise ``UsageError`` when an operator of this shape needs arrays of
+    more than ``MAX_DENSE_ENTRIES`` entries: the m * N entries of a
+    Gaussian or Bernoulli operator, or the length-N vectors of a partial-DCT
+    one."""
     kind = _coerce_ensemble(ensemble)
-    if kind is not Ensemble.PARTIAL_DCT and m * N > MAX_DENSE_ENTRIES:
+    if kind is Ensemble.PARTIAL_DCT:
+        entries, what = N, "works on vectors of"
+    else:
+        entries, what = m * N, "holds"
+    if entries > MAX_DENSE_ENTRIES:
         raise UsageError(
-            f"a {kind.value} operator with m={m}, N={N} holds {m * N} entries, "
+            f"a {kind.value} operator with m={m}, N={N} {what} {entries} entries, "
             f"more than the cap of {MAX_DENSE_ENTRIES} (sensing.MAX_DENSE_ENTRIES)"
         )
 

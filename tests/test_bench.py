@@ -259,29 +259,34 @@ def test_phase_sweep_grid_is_rectangular():
     assert all(c["success_rate"] is None for c in cells if c["s"] == 20)
 
 
+def plain_loop(cfg):
+    """A batch's records from a serial loop over ``run_trial``, no runner."""
+    return [run_trial(cfg, i) for i in range(cfg.trials)]
+
+
 def cell_by_cell_sweep(N, m_values, s_values, ensemble, algorithm, trials_per_cell, master_seed, **noise):
-    """The sweep as a fold over ``run_trials``, one cell at a time."""
+    """The sweep as a fold over plain loops, one cell at a time."""
     cells = []
     for m in m_values:
         for s in s_values:
             cfg = TrialConfig(algorithm, ensemble, m, N, s, trials_per_cell, master_seed, **noise)
             successes = None
             if cfg._shape_problem() is None:
-                successes = sum(1 for r in run_trials(cfg) if r.success)
+                successes = sum(1 for r in plain_loop(cfg) if r.success)
             rate = None if successes is None else successes / trials_per_cell
             cells.append({"m": m, "s": s, "trials": trials_per_cell, "successes": successes, "success_rate": rate})
     return cells
 
 
 def cell_by_cell_scaling(N, m, p, R, s_values, ensemble, algorithm, trials, master_seed):
-    """The scaling study's rows as a fold over ``run_trials``, one s at a time."""
+    """The scaling study's rows as a fold over plain loops, one s at a time."""
     rows = []
     for s in s_values:
         cfg = TrialConfig(
             algorithm, ensemble, m, N, s, trials, master_seed,
             signal_kind="compressible", p=p, R=R, eta_rel=1e-8,
         )
-        median = summarize(run_trials(cfg))["median_l2_error"]
+        median = summarize(plain_loop(cfg))["median_l2_error"]
         rows.append({"s": s, "trials": trials, "median_l2_error": median})
     return rows
 
@@ -343,6 +348,36 @@ def test_compressible_scaling_equals_cell_by_cell_oracle(sweep_calls, threads, e
     assert (result["slope"], result["intercept"], result["fit_residual"]) == fit
     assert len(sweep_calls) == len(shape["s_values"]) * shape["trials"]
     assert all(record.result is None for _, record in sweep_calls)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("ensemble", ["gaussian", "partial_dct"])
+def test_run_trials_is_the_one_config_case(monkeypatch, threads, ensemble):
+    cfg = base_config(ensemble=ensemble, noise_mode="fixed_rel", noise_level=0.05, trials=5)
+    expected = io.StringIO()
+    write_trials_csv(expected, cfg, plain_loop(cfg))
+
+    def no_block(*args):
+        raise AssertionError("a one-config batch opened a shared draw")
+
+    seen = []
+
+    def checking(*args):
+        if threads == 1:  # in a pool, another worker may be between its return and its drop
+            assert all(r.result is None for r in seen), "an earlier trial's trace was kept"
+        seen.append(run_trial(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bench, "shared_draw", no_block)
+    kept = run_trials(cfg, threads=threads, keep_results=True)
+    assert all(record.result is not None for record in kept)
+    monkeypatch.setattr(bench, "run_trial", checking)
+    records = run_trials(cfg, threads=threads)
+    got = io.StringIO()
+    write_trials_csv(got, cfg, records)
+    assert got.getvalue() == expected.getvalue()
+    assert len(seen) == cfg.trials
+    assert all(record.result is None for record in records)
 
 
 def test_all_na_sweep_runs_no_trial(sweep_calls):

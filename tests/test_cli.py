@@ -444,6 +444,8 @@ def test_omp_accepts_ls_method_cg(capsys, argv):
 
 # Gaussian and Bernoulli at m * N = 1e11 entries (745 GiB), far over the cap.
 BIG = ["--m", "100000", "--N", "1000000"]
+# A partial-DCT operator on length-10**12 vectors (7.3 TiB each).
+HUGE_DCT = ["--m", "16", "--N", "1000000000000"]
 
 
 @pytest.mark.parametrize(
@@ -457,8 +459,15 @@ BIG = ["--m", "100000", "--N", "1000000"]
         # The largest m decides, though the m = 16 cell alone would fit.
         ["sweep", "--N", "1000000", "--m-values", "16,100000", "--s-values", "1", "--trials", "2"],
         ["ric", "--n", "1", "--trials", "2", *BIG],
+        # A partial-DCT operator stores no entries, but every trial allocates
+        # length-N vectors.
+        ["recover", "--ensemble", "partial_dct", "--s", "1", *HUGE_DCT],
+        ["sweep", "--ensemble", "partial_dct", "--N", "1000000000000", "--m-values", "16",
+         "--s-values", "1", "--trials", "2"],
+        ["ric", "--ensemble", "partial_dct", "--n", "1", "--trials", "2", *HUGE_DCT],
     ],
-    ids=["recover", "recover-bernoulli", "bench", "scaling", "sweep", "ric"],
+    ids=["recover", "recover-bernoulli", "bench", "scaling", "sweep", "ric",
+         "recover-dct", "sweep-dct", "ric-dct"],
 )
 def test_dense_operator_over_the_size_cap_exits_2_before_any_work(monkeypatch, capsys, argv):
     def no_work(*args):
@@ -466,6 +475,7 @@ def test_dense_operator_over_the_size_cap_exits_2_before_any_work(monkeypatch, c
 
     monkeypatch.setattr(bench, "run_trial", no_work)
     monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_work)
+    monkeypatch.setattr(sensing, "_PartialDctOperator", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -479,6 +489,16 @@ def test_sweep_size_cap_skips_cells_that_build_no_operator(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "1000000000,4,2,NA,NA"
+
+
+def test_sweep_size_cap_skips_an_over_cap_m_whose_cells_are_all_na(capsys):
+    # Only live cells are size-checked: with s > m every cell is NA, so the
+    # over-cap m = 100000 builds nothing and reads NA.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--N", "1000000", "--m-values", "16,100000", "--s-values", "200000", "--trials", "2"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "100000,200000,2,NA,NA"
 
 
 # ------------------------------------------------------------ exit wiring

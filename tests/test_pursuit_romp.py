@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refstream import index_below, word
+from sparsekit import pursuit
 from sparsekit.errors import UsageError
 from sparsekit.pursuit import HaltReason, romp, romp_regularize
 from sparsekit.rng import SplitMix64
@@ -187,14 +188,17 @@ def test_deterministic_results():
     assert a.residual_norms == b.residual_norms
 
 
-def test_iterates_record_least_squares_convergence():
+def test_iterates_record_least_squares_convergence(monkeypatch):
     # ROMP refits by CG: a 4-column Gaussian refit needs more than one CG
     # step, so a cap of one step leaves the solves unconverged; the trace
     # must say so.
     op = make_operator("gaussian", 32, 64, seed=8)
     sig = gen_sparse(64, 4, seed=9)
     u, _ = measure(op, sig)
-    capped = romp(op, u, 4, ls_max_iter=1)
+    solve = pursuit.restricted_least_squares
+    with monkeypatch.context() as patch:
+        patch.setattr(pursuit, "restricted_least_squares", lambda *a, **kw: solve(*a, **kw, max_iter=1))
+        capped = romp(op, u, 4)
     assert capped.iterates[-1]["ls_converged"] is False
     assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
     full = romp(op, u, 4)

@@ -198,6 +198,8 @@ def test_dimension_validation():
         ("bernoulli", 2**13 + 1, 2**13, True),
         ("bernoulli", 100_000, 1_000_000, True),
         ("partial_dct", 100_000, 1_000_000, False),  # stores no entries
+        ("partial_dct", 16, 2**26, False),  # length-N vectors at the cap
+        ("partial_dct", 16, 2**26 + 1, True),
     ],
 )
 def test_dense_size_cap(monkeypatch, ensemble, m, N, refused):
@@ -210,7 +212,11 @@ def test_dense_size_cap(monkeypatch, ensemble, m, N, refused):
         raise AssertionError("the entries were allocated")
 
     monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_operator)
-    message = f"m={m}, N={N} holds {m * N} entries"
+    monkeypatch.setattr(sensing, "_PartialDctOperator", no_operator)
+    if ensemble == "partial_dct":
+        message = f"m={m}, N={N} works on vectors of {N} entries"
+    else:
+        message = f"m={m}, N={N} holds {m * N} entries"
     with pytest.raises(UsageError, match=message):
         check_dense_size(ensemble, m, N)
     with pytest.raises(UsageError, match=message):
