@@ -36,10 +36,7 @@ from .sensing import (
     make_operator,
 )
 from .signals import (
-    NoiseMode,
-    NoiseSpec,
     Signal,
-    SignalKind,
     gen_compressible,
     gen_sparse,
     head,
@@ -54,13 +51,10 @@ __all__ = [
     "GramFactor",
     "HaltReason",
     "LsSolution",
-    "NoiseMode",
-    "NoiseSpec",
     "RecoveryResult",
     "RicEstimate",
     "SenseOperator",
     "Signal",
-    "SignalKind",
     "SolverFailure",
     "SplitMix64",
     "SupportSet",

@@ -35,10 +35,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .pursuit import RecoveryResult, cosamp, omp, romp
+from .linalg import LS_METHODS
+from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, cosamp, omp, romp
 from .rng import derive_seed
 from .sensing import Ensemble, check_dense_size, make_operator, shared_draw
-from .signals import NoiseSpec, Signal, gen_compressible, gen_sparse, head, measure, tail_l1
+from .signals import Signal, gen_compressible, gen_sparse, head, measure, tail_l1
 
 FORMAT_VERSION = 1
 
@@ -48,8 +49,9 @@ SUCCESS_RELATIVE_TOL = 1e-6
 
 ALGORITHMS = ("omp", "romp", "cosamp")
 SIGNAL_KINDS = ("sparse", "compressible")
+# ``fixed_rel`` is ``signals.measure``'s ``fixed`` at a norm of
+# ``noise_level * ||Phi x||``; ``run_trial`` resolves it.
 NOISE_MODES = ("none", "fixed", "fixed_rel", "sigma")
-LS_METHODS = ("cg", "richardson")
 
 # A compressible scaling study's default eta_rel, for the library call
 # and the CLI alike.
@@ -102,7 +104,7 @@ class TrialConfig:
     noise_level: float = 0.0
     eta: float = 0.0
     eta_rel: Optional[float] = None  # eta as a fraction of ||u||; wins over eta
-    max_iter: int = 100
+    max_iter: int = DEFAULT_COSAMP_MAX_ITER
     ls_method: str = "cg"
 
     def validate(self) -> "TrialConfig":
@@ -177,14 +179,6 @@ class TrialConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "TrialConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**mapping).validate()
-
 
 @dataclass
 class TrialRecord:
@@ -234,24 +228,18 @@ def _trial_signal(cfg: TrialConfig, seed: int) -> Signal:
     return signal
 
 
-def _trial_noise(cfg: TrialConfig, op, signal: Signal, seed: int) -> NoiseSpec:
-    if cfg.noise_mode == "none" or cfg.noise_level == 0.0:
-        return NoiseSpec.none()
-    if cfg.noise_mode == "fixed":
-        return NoiseSpec.fixed_norm(cfg.noise_level, seed)
-    if cfg.noise_mode == "fixed_rel":
-        clean_norm = float(np.linalg.norm(op.forward(signal.values)))
-        return NoiseSpec.fixed_norm(cfg.noise_level * clean_norm, seed)
-    return NoiseSpec.gaussian(cfg.noise_level, seed)
-
-
 def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     """Build the trial's operator/signal/noise, recover, and score."""
     seeds = trial_seeds(cfg.master_seed, trial_index)
     op = make_operator(cfg.ensemble, cfg.m, cfg.N, seeds["operator"])
     signal = _trial_signal(cfg, seeds["signal"])
-    noise = _trial_noise(cfg, op, signal, seeds["noise"])
-    u, e = measure(op, signal, noise)
+    mode, level = cfg.noise_mode, cfg.noise_level
+    if mode == "fixed_rel":
+        # One forward apply probes ||Phi x||; a zero level needs no probe.
+        if level != 0.0:
+            level = level * float(np.linalg.norm(op.forward(signal.values)))
+        mode = "fixed"
+    u, e = measure(op, signal, mode, level, seeds["noise"])
 
     eta = cfg.eta if cfg.eta_rel is None else cfg.eta_rel * float(np.linalg.norm(u))
 
@@ -410,9 +398,11 @@ def phase_sweep(
 ) -> List[dict]:
     """Exact-recovery fraction over an (m, s) grid.
 
-    Cells that violate the algorithm's dimensional preconditions are
-    emitted with ``None`` statistics rather than being skipped, so the
-    grid shape of the output is always ``len(m_values) * len(s_values)``.
+    Cells that violate the algorithm's dimensional preconditions (m > N,
+    s > m, or 3s > m for CoSaMP) are emitted with ``None`` statistics
+    rather than being skipped, so the grid shape of the output is always
+    ``len(m_values) * len(s_values)``.  An m or s below 1 is malformed
+    input and raises ``UsageError`` before the first trial.
     The live cells run trial-major (``_run_trial_major``), which validates
     them and ``threads`` before the first trial: one dense draw of the
     largest live m per trial index serves every cell, and each cell's
@@ -422,6 +412,11 @@ def phase_sweep(
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
+    if min(m_values) < 1 or min(s_values) < 1:
+        raise UsageError(
+            f"sweep needs every m and s at least 1, got m_values={list(m_values)}, "
+            f"s_values={list(s_values)}"
+        )
     base = TrialConfig(
         algorithm, ensemble, m_values[0], N, s_values[0], trials_per_cell, master_seed,
         noise_mode=noise_mode, noise_level=noise_level, eta=eta, eta_rel=eta_rel,

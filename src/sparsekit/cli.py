@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence
 from . import bench
 from .bench import TrialConfig
 from .errors import SolverFailure, UsageError
-from .sensing import Ensemble, empirical_ric, make_operator
+from .linalg import LS_METHODS
+from .sensing import Ensemble, check_ric_probe, empirical_ric, make_operator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,7 +64,7 @@ _PARAMS = {
     "eta": _Param(float, help="residual-norm halting target (cosamp)"),
     "eta_rel": _Param(float, help="eta as a fraction of the measurement norm"),
     "max_iter": _Param(int),
-    "ls_method": _Param(choices=bench.LS_METHODS, help="least-squares refit for romp and cosamp"),
+    "ls_method": _Param(choices=LS_METHODS, help="least-squares refit for romp and cosamp"),
     "trials": _Param(int),
     "scaling_s": _Param(help="comma-separated s list: compressible scaling study"),
     "m_values": _Param(help="comma-separated measurement counts"),
@@ -244,6 +245,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_ric(args: argparse.Namespace) -> int:
     params = _params(args, ["m", "N", "n", "trials"])
+    check_ric_probe(params["m"], params["n"], params["trials"])
     op = make_operator(params["ensemble"], params["m"], params["N"], params["op_seed"])
     estimate = empirical_ric(op, params["n"], params["trials"], params["seed"])
     report = {

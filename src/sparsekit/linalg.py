@@ -19,6 +19,7 @@ from .errors import SolverFailure, UsageError
 
 DEFAULT_LS_TOL = 1e-10
 DEFAULT_LS_MAX_ITER = 100
+LS_METHODS = ("cg", "richardson")
 
 _POWER_ITER_SEED_TAG = 0x524943
 _POWER_ITERATIONS = 30
@@ -124,12 +125,16 @@ class SupportSet:
 
 @dataclass
 class LsSolution:
-    """Solution of a restricted least-squares solve."""
+    """Solution of a restricted least-squares solve.
+
+    ``converged`` says whether the normal-equation residual met the
+    tolerance; an iterative solve that did not stopped at its iteration
+    cap.  A factor solve is direct and reports 0 ``iterations``.
+    """
 
     coeffs: np.ndarray
     iterations: int
     converged: bool
-    stop_reason: str  # "converged" or "max_iterations"; "direct" for a factor solve
     normal_residual: float
     applications: int = field(default=0)  # operator applications consumed
 
@@ -189,7 +194,6 @@ class GramFactor:
             coeffs=coeffs[np.argsort(self.columns)],
             iterations=0,
             converged=normal_residual <= tol * math.sqrt(float(target @ target)),
-            stop_reason="direct",
             normal_residual=normal_residual,
             applications=applications,
         )
@@ -264,9 +268,9 @@ def restricted_least_squares(
     max_iter : int
         Iteration cap; hitting it is reported, not raised.
     method : str
-        ``"cg"`` (conjugate gradient on the normal equations, default) or
-        ``"richardson"`` (fixed-step iteration with step ``2/(lmin+lmax)``
-        estimated by power iteration).
+        One of ``LS_METHODS``: ``"cg"`` (conjugate gradient on the normal
+        equations, default) or ``"richardson"`` (fixed-step iteration with
+        step ``2/(lmin+lmax)`` estimated by power iteration).
     factor : GramFactor, optional
         Solve directly instead: grow ``factor`` (built for this operator
         and right-hand side) by the support's new columns, at two
@@ -276,7 +280,8 @@ def restricted_least_squares(
     Returns
     -------
     LsSolution
-        Coefficients over ``T`` plus which stopping condition fired.
+        Coefficients over ``T``, whether the tolerance was met, and the
+        iterations and applications spent.
 
     Raises
     ------
@@ -306,7 +311,7 @@ def restricted_least_squares(
         raise UsageError("tol must be positive")
     if max_iter < 1:
         raise UsageError("max_iter must be at least 1")
-    if method not in ("cg", "richardson"):
+    if method not in LS_METHODS:
         raise UsageError(f"unknown method {method!r}")
     if factor is not None:
         if factor.operator is not op or not (rhs is factor.rhs or np.array_equal(rhs, factor.rhs)):
@@ -328,7 +333,6 @@ def restricted_least_squares(
             coeffs=np.zeros(k),
             iterations=0,
             converged=True,
-            stop_reason="converged",
             normal_residual=0.0,
             applications=applications,
         )
@@ -341,12 +345,10 @@ def restricted_least_squares(
             gram_apply, target, threshold, max_iter, k
         )
 
-    converged = resid_norm <= threshold
     return LsSolution(
         coeffs=coeffs,
         iterations=iters,
-        converged=converged,
-        stop_reason="converged" if converged else "max_iterations",
+        converged=resid_norm <= threshold,
         normal_residual=resid_norm,
         applications=applications,
     )

@@ -308,6 +308,19 @@ class RicEstimate:
         return max(1.0 - r, r - 1.0)
 
 
+def check_ric_probe(m: int, n: int, trials: int) -> None:
+    """Raise ``UsageError`` unless ``empirical_ric`` can probe an operator
+    with ``m`` rows at sparsity ``n`` over ``trials`` draws."""
+    if n < 1:
+        raise UsageError("sparsity n must be at least 1")
+    if n > m:
+        raise UsageError(
+            f"n={n} exceeds m={m}: restricted isometry cannot hold at this sparsity"
+        )
+    if trials < 1:
+        raise UsageError("trials must be at least 1")
+
+
 def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstimate:
     """Probe the operator with random n-sparse unit vectors.
 
@@ -315,14 +328,7 @@ def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstim
     normalizes, and measures ``r = ||Phi v||``; the estimate is the max of
     ``max(1 - r, r - 1)`` over trials.
     """
-    if n < 1:
-        raise UsageError("sparsity n must be at least 1")
-    if n > op.m:
-        raise UsageError(
-            f"n={n} exceeds m={op.m}: restricted isometry cannot hold at this sparsity"
-        )
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
+    check_ric_probe(op.m, n, trials)
 
     rng = SplitMix64(seed)
     best = -1.0

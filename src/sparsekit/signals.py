@@ -4,12 +4,19 @@ norms used by every error bound.
 Sparse signals put i.i.d. Gaussian values on a uniformly random support.
 Compressible signals realize the power-law envelope ``|x|_(i) = R * i**(-1/p)``
 with equality at every sorted index (random signs, random positions), which
-keeps decay-rate checks sharp and reproducible.
+keeps decay-rate checks sharp and reproducible.  A ``Signal`` carries its
+support when it is known to be sparse (``gen_sparse``, ``head``) and
+``None`` otherwise.
+
+``measure`` adds noise of one of the config's modes: ``"none"``, ``"fixed"``
+(exact norm) or ``"sigma"`` (i.i.d. Gaussian).  The benchmark's
+``fixed_rel`` mode is ``"fixed"`` at a norm relative to ``||Phi x||``,
+which ``bench.run_trial`` resolves before it measures.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,61 +27,22 @@ from .linalg import SupportSet, as_vector, embed, largest_indices
 from .rng import SplitMix64
 
 
-class SignalKind(enum.Enum):
-    EXACT_SPARSE = "sparse"
-    COMPRESSIBLE = "compressible"
-    ARBITRARY = "arbitrary"
-
-
 @dataclass
 class Signal:
-    """A length-N real signal with optional ground-truth metadata."""
+    """A length-N real signal, with its support when that is known.
+
+    A set ``true_support`` must hold every nonzero of ``values``.
+    """
 
     values: np.ndarray
-    kind: SignalKind = SignalKind.ARBITRARY
     true_support: Optional[SupportSet] = None
 
     def __post_init__(self):
         self.values = as_vector(self.values, name="signal values")
-        if self.kind is SignalKind.EXACT_SPARSE and self.true_support is not None:
+        if self.true_support is not None:
             off = np.delete(self.values, self.true_support.indices)
             if off.size and np.any(off != 0.0):
                 raise UsageError("sparse signal has nonzeros off its declared support")
-
-
-class NoiseMode(enum.Enum):
-    NONE = "none"
-    FIXED_NORM = "fixed_norm"
-    GAUSSIAN_SIGMA = "gaussian_sigma"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement-noise description: exact-norm or i.i.d. Gaussian."""
-
-    mode: NoiseMode = NoiseMode.NONE
-    level: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.level):
-            raise UsageError(f"noise level must be finite, got {self.level!r}")
-        if self.level < 0.0:
-            raise UsageError("noise level must be non-negative")
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(NoiseMode.NONE, 0.0, 0)
-
-    @classmethod
-    def fixed_norm(cls, eps: float, seed: int = 0) -> "NoiseSpec":
-        """Random direction rescaled so the noise norm is exactly ``eps``."""
-        return cls(NoiseMode.FIXED_NORM, float(eps), seed)
-
-    @classmethod
-    def gaussian(cls, sigma: float, seed: int = 0) -> "NoiseSpec":
-        """i.i.d. entries with standard deviation ``sigma``."""
-        return cls(NoiseMode.GAUSSIAN_SIGMA, float(sigma), seed)
 
 
 def gen_sparse(N: int, s: int, seed: int) -> Signal:
@@ -92,11 +60,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
     while np.any(zero):
         coeffs[zero] = rng.normal(int(zero.sum()))
         zero = coeffs == 0.0
-    return Signal(
-        values=embed(coeffs, support, N),
-        kind=SignalKind.EXACT_SPARSE,
-        true_support=SupportSet(support),
-    )
+    return Signal(values=embed(coeffs, support, N), true_support=SupportSet(support))
 
 
 def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
@@ -112,7 +76,7 @@ def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
     positions = rng.permutation(N)
     values = np.empty(N)
     values[positions] = signs * magnitudes
-    return Signal(values=values, kind=SignalKind.COMPRESSIBLE)
+    return Signal(values=values)
 
 
 def _signal_values(x) -> np.ndarray:
@@ -133,7 +97,7 @@ def head(x, s: int):
     out[kept] = values[kept]
     if isinstance(x, Signal):
         support = SupportSet(np.flatnonzero(out).astype(np.int64))
-        return Signal(values=out, kind=SignalKind.EXACT_SPARSE, true_support=support)
+        return Signal(values=out, true_support=support)
     return out
 
 
@@ -144,29 +108,39 @@ def tail_l1(x, s: int) -> float:
     return float(np.sum(np.abs(values)) - np.sum(np.abs(head_values)))
 
 
-def measure(op, x, noise: NoiseSpec = NoiseSpec.none()):
+def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     """Measure a signal through an operator with additive noise.
 
-    Returns ``(u, e)``: the noisy measurement vector and the noise that
-    went into it, so callers can form bound ratios with the exact noise
-    norm.
+    ``mode`` is ``"none"``, ``"fixed"`` (a random direction drawn from
+    ``seed`` and scaled to norm exactly ``level``) or ``"sigma"`` (i.i.d.
+    Gaussian entries of standard deviation ``level``); a level of 0 adds
+    no noise.  Returns ``(u, e)``: the noisy measurement vector and the
+    noise that went into it, so callers can form bound ratios with the
+    exact noise norm.
+
+    Raises ``UsageError`` for an unknown mode or a non-finite or negative
+    level.
     """
+    if mode not in ("none", "fixed", "sigma"):
+        raise UsageError(f"unknown noise mode {mode!r}")
+    level = float(level)
+    if not math.isfinite(level):
+        raise UsageError(f"noise level must be finite, got {level!r}")
+    if level < 0.0:
+        raise UsageError("noise level must be non-negative")
     values = _signal_values(x)
     clean = op.forward(values)
     m = clean.size
-    if noise.mode is NoiseMode.NONE or noise.level == 0.0:
+    if mode == "none" or level == 0.0:
         error = np.zeros(m)
-    elif noise.mode is NoiseMode.FIXED_NORM:
-        rng = SplitMix64(noise.seed)
+    elif mode == "fixed":
+        rng = SplitMix64(seed)
         direction = rng.normal(m)
         norm = float(np.linalg.norm(direction))
         while norm == 0.0:
             direction = rng.normal(m)
             norm = float(np.linalg.norm(direction))
-        error = direction * (noise.level / norm)
-    elif noise.mode is NoiseMode.GAUSSIAN_SIGMA:
-        rng = SplitMix64(noise.seed)
-        error = noise.level * rng.normal(m)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown noise mode {noise.mode!r}")
+        error = direction * (level / norm)
+    else:
+        error = level * SplitMix64(seed).normal(m)
     return clean + error, error

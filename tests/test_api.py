@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import sparsekit
 
 # The package's public surface.  Adding or removing a name is a deliberate
@@ -7,13 +10,10 @@ PUBLIC_NAMES = [
     "GramFactor",
     "HaltReason",
     "LsSolution",
-    "NoiseMode",
-    "NoiseSpec",
     "RecoveryResult",
     "RicEstimate",
     "SenseOperator",
     "Signal",
-    "SignalKind",
     "SolverFailure",
     "SplitMix64",
     "SupportSet",
@@ -46,3 +46,13 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned_and_resolves():
     assert sorted(sparsekit.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(sparsekit, name)] == []
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

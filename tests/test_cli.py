@@ -379,6 +379,27 @@ def test_sweep_rejects_garbage_list(capsys):
     assert "integer list" in err
 
 
+@pytest.mark.parametrize(
+    "m_values, s_values",
+    [("-5,0,16", "-1,0,2"), ("0,16", "2"), ("16", "0,2"), ("16,128", "2,-1")],
+)
+def test_sweep_rejects_counts_below_one_before_any_work(monkeypatch, capsys, m_values, s_values):
+    # NA marks a cell that breaks an algorithm's dimensional rule; a count
+    # below 1 is malformed input, even beside an m > N cell.
+    def no_work(*args):
+        raise AssertionError("a trial ran or an operator was built")
+
+    monkeypatch.setattr(bench, "run_trial", no_work)
+    monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_work)
+    code, out, err = run_cli(
+        capsys, "sweep", "--N", "64", f"--m-values={m_values}", f"--s-values={s_values}",
+        "--trials", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "every m and s at least 1" in err
+
+
 # ------------------------------------------------------------------- ric
 
 
@@ -400,6 +421,24 @@ def test_ric_rejects_oversparse_probe(capsys):
     )
     assert code == 2
     assert "exceeds m" in err
+
+
+@pytest.mark.parametrize(
+    "probe, fragment",
+    [(["--n", "0", "--trials", "2"], "at least 1"),
+     (["--n", "17", "--trials", "2"], "exceeds m"),
+     (["--n", "2", "--trials", "0"], "trials must be at least 1")],
+    ids=["n-zero", "n-over-m", "trials-zero"],
+)
+def test_ric_checks_the_probe_before_building_the_operator(monkeypatch, capsys, probe, fragment):
+    def no_work(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(cli, "make_operator", no_work)
+    code, out, err = run_cli(capsys, "ric", "--m", "16", "--N", "64", *probe)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
 
 
 # ----------------------------------------------------- omp and ls_method

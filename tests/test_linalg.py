@@ -208,7 +208,7 @@ def test_ls_matches_cholesky_oracle(method):
         support = [1, 3, 5, 6]
         expected = cholesky_least_squares(full, support, rhs)
         sol = restricted_least_squares(op, support, rhs, method=method)
-        assert sol.converged, sol.stop_reason
+        assert sol.converged, sol.iterations
         err = np.linalg.norm(sol.coeffs - expected) / np.linalg.norm(expected)
         assert err < 1e-8
 
@@ -233,7 +233,6 @@ def test_ls_stops_at_max_iterations():
     rhs = gen.normal(12)
     sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=1e-300, max_iter=1)
     assert not sol.converged
-    assert sol.stop_reason == "max_iterations"
     assert sol.iterations == 1
 
 
@@ -298,7 +297,7 @@ def test_factor_solves_grow_to_the_cholesky_oracle():
         before = op.matvec_count
         sol = restricted_least_squares(op, support, rhs, factor=factor)
         assert op.matvec_count - before == sol.applications == applications
-        assert (sol.iterations, sol.converged, sol.stop_reason) == (0, True, "direct")
+        assert (sol.iterations, sol.converged) == (0, True)
         expected = cholesky_least_squares(matrix, support, rhs)
         assert np.linalg.norm(sol.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
         assert sol.normal_residual <= 1e-12 * np.linalg.norm(matrix[:, support].T @ rhs)

@@ -7,7 +7,7 @@ from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.pursuit import HaltReason, omp
 from sparsekit.rng import SplitMix64, derive_seed
 from sparsekit.sensing import make_operator
-from sparsekit.signals import NoiseSpec, gen_sparse, measure
+from sparsekit.signals import gen_sparse, measure
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
 
@@ -132,7 +132,7 @@ def test_estimate_sparsity_bound():
 def noisy_instance(ensemble, m, N, s, trial):
     op = make_operator(ensemble, m, N, seed=derive_seed(3000, trial))
     sig = gen_sparse(N, s, seed=derive_seed(4000, trial))
-    u, _ = measure(op, sig, NoiseSpec.gaussian(0.01, derive_seed(5000, trial)))
+    u, _ = measure(op, sig, "sigma", 0.01, derive_seed(5000, trial))
     return op, u
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sparsekit.errors import SolverFailure
 from sparsekit.pursuit import cosamp, omp, romp
 from sparsekit.sensing import make_operator
-from sparsekit.signals import NoiseSpec, gen_sparse, measure
+from sparsekit.signals import gen_sparse, measure
 
 seeds = st.integers(0, 2**64 - 1)
 
@@ -27,7 +27,7 @@ def instances(draw, algorithms=("omp", "romp", "cosamp")):
     sigma = draw(st.sampled_from([0.0, 1e-3, 0.5]))
     op = make_operator(ensemble, m, N, draw(seeds))
     signal = gen_sparse(N, signal_s, draw(seeds))
-    u, _ = measure(op, signal, NoiseSpec.gaussian(sigma, draw(seeds)))
+    u, _ = measure(op, signal, "sigma", sigma, draw(seeds))
     return algorithm, op, u, s
 
 

@@ -9,10 +9,7 @@ from sparsekit.linalg import SupportSet
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
 from sparsekit.signals import (
-    NoiseMode,
-    NoiseSpec,
     Signal,
-    SignalKind,
     gen_compressible,
     gen_sparse,
     head,
@@ -136,7 +133,6 @@ def test_head_on_signal_returns_sparse_signal():
     sig = gen_compressible(32, 0.5, 1.0, seed=2)
     truncated = head(sig, 5)
     assert isinstance(truncated, Signal)
-    assert truncated.kind is SignalKind.EXACT_SPARSE
     assert len(truncated.true_support) == 5
     assert np.array_equal(np.flatnonzero(truncated.values), truncated.true_support.indices)
 
@@ -172,9 +168,10 @@ def test_sparse_signal_rejects_offsupport_values():
     values = np.zeros(8)
     values[2] = 1.0
     values[5] = -1.0
-    Signal(values=values, kind=SignalKind.EXACT_SPARSE, true_support=SupportSet.from_iterable([2, 5]))
+    Signal(values=values, true_support=SupportSet.from_iterable([2, 5]))
+    Signal(values=values)  # no support declared, nothing to check
     with pytest.raises(UsageError):
-        Signal(values=values, kind=SignalKind.EXACT_SPARSE, true_support=SupportSet.from_iterable([2]))
+        Signal(values=values, true_support=SupportSet.from_iterable([2]))
 
 
 # --- measure -----------------------------------------------------------------
@@ -182,7 +179,7 @@ def test_sparse_signal_rejects_offsupport_values():
 def test_measure_noiseless():
     op = make_operator("gaussian", 16, 32, seed=40)
     sig = gen_sparse(32, 3, seed=41)
-    u, e = measure(op, sig, NoiseSpec.none())
+    u, e = measure(op, sig)
     assert np.all(e == 0.0)
     np.testing.assert_array_equal(u, op.forward(sig.values))
 
@@ -191,7 +188,7 @@ def test_measure_fixed_norm_is_exact():
     op = make_operator("gaussian", 16, 32, seed=42)
     sig = gen_sparse(32, 3, seed=43)
     for eps in (0.1, 2.5):
-        u, e = measure(op, sig, NoiseSpec.fixed_norm(eps, seed=44))
+        u, e = measure(op, sig, "fixed", eps, seed=44)
         assert np.linalg.norm(e) == pytest.approx(eps, abs=1e-12)
         np.testing.assert_allclose(u - e, op.forward(sig.values), atol=1e-12)
 
@@ -199,7 +196,7 @@ def test_measure_fixed_norm_is_exact():
 def test_measure_gaussian_sigma_concentrates():
     op = make_operator("partial_dct", 10000, 10000, seed=45)
     sig = gen_sparse(10000, 5, seed=46)
-    u, e = measure(op, sig, NoiseSpec.gaussian(1.0, seed=47))
+    u, e = measure(op, sig, "sigma", 1.0, seed=47)
     assert 0.9 < float(np.dot(e, e)) / 10000 < 1.1
 
 
@@ -211,12 +208,24 @@ def test_measure_accepts_plain_arrays():
     np.testing.assert_array_equal(u, op.forward(x))
 
 
-def test_noise_spec_validation():
-    with pytest.raises(UsageError):
-        NoiseSpec.fixed_norm(-0.5)
-    with pytest.raises(UsageError):
-        NoiseSpec.gaussian(-1.0)
-    for level in (math.inf, math.nan):
-        with pytest.raises(UsageError, match="finite"):
-            NoiseSpec.gaussian(level)
-    assert NoiseSpec.none().mode is NoiseMode.NONE
+def test_measure_validates_mode_and_level():
+    op = make_operator("gaussian", 8, 12, seed=49)
+    x = np.ones(12)
+    with pytest.raises(UsageError, match="non-negative"):
+        measure(op, x, "fixed", -0.5)
+    with pytest.raises(UsageError, match="non-negative"):
+        measure(op, x, "sigma", -1.0)
+    for mode in ("none", "fixed", "sigma"):
+        for level in (math.inf, math.nan):
+            with pytest.raises(UsageError, match="finite"):
+                measure(op, x, mode, level)
+    # The config's relative mode is resolved by bench.run_trial, not here.
+    for mode in ("fixed_rel", "fixed_norm", "gaussian_sigma", "FIXED"):
+        with pytest.raises(UsageError, match="unknown noise mode"):
+            measure(op, x, mode, 0.1)
+    # A refused call applies nothing; a zero level adds no noise in any mode.
+    assert op.matvec_count == 0
+    for mode in ("none", "fixed", "sigma"):
+        u, e = measure(op, x, mode, 0.0, seed=50)
+        assert np.all(e == 0.0)
+        np.testing.assert_array_equal(u, op.forward(x))
