@@ -401,7 +401,7 @@ def phase_sweep(
     Cells that violate the algorithm's dimensional preconditions (m > N,
     s > m, or 3s > m for CoSaMP) are emitted with ``None`` statistics
     rather than being skipped, so the grid shape of the output is always
-    ``len(m_values) * len(s_values)``.  An m or s below 1 is malformed
+    ``len(m_values) * len(s_values)``.  An N, m or s below 1 is malformed
     input and raises ``UsageError`` before the first trial.
     The live cells run trial-major (``_run_trial_major``), which validates
     them and ``threads`` before the first trial: one dense draw of the
@@ -412,10 +412,10 @@ def phase_sweep(
     """
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
-    if min(m_values) < 1 or min(s_values) < 1:
+    if N < 1 or min(m_values) < 1 or min(s_values) < 1:
         raise UsageError(
-            f"sweep needs every m and s at least 1, got m_values={list(m_values)}, "
-            f"s_values={list(s_values)}"
+            f"sweep needs N and every m and s at least 1, got N={N}, "
+            f"m_values={list(m_values)}, s_values={list(s_values)}"
         )
     base = TrialConfig(
         algorithm, ensemble, m_values[0], N, s_values[0], trials_per_cell, master_seed,

@@ -4,7 +4,7 @@ Every random draw in this package comes from one fixed, fully documented
 generator.  Its words and index draws are integer arithmetic and match a
 pure-Python reference on any platform.  Its Gaussian variates go through
 numpy's ``log``, ``cos`` and ``sin``, whose last bits can differ between
-CPUs (ROADMAP item 1), so variates, fixtures and benchmark outputs are
+CPUs (ROADMAP item 3), so variates, fixtures and benchmark outputs are
 verified bit for bit across reruns and thread counts on one numpy/BLAS
 build only:
 
@@ -15,6 +15,10 @@ build only:
   xor-shift 31).
 * Gaussians: the Box-Muller transform on pairs of words, each taken as
   its top 53 bits scaled by 2**-53 (no ziggurat, no rejection).
+* Blocks: ``raw``, ``normal`` and ``signs`` make their words a fixed
+  ``_BLOCK`` at a time and map each block into its slice of the result
+  while it is in cache.  Every step is elementwise, so no bit of any draw
+  depends on the block size or on where a draw's blocks start.
 * Derived seeds: ``derive_seed(master, *parts)`` folds each integer part
   into the state with one mix64 round.  Trial ``i`` of a benchmark uses
   ``derive_seed(master_seed, i)``, and the operator / signal / noise
@@ -36,12 +40,28 @@ _INV_2_53 = 2.0 ** -53
 
 # The array path's constants and shift counts as uint64 scalars, built once:
 # rebuilt on every call, they were about a third of a small draw's cost.
-_GAMMA_U64 = np.uint64(_GAMMA)
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
+_SHIFT_11 = np.uint64(11)
 _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
+# A sign as bits: a word's top bit xor-ed into the bits of -1.0 gives +1.0
+# for a set bit and -1.0 for a clear one.
+_TOP_BIT = np.uint64(1 << 63)
+_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)
+# Box-Muller's angle scale in one factor: 2*pi*2**-53 only rescales 2*pi by
+# a power of two, so ``w * _ANGLE_SCALE`` rounds to the same double as
+# ``(w * 2**-53) * (2 * pi)``.
+_ANGLE_SCALE = 2.0 * math.pi * _INV_2_53
+
+# Words are made _BLOCK at a time (256 KiB of uint64), so each block is
+# generated, mixed and mapped while it sits in cache.  Even, so a block
+# always holds whole Box-Muller pairs.  _RAMP[j] is (j + 1) * GAMMA mod 2**64:
+# a block's counters are this ramp plus the block's offset.
+_BLOCK = 2**15
+_RAMP = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+_RAMP *= np.uint64(_GAMMA)
 
 
 def mix64(value: int) -> int:
@@ -65,15 +85,16 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array, in place; returns ``z``."""
-    shifted = z >> _SHIFT_30
+def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place, with ``shifted``
+    (same size) as scratch; returns ``z``."""
+    np.right_shift(z, _SHIFT_30, shifted)
     z ^= shifted
     z *= _MIX_A_U64
-    np.right_shift(z, _SHIFT_27, out=shifted)
+    np.right_shift(z, _SHIFT_27, shifted)
     z ^= shifted
     z *= _MIX_B_U64
-    np.right_shift(z, _SHIFT_31, out=shifted)
+    np.right_shift(z, _SHIFT_31, shifted)
     z ^= shifted
     return z
 
@@ -87,61 +108,89 @@ class SplitMix64:
     ``2 * ceil(n / 2)``.  ``choose_without_replacement(population, k)``
     consumes exactly ``k`` positions and ``permutation(n)`` consumes
     ``max(n - 1, 0)``: one word per Fisher-Yates step, reduced modulo the
-    population still unpicked at that step.
+    population still unpicked at that step.  A large ``raw``, ``normal`` or
+    ``signs`` draw allocates its result and at most two and a half blocks
+    (640 KiB) of scratch.
     """
 
     def __init__(self, seed: int):
-        self._seed_u64 = np.uint64(seed & _MASK64)
+        self._seed = seed & _MASK64
         self._position = 0
 
     @property
     def position(self) -> int:
         return self._position
 
-    def raw(self, n: int) -> np.ndarray:
-        """Next ``n`` output words as uint64."""
+    def _take(self, n: int) -> int:
+        """Consume ``n`` positions; returns the first."""
         if n < 0:
             raise ValueError("draw count must be non-negative")
         start = self._position
         self._position += n
-        state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        state *= _GAMMA_U64
-        state += self._seed_u64
-        return _mix64_array(state)
+        return start
+
+    def _counters(self, start: int, n: int, out=None) -> np.ndarray:
+        """The unmixed states of words ``start .. start + n - 1`` (``n`` at
+        most ``_BLOCK``), into ``out`` or, if it is None, a new array."""
+        offset = np.uint64((self._seed + start * _GAMMA) & _MASK64)
+        return np.add(_RAMP[:n], offset, out)
+
+    def raw(self, n: int) -> np.ndarray:
+        """Next ``n`` output words as uint64."""
+        start = self._take(n)
+        if n <= _BLOCK:  # one block: its words are the result
+            return _mix64_array(self._counters(start, n), np.empty(n, np.uint64))
+        out = np.empty(n, np.uint64)
+        shifted = np.empty(_BLOCK, np.uint64)
+        for lo in range(0, n, _BLOCK):
+            z = self._counters(start + lo, min(_BLOCK, n - lo), out[lo : lo + _BLOCK])
+            _mix64_array(z, shifted[: z.size])
+        return out
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles via Box-Muller."""
-        pairs = (n + 1) // 2
-        words = self.raw(2 * pairs).reshape(pairs, 2)
-        words >>= np.uint64(11)
-        # u1 in (0, 1] so log never sees zero; u2 in [0, 1).  The columns
-        # are copied out contiguous: numpy may take another loop for strided
-        # input, and the bits of log/cos/sin must not depend on that.
-        radius = words[:, 0].astype(np.float64)
-        radius += 1.0
-        radius *= _INV_2_53
-        angle = words[:, 1].astype(np.float64)
-        del words
-        angle *= _INV_2_53
-        angle *= 2.0 * math.pi
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        # Row i of ``out`` holds variates 2i and 2i + 1.
-        out = np.empty((pairs, 2))
-        trig = np.cos(angle)
-        np.multiply(radius, trig, out=out[:, 0])
-        np.sin(angle, out=trig)
-        np.multiply(radius, trig, out=out[:, 1])
-        return out.reshape(-1)[:n]
+        size = 2 * ((n + 1) // 2)
+        start = self._take(size)
+        # Variates 2i and 2i + 1 come from words 2i and 2i + 1.  The block's
+        # slice of ``out`` is the mix's scratch until the variates land in it.
+        out = np.empty(size)
+        block = min(size, _BLOCK)
+        words = np.empty(block, np.uint64)
+        radius, angle, trig = np.empty(block // 2), np.empty(block // 2), np.empty(block // 2)
+        for lo in range(0, size, _BLOCK):
+            dest = out[lo : lo + _BLOCK]
+            if dest.size < block:  # the last block is short
+                half = dest.size // 2
+                words, radius, angle, trig = words[: dest.size], radius[:half], angle[:half], trig[:half]
+            z = _mix64_array(self._counters(start + lo, dest.size, words), dest.view(np.uint64))
+            z >>= _SHIFT_11
+            # u1 in (0, 1] so log never sees zero; u2 in [0, 1).  The strided
+            # halves are read into contiguous arrays: numpy may take another
+            # loop for strided input, and the bits of log/cos/sin must not
+            # depend on that.
+            np.add(z[0::2], 1.0, radius)
+            radius *= _INV_2_53
+            np.multiply(z[1::2], _ANGLE_SCALE, angle)
+            np.log(radius, radius)
+            radius *= -2.0
+            np.sqrt(radius, radius)
+            np.cos(angle, trig)
+            np.multiply(radius, trig, dest[0::2])
+            np.sin(angle, trig)
+            np.multiply(radius, trig, dest[1::2])
+        return out[:n]
 
     def signs(self, n: int) -> np.ndarray:
         """``n`` equiprobable +-1.0 values (top bit of each word)."""
-        words = self.raw(n)
-        words >>= np.uint64(63)
-        out = words.astype(np.float64)
-        out *= 2.0
-        out -= 1.0
+        start = self._take(n)
+        out = np.empty(n)
+        bits = out.view(np.uint64)
+        shifted = np.empty(min(n, _BLOCK), np.uint64)
+        for lo in range(0, n, _BLOCK):
+            z = self._counters(start + lo, min(_BLOCK, n - lo), bits[lo : lo + _BLOCK])
+            _mix64_array(z, shifted[: z.size])
+            z &= _TOP_BIT
+            z ^= _MINUS_ONE_BITS
         return out
 
     def choose_without_replacement(self, population: int, k: int) -> np.ndarray:

@@ -35,8 +35,11 @@ from .linalg import as_vector
 from .rng import SplitMix64
 
 
-# Gaussian and Bernoulli operators store their m * N entries as float64, and
-# drawing them peaks at about 2.5 times that.  2**26 entries are 512 MiB; a
+# Gaussian and Bernoulli operators store their m * N entries as float64.  A
+# fresh draw peaks at the entries plus under 1 MiB of generator scratch (1.09
+# times the entries at 512 x 2048, by tracemalloc); inside a ``shared_draw``
+# block of the same m, building the operator peaks at twice the entries: the
+# block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
 # larger dense operator, or a partial-DCT operator whose length-N signal,
 # proxy and transform vectors would each exceed it, is refused as a usage
 # error rather than left to fail, or to exhaust memory, in the allocator.

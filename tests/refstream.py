@@ -1,10 +1,13 @@
-"""The tests' pure-Python reference for the SplitMix64 bit stream, and the
-scalar draws the tests take from a generator's words.
+"""The tests' pure-Python reference for the SplitMix64 bit stream, the
+whole-array variate maps applied to it, and the scalar draws the tests take
+from a generator's words.
 
 ``word``, ``index_below`` and ``uniform`` read the next words of a
 ``SplitMix64`` through ``raw``, so a test that draws its instances with
 them consumes the same stream positions as one word per scalar draw.
 """
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,30 @@ def reference_stream(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
         out.append(z ^ (z >> 31))
     return out
+
+
+def _reference_words(seed, count, position):
+    return np.array(reference_stream(seed, position + count)[position:], dtype=np.uint64)
+
+
+def reference_normal(seed, n, position=0):
+    """``n`` standard normal variates from the reference words at ``position``
+    on: Box-Muller over the whole array at once, one step per pass, which
+    ``SplitMix64.normal`` must match bit for bit whatever its block size."""
+    pairs = (n + 1) // 2
+    words = _reference_words(seed, 2 * pairs, position).reshape(pairs, 2) >> np.uint64(11)
+    radius = (words[:, 0].astype(np.float64) + 1.0) * 2.0**-53
+    angle = words[:, 1].astype(np.float64) * 2.0**-53 * (2.0 * math.pi)
+    radius = np.sqrt(-2.0 * np.log(radius))
+    out = np.empty((pairs, 2))
+    out[:, 0] = radius * np.cos(angle)
+    out[:, 1] = radius * np.sin(angle)
+    return out.reshape(-1)[:n]
+
+
+def reference_signs(seed, n, position=0):
+    """``n`` signs from the reference words at ``position`` on: 2 * (top bit) - 1."""
+    return (_reference_words(seed, n, position) >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
 
 
 def word(gen):

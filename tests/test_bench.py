@@ -405,6 +405,17 @@ def test_phase_sweep_rejects_counts_below_one(sweep_calls, m_values, s_values):
     assert [c["successes"] is None for c in cells] == [False, True]
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_phase_sweep_rejects_n_below_one(sweep_calls, N):
+    # Every cell would break m <= N and read NA; the grid is malformed input.
+    with pytest.raises(UsageError, match=f"N and every m and s at least 1, got N={N}"):
+        phase_sweep(
+            N, m_values=[16], s_values=[2], ensemble="gaussian", algorithm="omp",
+            trials_per_cell=2, master_seed=1,
+        )
+    assert sweep_calls == []
+
+
 def test_all_na_sweep_runs_no_trial(sweep_calls):
     cells = phase_sweep(
         16, m_values=[4, 32], s_values=[8], ensemble="gaussian", algorithm="omp",

@@ -379,18 +379,24 @@ def test_sweep_rejects_garbage_list(capsys):
     assert "integer list" in err
 
 
-@pytest.mark.parametrize(
-    "m_values, s_values",
-    [("-5,0,16", "-1,0,2"), ("0,16", "2"), ("16", "0,2"), ("16,128", "2,-1")],
-)
-def test_sweep_rejects_counts_below_one_before_any_work(monkeypatch, capsys, m_values, s_values):
-    # NA marks a cell that breaks an algorithm's dimensional rule; a count
-    # below 1 is malformed input, even beside an m > N cell.
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """Fail the test if a trial runs or a dense operator is built."""
+
     def no_work(*args):
         raise AssertionError("a trial ran or an operator was built")
 
     monkeypatch.setattr(bench, "run_trial", no_work)
     monkeypatch.setattr(sensing, "_DenseEnsembleOperator", no_work)
+
+
+@pytest.mark.parametrize(
+    "m_values, s_values",
+    [("-5,0,16", "-1,0,2"), ("0,16", "2"), ("16", "0,2"), ("16,128", "2,-1")],
+)
+def test_sweep_rejects_counts_below_one_before_any_work(refuse_work, capsys, m_values, s_values):
+    # NA marks a cell that breaks an algorithm's dimensional rule; a count
+    # below 1 is malformed input, even beside an m > N cell.
     code, out, err = run_cli(
         capsys, "sweep", "--N", "64", f"--m-values={m_values}", f"--s-values={s_values}",
         "--trials", "2",
@@ -398,6 +404,16 @@ def test_sweep_rejects_counts_below_one_before_any_work(monkeypatch, capsys, m_v
     assert code == 2
     assert out == ""
     assert "every m and s at least 1" in err
+
+
+@pytest.mark.parametrize("N", ["0", "-5"])
+def test_sweep_rejects_n_below_one_before_any_work(refuse_work, capsys, N):
+    code, out, err = run_cli(
+        capsys, "sweep", f"--N={N}", "--m-values", "16", "--s-values", "2", "--trials", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"got N={N}" in err
 
 
 # ------------------------------------------------------------------- ric

@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from refstream import MASK, reference_stream, uniform, word
+from refstream import MASK, reference_normal, reference_signs, reference_stream, uniform, word
+from sparsekit import rng
 from sparsekit.rng import SplitMix64, derive_seed, mix64
 
 
@@ -110,6 +112,44 @@ def test_variate_bits_pinned():
             digest.update(out.tobytes())
             digest.update(gen.position.to_bytes(8, "little"))
     assert digest.hexdigest() == "353bed001aace7653d7134281c09f745cb1bff315370b6853b7d4acddc95da1a"
+
+
+@pytest.mark.parametrize("block", [None, 6], ids=["module-block", "block-6"])
+def test_blocked_draws_match_whole_array_oracle(monkeypatch, block):
+    # Sizes a word short of, at, a word past and three words past a whole
+    # number of blocks, each drawn from an odd stream position.  A block of
+    # 6 words holds 3 Box-Muller pairs, so no vector lane lines up with it.
+    if block is not None:
+        monkeypatch.setattr(rng, "_BLOCK", block)
+    seed = 0xB10C
+    size = rng._BLOCK
+    for n in (size - 1, size, size + 1, 2 * size + 3):
+        oracles = {
+            "raw": np.array(reference_stream(seed, 1 + n)[1:], dtype=np.uint64),
+            "normal": reference_normal(seed, n, position=1),
+            "signs": reference_signs(seed, n, position=1),
+        }
+        for method, want in oracles.items():
+            gen = SplitMix64(seed)
+            gen.raw(1)
+            got = getattr(gen, method)(n)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (method, n)
+            assert gen.position == 1 + (2 * ((n + 1) // 2) if method == "normal" else n)
+
+
+@pytest.mark.parametrize("method", ["normal", "signs"])
+def test_large_draw_allocates_little_beyond_its_result(method):
+    # Words are made and mapped a block at a time: a 2**20 draw (8 MiB) may
+    # hold at most 1 MiB of scratch besides its result.
+    tracemalloc.start()
+    try:
+        out = getattr(SplitMix64(3), method)(2**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2**23
+    assert peak <= out.nbytes + 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def reference_fisher_yates(seed, population, steps):

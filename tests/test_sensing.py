@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from refstream import reference_normal, reference_signs
 from sparsekit import sensing
 from sparsekit.errors import UsageError
 from sparsekit.rng import SplitMix64
@@ -245,32 +246,33 @@ def assert_same_operator(a, b):
 
 
 def reference_operator_bytes(ensemble, m, N, seed):
-    """An operator's entries (dense) or rows (partial DCT), drawn directly."""
-    rng = SplitMix64(seed)
+    """An operator's entries (dense, from the whole-array oracle over the
+    reference stream) or rows (partial DCT, drawn directly)."""
     if ensemble == "partial_dct":
-        return rng.choose_without_replacement(N, m).tobytes()
-    entries = rng.normal(m * N) if ensemble == "gaussian" else rng.signs(m * N)
-    entries *= 1.0 / math.sqrt(m)
-    return entries.tobytes()
+        return SplitMix64(seed).choose_without_replacement(N, m).tobytes()
+    oracle = reference_normal if ensemble == "gaussian" else reference_signs
+    return (oracle(seed, m * N) * (1.0 / math.sqrt(m))).tobytes()
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
 def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
-    # N = 129 makes m * N odd for every odd m, so a prefix can end half way
-    # through a Box-Muller pair.
-    N, seed = 129, 0x5EED_F00D
-    fresh = {m: make_operator(ensemble, m, N, seed) for m in (1, 15, 33, 129)}
-    for m, op in fresh.items():
-        built = op.rows if ensemble == "partial_dct" else op.dense_matrix()
-        assert built.tobytes() == reference_operator_bytes(ensemble, m, N, seed)
-    draws = _count_draws(monkeypatch)
-    with shared_draw(ensemble, N, N, seed):
+    # An odd N makes m * N odd for every odd m, so a prefix can end half way
+    # through a Box-Muller pair; at N = 513 the larger draws, and the shared
+    # one, span several ``rng`` blocks.
+    seed = 0x5EED_F00D
+    for N, m_values in ((129, (1, 15, 33, 129)), (513, (1, 129, 257))):
+        fresh = {m: make_operator(ensemble, m, N, seed) for m in m_values}
         for m, op in fresh.items():
-            assert_same_operator(make_operator(ensemble, m, N, seed), op)
-    if ensemble == "partial_dct":
-        assert len(draws) == len(fresh)  # a partial-DCT block shares nothing
-    else:
-        assert len(draws) == 1  # every operator came from the block's one draw
+            built = op.rows if ensemble == "partial_dct" else op.dense_matrix()
+            assert built.tobytes() == reference_operator_bytes(ensemble, m, N, seed)
+        draws = _count_draws(monkeypatch)
+        with shared_draw(ensemble, max(m_values), N, seed):
+            for m, op in fresh.items():
+                assert_same_operator(make_operator(ensemble, m, N, seed), op)
+        if ensemble == "partial_dct":
+            assert len(draws) == len(fresh)  # a partial-DCT block shares nothing
+        else:
+            assert len(draws) == 1  # every operator came from the block's one draw
 
 
 @pytest.mark.parametrize(
