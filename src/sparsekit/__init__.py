@@ -21,7 +21,6 @@ from .errors import SolverFailure, UsageError
 from .linalg import (
     GramFactor,
     LsSolution,
-    SupportSet,
     embed,
     largest_indices,
     restricted_least_squares,
@@ -57,7 +56,6 @@ __all__ = [
     "Signal",
     "SolverFailure",
     "SplitMix64",
-    "SupportSet",
     "TrialConfig",
     "TrialRecord",
     "UsageError",

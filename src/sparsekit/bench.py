@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .linalg import LS_METHODS
-from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, cosamp, omp, romp
+from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, check_dense_size, make_operator, shared_draw
 from .signals import Signal, gen_compressible, gen_sparse, head, measure, tail_l1
@@ -165,16 +165,10 @@ class TrialConfig:
             )
 
     def _shape_problem(self) -> Optional[str]:
-        """The (m, N, s) condition the algorithm needs and this config breaks, or None."""
+        """The (m, N, s) rule this config breaks, or None: ``1 <= m <= N``, then ``sparsity_problem``."""
         if self.m < 1 or self.m > self.N:
             return f"need 1 <= m <= N, got m={self.m}, N={self.N}"
-        if self.s < 1:
-            return f"sparsity must be at least 1, got {self.s}"
-        if self.algorithm in ("omp", "romp") and self.s > self.m:
-            return f"sparsity {self.s} exceeds measurement count {self.m}"
-        if self.algorithm == "cosamp" and 3 * self.s > self.m:
-            return f"cosamp needs 3*s <= m, got s={self.s}, m={self.m}"
-        return None
+        return sparsity_problem(self.algorithm, self.m, self.s)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -272,7 +266,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
         rel_error = l2_error / x_norm if x_norm > 0 else None
         success = l2_error <= SUCCESS_RELATIVE_TOL * x_norm
         if signal.true_support is not None:
-            support_exact = result.support == signal.true_support
+            support_exact = np.array_equal(result.support, signal.true_support)
         denominator = tail_term + noise_norm
         bound_ratio = l2_error / denominator if denominator > 0 else None
 

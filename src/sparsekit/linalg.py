@@ -91,38 +91,6 @@ def as_support(indices) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Ordered set of column indices, strictly increasing, no duplicates."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = as_support(self.indices).copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_iterable(cls, it) -> "SupportSet":
-        """Build from any iterable; duplicates are rejected."""
-        idx = np.asarray(sorted(int(i) for i in it), dtype=np.int64)
-        return cls(idx)
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __iter__(self):
-        return iter(self.indices.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SupportSet):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices)
-
-    def __hash__(self):
-        return hash(self.indices.tobytes())
-
-
 @dataclass
 class LsSolution:
     """Solution of a restricted least-squares solve.
@@ -287,9 +255,10 @@ def restricted_least_squares(
     ------
     UsageError
         A support that is empty, unsorted, repeated, negative, out of range
-        or larger than ``m``; a wrong-length or non-finite ``rhs``; bad
-        tolerance; unknown method; or a factor built for another operator
-        or right-hand side, or holding a column outside the support.
+        or larger than ``m``; a wrong-length or non-finite ``rhs``; a
+        non-positive or non-finite ``tol``; a non-integer or sub-1
+        ``max_iter``; unknown method; or a factor built for another
+        operator or right-hand side, or holding a column outside the support.
     SolverFailure
         The residual grew 10x above its running minimum (divergence),
         naming the offending iteration; or a column new to the factor is
@@ -307,10 +276,10 @@ def restricted_least_squares(
     rhs = as_vector(rhs, op.m, name="rhs")
     if k == 0:
         raise UsageError("restricted least squares needs a non-empty support")
-    if tol <= 0:
-        raise UsageError("tol must be positive")
-    if max_iter < 1:
-        raise UsageError("max_iter must be at least 1")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise UsageError(f"tol must be positive and finite, got {tol!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise UsageError(f"max_iter must be an integer at least 1, got {max_iter!r}")
     if method not in LS_METHODS:
         raise UsageError(f"unknown method {method!r}")
     if factor is not None:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .linalg import (
+    LS_METHODS,
     GramFactor,
-    SupportSet,
     as_vector,
     embed,
     largest_indices,
@@ -52,12 +52,43 @@ class RecoveryResult:
     """Outcome of one recovery run, with enough trace to audit it."""
 
     estimate: np.ndarray
-    support: SupportSet
+    support: np.ndarray  # strictly increasing int64 column indices
     iterations: int
     residual_norms: List[float]
     matvec_count: int
     halted_by: HaltReason
     iterates: List[dict] = field(default_factory=list)
+
+
+def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
+    """The rule on ``(m, s)`` that ``algorithm`` needs and these break, or None.
+
+    OMP and ROMP need ``1 <= s <= m``; CoSaMP refits on up to ``3s`` merged
+    columns, so it needs ``3s <= m`` to keep that system determined.  The
+    operator's shape is not part of the rule.  A non-integral ``s`` is
+    malformed input, not a shape, and raises ``UsageError``.
+    """
+    if not isinstance(s, (int, np.integer)):
+        raise UsageError(f"sparsity must be an integer, got {s!r}")
+    if s < 1:
+        return f"sparsity must be at least 1, got {s}"
+    if algorithm == "cosamp":
+        if 3 * s > m:
+            return f"cosamp needs 3*s <= m, got s={s}, m={m}"
+    elif s > m:
+        return f"sparsity {s} exceeds measurement count {m}"
+    return None
+
+
+def _checked(algorithm: str, op, u, s, ls_method: str = "cg") -> np.ndarray:
+    """A pursuit's preamble: check every input before the first apply; returns ``u``."""
+    u = as_vector(u, length=op.m, name="measurement")
+    problem = sparsity_problem(algorithm, op.m, s)
+    if problem is not None:
+        raise UsageError(problem)
+    if ls_method not in LS_METHODS:
+        raise UsageError(f"unknown least-squares method {ls_method!r}")
+    return u
 
 
 def _pursue(
@@ -131,7 +162,7 @@ def _pursue(
 
     return RecoveryResult(
         estimate=estimate,
-        support=SupportSet(support),
+        support=support,
         iterations=len(iterates),
         residual_norms=residual_norms,
         matvec_count=op.matvec_count - start_count,
@@ -153,11 +184,7 @@ def omp(op, u, s: int) -> RecoveryResult:
     (one in the first round).  A column numerically dependent on the
     support raises ``SolverFailure``.
     """
-    u = as_vector(u, length=op.m, name="measurement")
-    if s < 1:
-        raise UsageError(f"sparsity must be at least 1, got {s}")
-    if s > op.m:
-        raise UsageError(f"sparsity {s} exceeds measurement count {op.m}")
+    u = _checked("omp", op, u, s)
 
     def select(proxy, support):
         proxy[support] = 0.0
@@ -171,12 +198,12 @@ def omp(op, u, s: int) -> RecoveryResult:
     return _pursue("omp", op, u, s, select, ls, exhausted=HaltReason.SPARSITY_REACHED)
 
 
-def romp_regularize(proxy_values) -> SupportSet:
+def romp_regularize(proxy_values) -> np.ndarray:
     """Pick the comparable-magnitude window with the most energy.
 
-    Given the candidate proxy values, returns positions (into the input
-    array) of a subset whose magnitudes are within a factor of two of
-    each other and whose l2 energy is maximal among all such subsets.
+    Given the candidate proxy values, returns ascending positions (into
+    the input array) of a subset whose magnitudes are within a factor of
+    two of each other and whose l2 energy is maximal among all such subsets.
     Scanning maximal windows of the magnitude-sorted order suffices: any
     comparable subset lives inside some maximal window, whose energy is
     at least as large.  Ties in energy go to the window whose largest
@@ -209,7 +236,7 @@ def romp_regularize(proxy_values) -> SupportSet:
             best_energy = energy
             best_start = start
             best_stop = stop
-    return SupportSet.from_iterable(order[best_start:best_stop])
+    return np.sort(order[best_start:best_stop])
 
 
 def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
@@ -222,11 +249,7 @@ def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
     once the support holds ``2s`` coordinates, so the final support
     never exceeds ``3s`` entries.
     """
-    u = as_vector(u, length=op.m, name="measurement")
-    if s < 1:
-        raise UsageError(f"sparsity must be at least 1, got {s}")
-    if s > op.m:
-        raise UsageError(f"sparsity {s} exceeds measurement count {op.m}")
+    u = _checked("romp", op, u, s, ls_method)
 
     def select(proxy, support):
         proxy[support] = 0.0
@@ -235,8 +258,7 @@ def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
             return HaltReason.PROXY_ZERO
         candidates = largest_indices(proxy, min(s, nonzero))
         candidates = candidates[proxy[candidates] != 0.0]
-        window = romp_regularize(proxy[candidates])
-        committed = np.sort(candidates[window.indices])
+        committed = candidates[romp_regularize(proxy[candidates])]
         if support.size + committed.size > op.m:
             return HaltReason.SUPPORT_CAP
         merged = np.union1d(support, committed).astype(np.int64)
@@ -277,14 +299,7 @@ def cosamp(
     support repeats without meaningful residual progress, or after
     ``max_iter`` iterations.
     """
-    u = as_vector(u, length=op.m, name="measurement")
-    if s < 1:
-        raise UsageError(f"sparsity must be at least 1, got {s}")
-    if 3 * s > op.m:
-        raise UsageError(
-            f"need 3*s <= m for the merged support to stay determined; "
-            f"got s={s}, m={op.m}"
-        )
+    u = _checked("cosamp", op, u, s, ls_method)
     if not math.isfinite(eta):
         raise UsageError(f"residual target eta must be finite, got {eta}")
     if eta < 0.0:

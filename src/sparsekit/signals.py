@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .linalg import SupportSet, as_vector, embed, largest_indices
+from .linalg import as_support, as_vector, embed, largest_indices
 from .rng import SplitMix64
 
 
@@ -31,16 +31,20 @@ from .rng import SplitMix64
 class Signal:
     """A length-N real signal, with its support when that is known.
 
-    A set ``true_support`` must hold every nonzero of ``values``.
+    A set ``true_support`` is strictly increasing int64 indices into
+    ``values`` that hold every nonzero of it.
     """
 
     values: np.ndarray
-    true_support: Optional[SupportSet] = None
+    true_support: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = as_vector(self.values, name="signal values")
         if self.true_support is not None:
-            off = np.delete(self.values, self.true_support.indices)
+            self.true_support = as_support(self.true_support)
+            if self.true_support.size and self.true_support[-1] >= self.values.size:
+                raise UsageError("support index out of range")
+            off = np.delete(self.values, self.true_support)
             if off.size and np.any(off != 0.0):
                 raise UsageError("sparse signal has nonzeros off its declared support")
 
@@ -60,7 +64,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
     while np.any(zero):
         coeffs[zero] = rng.normal(int(zero.sum()))
         zero = coeffs == 0.0
-    return Signal(values=embed(coeffs, support, N), true_support=SupportSet(support))
+    return Signal(values=embed(coeffs, support, N), true_support=support)
 
 
 def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
@@ -96,8 +100,7 @@ def head(x, s: int):
     out = np.zeros_like(values)
     out[kept] = values[kept]
     if isinstance(x, Signal):
-        support = SupportSet(np.flatnonzero(out).astype(np.int64))
-        return Signal(values=out, true_support=support)
+        return Signal(values=out, true_support=np.flatnonzero(out))
     return out
 
 

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "Signal",
     "SolverFailure",
     "SplitMix64",
-    "SupportSet",
     "TrialConfig",
     "TrialRecord",
     "UsageError",

@@ -3,10 +3,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sparsekit import bench
 from sparsekit.bench import (
+    ALGORITHMS,
     TRIAL_CSV_COLUMNS,
     TrialConfig,
     compressible_scaling,
@@ -25,7 +27,11 @@ from sparsekit.bench import (
     write_trials_csv,
 )
 from sparsekit.errors import SolverFailure, UsageError
+from sparsekit.pursuit import cosamp, omp, romp
 from sparsekit.sensing import make_operator
+from sparsekit.signals import gen_sparse
+
+PURSUITS = {"omp": omp, "romp": romp, "cosamp": cosamp}
 
 
 def base_config(**overrides):
@@ -96,6 +102,48 @@ def test_ls_method_applies_only_to_romp_and_cosamp():
     base_config(ls_method="cg").validate()
     for algorithm in ("romp", "cosamp"):
         base_config(algorithm=algorithm, ls_method="richardson").validate()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_config_and_pursuit_refuse_the_same_sparsity(algorithm):
+    # A zero measurement halts every pursuit before its first solve, so
+    # only the (m, s) rule decides whether the call is accepted.
+    m, N = 24, 48
+    op = make_operator("gaussian", m, N, seed=5)
+    for s in (0, 1, m // 3, m // 3 + 1, m, m + 1, 2.5):
+        try:
+            config_accepts = base_config(algorithm=algorithm, m=m, N=N, s=s)._shape_problem() is None
+        except UsageError:
+            config_accepts = False
+        try:
+            PURSUITS[algorithm](op, np.zeros(m), s)
+            pursuit_accepts = True
+        except UsageError:
+            pursuit_accepts = False
+        assert config_accepts == pursuit_accepts, s
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_non_integer_sparsity_is_refused_before_any_apply(algorithm):
+    op = make_operator("gaussian", 32, 64, seed=7)
+    u = op.forward(gen_sparse(64, 2, seed=8).values)
+    applied = op.matvec_count
+    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+        PURSUITS[algorithm](op, u, 2.5)
+    assert op.matvec_count == applied
+    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+        TrialConfig(algorithm, "gaussian", 32, 64, 2.5, 2, 7).validate()
+    # numpy integers are integers.
+    PURSUITS[algorithm](op, u, np.int64(2))
+    TrialConfig(algorithm, "gaussian", 32, 64, np.int64(2), 2, 7).validate()
+
+
+@pytest.mark.parametrize("algorithm", ["romp", "cosamp"])
+def test_unknown_ls_method_is_refused_before_any_apply(algorithm):
+    op = make_operator("gaussian", 32, 64, seed=9)
+    with pytest.raises(UsageError, match="unknown least-squares method 'lu'"):
+        PURSUITS[algorithm](op, np.ones(32), 2, ls_method="lu")
+    assert op.matvec_count == 0
 
 
 def test_trial_seeds_distinct_across_streams_and_trials():
@@ -411,6 +459,15 @@ def test_phase_sweep_rejects_n_below_one(sweep_calls, N):
     with pytest.raises(UsageError, match=f"N and every m and s at least 1, got N={N}"):
         phase_sweep(
             N, m_values=[16], s_values=[2], ensemble="gaussian", algorithm="omp",
+            trials_per_cell=2, master_seed=1,
+        )
+    assert sweep_calls == []
+
+
+def test_phase_sweep_rejects_non_integer_sparsity(sweep_calls):
+    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+        phase_sweep(
+            64, m_values=[16], s_values=[2, 2.5], ensemble="gaussian", algorithm="omp",
             trials_per_cell=2, master_seed=1,
         )
     assert sweep_calls == []

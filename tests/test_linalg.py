@@ -10,7 +10,6 @@ from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.linalg import (
     GramFactor,
     LsSolution,
-    SupportSet,
     embed,
     largest_indices,
     restricted_least_squares,
@@ -106,41 +105,6 @@ def test_largest_indices_rejects_non_vector(values):
 def test_embed_scatter():
     out = embed([1.5, -2.0], [1, 3], 5)
     assert out.tolist() == [0.0, 1.5, 0.0, -2.0, 0.0]
-
-
-# --- SupportSet --------------------------------------------------------------
-
-def test_support_set_validation():
-    s = SupportSet(np.array([1, 4, 9]))
-    assert len(s) == 3
-    assert list(s) == [1, 4, 9]
-    with pytest.raises(UsageError):
-        SupportSet(np.array([3, 3]))
-    with pytest.raises(UsageError):
-        SupportSet(np.array([4, 2]))
-    with pytest.raises(UsageError):
-        SupportSet(np.array([-1, 2]))
-
-
-def test_support_set_from_iterable_sorts():
-    assert SupportSet.from_iterable([9, 1, 4]) == SupportSet.from_iterable([1, 4, 9])
-    with pytest.raises(UsageError):
-        SupportSet.from_iterable([2, 2])
-
-
-def test_support_set_eq_hash():
-    a = SupportSet.from_iterable([1, 5])
-    b = SupportSet.from_iterable([2, 5])
-    assert a == SupportSet(np.array([1, 5]))
-    assert hash(a) == hash(SupportSet.from_iterable([5, 1]))
-    assert a != b
-    assert len(SupportSet(np.empty(0, dtype=np.int64))) == 0
-
-
-def test_support_set_is_immutable():
-    s = SupportSet.from_iterable([1, 2])
-    with pytest.raises(ValueError):
-        s.indices[0] = 7
 
 
 # --- restricted_least_squares --------------------------------------------------
@@ -241,6 +205,26 @@ def test_ls_zero_rhs_short_circuits():
     sol = restricted_least_squares(op, [0, 2], np.zeros(4))
     assert sol.converged
     assert np.all(sol.coeffs == 0.0)
+
+
+BAD_LS_SETTINGS = {
+    "tol-nan": (dict(tol=math.nan), "tol must be positive and finite, got nan"),
+    "tol-inf": (dict(tol=math.inf), "tol must be positive and finite, got inf"),
+    "max_iter-nan": (dict(max_iter=math.nan), "max_iter must be an integer at least 1, got nan"),
+    "max_iter-2.5": (dict(max_iter=2.5), "max_iter must be an integer at least 1, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("bad, message", BAD_LS_SETTINGS.values(), ids=BAD_LS_SETTINGS.keys())
+def test_ls_rejects_non_finite_or_non_integer_settings(bad, message):
+    op = MatrixOperator(np.eye(3, 5))
+    rhs = np.array([1.0, 2.0, 0.0])
+    for method in ("cg", "richardson"):
+        with pytest.raises(UsageError, match=message):
+            restricted_least_squares(op, [0, 1], rhs, method=method, **bad)
+    with pytest.raises(UsageError, match=message):
+        restricted_least_squares(op, [0, 1], rhs, factor=GramFactor(op, rhs), **bad)
+    assert op.matvec_count == 0
 
 
 def test_ls_validation_errors():

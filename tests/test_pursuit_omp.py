@@ -17,7 +17,7 @@ def test_identity_single_spike():
     x = np.zeros(8)
     x[3] = 5.0
     result = omp(op, op.forward(x), 1)
-    assert list(result.support) == [3]
+    assert result.support.tolist() == [3]
     np.testing.assert_allclose(result.estimate, x, atol=1e-12)
     assert result.iterations == 1
     assert result.halted_by is HaltReason.SPARSITY_REACHED
@@ -29,7 +29,7 @@ def test_identity_multi_spike_exact():
     sig = gen_sparse(32, 5, seed=3)
     u, _ = measure(op, sig)
     result = omp(op, u, 5)
-    assert result.support == sig.true_support
+    assert np.array_equal(result.support, sig.true_support)
     assert np.linalg.norm(result.estimate - sig.values) <= 1e-10
 
 
@@ -43,7 +43,7 @@ def test_gaussian_exact_recovery_batch():
         err = np.linalg.norm(result.estimate - sig.values) / np.linalg.norm(sig.values)
         if err <= 1e-6:
             successes += 1
-            assert result.support == sig.true_support
+            assert np.array_equal(result.support, sig.true_support)
     assert successes >= 18
 
 
@@ -108,7 +108,7 @@ def test_deterministic_results():
     b = omp(op, u, 4)
     assert np.array_equal(a.estimate, b.estimate)
     assert a.residual_norms == b.residual_norms
-    assert a.support == b.support
+    assert np.array_equal(a.support, b.support)
 
 
 def test_matvec_count_is_per_call():

@@ -41,6 +41,10 @@ def test_pursuit_structural_invariants(instance):
         reject()
 
     assert result.iterations == len(result.iterates) == len(result.residual_norms) - 1
+    support = result.support
+    assert isinstance(support, np.ndarray) and support.dtype == np.int64
+    assert np.all(np.diff(support) > 0)
+    assert not np.any(np.delete(result.estimate, support))
     if algorithm == "omp":
         picks = [it["selected"] for it in result.iterates]
         assert len(picks) == len(set(picks))
@@ -67,7 +71,7 @@ def test_omp_residual_never_increases_and_is_orthogonal(instance):
 
     norms = result.residual_norms
     assert all(b <= a + 1e-12 * norms[0] for a, b in zip(norms, norms[1:]))
-    support = result.support.indices
+    support = result.support
     if support.size:
         residual = u - op.forward_support(support, result.estimate[support])
         assert np.linalg.norm(op.adjoint_support(support, residual)) <= 1e-9 * np.linalg.norm(op.adjoint(u))

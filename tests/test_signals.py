@@ -5,7 +5,6 @@ import pytest
 
 from refstream import index_below, uniform, word
 from sparsekit.errors import UsageError
-from sparsekit.linalg import SupportSet
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
 from sparsekit.signals import (
@@ -28,13 +27,13 @@ def test_gen_sparse_exact_support_count():
         sig = gen_sparse(N, s, seed=word(gen))
         assert int(np.count_nonzero(sig.values)) == s
         assert len(sig.true_support) == s
-        assert np.array_equal(np.flatnonzero(sig.values), sig.true_support.indices)
+        assert np.array_equal(np.flatnonzero(sig.values), sig.true_support)
 
 
 def test_gen_sparse_full_density():
     sig = gen_sparse(10, 10, seed=3)
     assert np.all(sig.values != 0.0)
-    assert list(sig.true_support) == list(range(10))
+    assert sig.true_support.tolist() == list(range(10))
 
 
 def test_gen_sparse_zero_sparsity_gives_zero_signal():
@@ -134,7 +133,7 @@ def test_head_on_signal_returns_sparse_signal():
     truncated = head(sig, 5)
     assert isinstance(truncated, Signal)
     assert len(truncated.true_support) == 5
-    assert np.array_equal(np.flatnonzero(truncated.values), truncated.true_support.indices)
+    assert np.array_equal(np.flatnonzero(truncated.values), truncated.true_support)
 
 
 def test_l1_splits_into_head_plus_tail():
@@ -168,10 +167,26 @@ def test_sparse_signal_rejects_offsupport_values():
     values = np.zeros(8)
     values[2] = 1.0
     values[5] = -1.0
-    Signal(values=values, true_support=SupportSet.from_iterable([2, 5]))
+    Signal(values=values, true_support=[2, 5])
     Signal(values=values)  # no support declared, nothing to check
     with pytest.raises(UsageError):
-        Signal(values=values, true_support=SupportSet.from_iterable([2]))
+        Signal(values=values, true_support=[2])
+
+
+def test_signal_validates_declared_support():
+    values = np.zeros(8)
+    values[[1, 4]] = 1.0
+    sig = Signal(values=values, true_support=[1, 4])
+    assert sig.true_support.dtype == np.int64
+    assert sig.true_support.tolist() == [1, 4]
+    # Repeated, unsorted and negative indices.
+    for bad in ([1, 1, 4], [4, 1], [-1, 1, 4]):
+        with pytest.raises(UsageError, match="strictly increasing and non-negative"):
+            Signal(values=values, true_support=bad)
+    with pytest.raises(UsageError, match="1-D"):
+        Signal(values=values, true_support=[[1, 4]])
+    with pytest.raises(UsageError, match="support index out of range"):
+        Signal(values=values, true_support=[1, 4, 8])
 
 
 # --- measure -----------------------------------------------------------------
