@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .linalg import LS_METHODS
+from .linalg import check_max_iter
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, check_dense_size, make_operator, shared_draw
@@ -105,7 +105,6 @@ class TrialConfig:
     eta: float = 0.0
     eta_rel: Optional[float] = None  # eta as a fraction of ||u||; wins over eta
     max_iter: int = DEFAULT_COSAMP_MAX_ITER
-    ls_method: str = "cg"
 
     def validate(self) -> "TrialConfig":
         self._check_settings()
@@ -123,6 +122,10 @@ class TrialConfig:
             Ensemble(self.ensemble)
         except ValueError:
             raise UsageError(f"unknown ensemble {self.ensemble!r}") from None
+        for name in ("m", "N", "trials", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise UsageError(f"trial count must be at least 1, got {self.trials}")
         if self.signal_kind not in SIGNAL_KINDS:
@@ -133,8 +136,10 @@ class TrialConfig:
             if self.signal_truncate:
                 raise UsageError("signal_truncate applies only to compressible signals")
             # An unset signal_s means s, which the shape rule bounds.
-            if self.signal_s is not None and not 0 <= self.signal_s <= self.N:
-                raise UsageError(f"need 0 <= signal_s <= N, got {self.signal_s}")
+            if self.signal_s is not None and not (
+                isinstance(self.signal_s, (int, np.integer)) and 0 <= self.signal_s <= self.N
+            ):
+                raise UsageError(f"need an integer 0 <= signal_s <= N, got {self.signal_s!r}")
         else:
             if self.signal_s is not None:
                 raise UsageError("signal_s applies only to sparse signals")
@@ -154,15 +159,7 @@ class TrialConfig:
             raise UsageError("eta must be non-negative")
         if self.eta_rel is not None and self.eta_rel < 0:
             raise UsageError("eta_rel must be non-negative")
-        if self.max_iter < 1:
-            raise UsageError("max_iter must be at least 1")
-        if self.ls_method not in LS_METHODS:
-            raise UsageError(f"unknown least-squares method {self.ls_method!r}")
-        if self.algorithm == "omp" and self.ls_method != "cg":
-            raise UsageError(
-                f"ls_method {self.ls_method!r} does not apply to omp, which refits "
-                "by a Cholesky update; it applies to romp and cosamp"
-            )
+        check_max_iter(self.max_iter)
 
     def _shape_problem(self) -> Optional[str]:
         """The (m, N, s) rule this config breaks, or None: ``1 <= m <= N``, then ``sparsity_problem``."""
@@ -244,11 +241,9 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
         if cfg.algorithm == "omp":
             result = omp(op, u, cfg.s)
         elif cfg.algorithm == "romp":
-            result = romp(op, u, cfg.s, ls_method=cfg.ls_method)
+            result = romp(op, u, cfg.s)
         else:
-            result = cosamp(
-                op, u, cfg.s, eta=eta, max_iter=cfg.max_iter, ls_method=cfg.ls_method
-            )
+            result = cosamp(op, u, cfg.s, eta=eta, max_iter=cfg.max_iter)
     except SolverFailure as exc:
         error_message = str(exc)
     wall_time = time.perf_counter() - started

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 from . import bench
 from .bench import TrialConfig
 from .errors import SolverFailure, UsageError
-from .linalg import LS_METHODS
 from .sensing import Ensemble, check_ric_probe, empirical_ric, make_operator
 
 
@@ -64,7 +63,6 @@ _PARAMS = {
     "eta": _Param(float, help="residual-norm halting target (cosamp)"),
     "eta_rel": _Param(float, help="eta as a fraction of the measurement norm"),
     "max_iter": _Param(int),
-    "ls_method": _Param(choices=LS_METHODS, help="least-squares refit for romp and cosamp"),
     "trials": _Param(int),
     "scaling_s": _Param(help="comma-separated s list: compressible scaling study"),
     "m_values": _Param(help="comma-separated measurement counts"),
@@ -93,7 +91,7 @@ _RECOVER_KEYS = tuple(
 )
 
 # TrialConfig fields a scaling study fixes itself or does not read.
-_SCALING_UNUSED = ("s", "signal_s", "noise_mode", "noise_level", "eta", "max_iter", "ls_method")
+_SCALING_UNUSED = ("s", "signal_s", "noise_mode", "noise_level", "eta", "max_iter")
 
 
 def _load_config(path: Optional[str], keys: Sequence[str]) -> dict:

@@ -42,6 +42,12 @@ def as_vector(x, length=None, name="vector") -> np.ndarray:
     return v
 
 
+def check_max_iter(max_iter) -> None:
+    """Refuse an iteration cap that is not an integer at least 1."""
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise UsageError(f"max_iter must be an integer at least 1, got {max_iter!r}")
+
+
 def largest_indices(values, k: int) -> np.ndarray:
     """Positions of the ``k`` largest-magnitude entries, ascending.
 
@@ -278,8 +284,7 @@ def restricted_least_squares(
         raise UsageError("restricted least squares needs a non-empty support")
     if not (tol > 0 and math.isfinite(tol)):
         raise UsageError(f"tol must be positive and finite, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise UsageError(f"max_iter must be an integer at least 1, got {max_iter!r}")
+    check_max_iter(max_iter)
     if method not in LS_METHODS:
         raise UsageError(f"unknown method {method!r}")
     if factor is not None:

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .linalg import (
-    LS_METHODS,
     GramFactor,
     as_vector,
+    check_max_iter,
     embed,
     largest_indices,
     restricted_least_squares,
@@ -34,6 +34,10 @@ from .linalg import (
 STALL_RELATIVE_DECREASE = 1e-6
 
 DEFAULT_COSAMP_MAX_ITER = 100
+
+# ROMP's "r = 0" halt, as a fraction of ||u||: an exact fit leaves round-off
+# of about 1e-15 to 1e-14 of ||u||, and a noisy fit never falls below its noise.
+ZERO_RESIDUAL_RATIO = 1e-12
 
 
 class HaltReason(enum.Enum):
@@ -80,14 +84,12 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     return None
 
 
-def _checked(algorithm: str, op, u, s, ls_method: str = "cg") -> np.ndarray:
+def _checked(algorithm: str, op, u, s) -> np.ndarray:
     """A pursuit's preamble: check every input before the first apply; returns ``u``."""
     u = as_vector(u, length=op.m, name="measurement")
     problem = sparsity_problem(algorithm, op.m, s)
     if problem is not None:
         raise UsageError(problem)
-    if ls_method not in LS_METHODS:
-        raise UsageError(f"unknown least-squares method {ls_method!r}")
     return u
 
 
@@ -97,7 +99,6 @@ def _pursue(
     u: np.ndarray,
     rounds: int,
     select,
-    ls: dict,
     *,
     prune=None,
     halt=None,
@@ -109,12 +110,14 @@ def _pursue(
     ``select(proxy, support)`` returns a halt reason, or the support to
     refit on together with its trace entries.  ``prune(refit_support,
     coeffs)`` returns the support and coefficients to keep, plus their
-    trace entries; without it the whole refit is kept.  ``halt(norm,
+    trace entries; without it the whole refit is kept, and one ``GramFactor``
+    serves every refit of the growing support (CG otherwise).  ``halt(norm,
     previous_norm, support, new_support)`` runs after every iteration.
     A ``halted`` reason ends the run before the first iteration, and
     ``exhausted`` is reported when all ``rounds`` ran without a halt.
     """
     start_count = op.matvec_count
+    factor = None if prune is not None else GramFactor(op, u)
     support = np.empty(0, dtype=np.int64)
     estimate = np.zeros(op.N)
     residual = u.copy()
@@ -131,7 +134,7 @@ def _pursue(
             break
         refit_support, entry = picked
         try:
-            solution = restricted_least_squares(op, refit_support, u, **ls)
+            solution = restricted_least_squares(op, refit_support, u, factor=factor)
         except SolverFailure as exc:
             raise SolverFailure(f"{name} iteration {iteration}: {exc}") from exc
         new_support, coeffs = refit_support, solution.coeffs
@@ -178,8 +181,8 @@ def omp(op, u, s: int) -> RecoveryResult:
     proxy coordinate not already selected (ties to the lowest index), and
     refits all committed coordinates by least squares, so the residual is
     orthogonal to the selected columns and never increases.  The refit
-    grows a ``GramFactor`` by the new column instead of iterating, so
-    ``s`` rounds cost ``4s - 1`` operator applications: per round the
+    grows ``_pursue``'s ``GramFactor`` by the new column, so ``s``
+    rounds cost ``4s - 1`` operator applications: per round the
     proxy adjoint, the residual's forward apply and the factor's two
     (one in the first round).  A column numerically dependent on the
     support raises ``SolverFailure``.
@@ -194,8 +197,7 @@ def omp(op, u, s: int) -> RecoveryResult:
         merged = np.union1d(support, [chosen]).astype(np.int64)
         return merged, {"selected": chosen, "support_size": int(merged.size)}
 
-    ls = dict(factor=GramFactor(op, u))
-    return _pursue("omp", op, u, s, select, ls, exhausted=HaltReason.SPARSITY_REACHED)
+    return _pursue("omp", op, u, s, select, exhausted=HaltReason.SPARSITY_REACHED)
 
 
 def romp_regularize(proxy_values) -> np.ndarray:
@@ -239,17 +241,21 @@ def romp_regularize(proxy_values) -> np.ndarray:
     return np.sort(order[best_start:best_stop])
 
 
-def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
+def romp(op, u, s: int) -> RecoveryResult:
     """Regularized OMP: commit a comparable-magnitude batch per iteration.
 
     Each round takes the ``s`` largest nonzero proxy coordinates outside
     the current support, regularizes them down to the best window whose
     magnitudes are within a factor of two of each other, commits the
     whole window, and refits.  Runs at most ``s`` rounds, stopping early
-    once the support holds ``2s`` coordinates, so the final support
-    never exceeds ``3s`` entries.
+    once the residual is zero up to round-off (``ZERO_RESIDUAL_RATIO``)
+    or the support holds ``2s`` coordinates, so it never exceeds ``3s``.
+    Refits grow ``_pursue``'s ``GramFactor``: a round costs two applies
+    plus two per committed column (one for the very first); a dependent
+    column raises ``SolverFailure``.
     """
-    u = _checked("romp", op, u, s, ls_method)
+    u = _checked("romp", op, u, s)
+    zero = ZERO_RESIDUAL_RATIO * float(np.linalg.norm(u))
 
     def select(proxy, support):
         proxy[support] = 0.0
@@ -271,14 +277,13 @@ def romp(op, u, s: int, *, ls_method: str = "cg") -> RecoveryResult:
         }
 
     def halt(norm, previous_norm, support, new_support):
-        if norm == 0.0:
+        if norm <= zero:
             return HaltReason.RESIDUAL_SMALL
         if new_support.size >= 2 * s:
             return HaltReason.SPARSITY_REACHED
         return None
 
-    ls = dict(method=ls_method)
-    return _pursue("romp", op, u, s, select, ls, halt=halt)
+    return _pursue("romp", op, u, s, select, halt=halt)
 
 
 def cosamp(
@@ -288,7 +293,6 @@ def cosamp(
     *,
     eta: float = 0.0,
     max_iter: int = DEFAULT_COSAMP_MAX_ITER,
-    ls_method: str = "cg",
 ) -> RecoveryResult:
     """Compressive sampling matching pursuit with pruning.
 
@@ -297,15 +301,15 @@ def cosamp(
     prunes back to the ``s`` largest coefficients, and updates the
     residual.  Halts when the residual norm reaches ``eta``, when the
     support repeats without meaningful residual progress, or after
-    ``max_iter`` iterations.
+    ``max_iter`` iterations.  The support changes by pruning, so each
+    refit runs CG from zero.
     """
-    u = _checked("cosamp", op, u, s, ls_method)
+    u = _checked("cosamp", op, u, s)
     if not math.isfinite(eta):
         raise UsageError(f"residual target eta must be finite, got {eta}")
     if eta < 0.0:
         raise UsageError("residual target eta must be non-negative")
-    if max_iter < 1:
-        raise UsageError("max_iter must be at least 1")
+    check_max_iter(max_iter)
 
     def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)
@@ -335,8 +339,5 @@ def cosamp(
             return HaltReason.SUPPORT_STALL
         return None
 
-    ls = dict(method=ls_method)
     halted = HaltReason.RESIDUAL_SMALL if float(np.linalg.norm(u)) <= eta else None
-    return _pursue(
-        "cosamp", op, u, max_iter, select, ls, prune=prune, halt=halt, halted=halted
-    )
+    return _pursue("cosamp", op, u, max_iter, select, prune=prune, halt=halt, halted=halted)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_validate_passes_through_good_config():
         dict(eta=-0.5),
         dict(eta_rel=-1e-8),
         dict(max_iter=0),
-        dict(ls_method="lu"),
+        dict(max_iter=math.nan),
         dict(signal_kind="chirp"),
         dict(signal_s=-1),
         dict(signal_s=129),
@@ -95,13 +96,35 @@ def test_validate_rejects_bad_values(overrides):
         base_config(**overrides).validate()
 
 
-def test_ls_method_applies_only_to_romp_and_cosamp():
-    # OMP refits by a Cholesky update, so an iterative method would be ignored.
-    with pytest.raises(UsageError, match="ls_method 'richardson' does not apply to omp"):
-        base_config(ls_method="richardson").validate()
-    base_config(ls_method="cg").validate()
-    for algorithm in ("romp", "cosamp"):
-        base_config(algorithm=algorithm, ls_method="richardson").validate()
+@pytest.mark.parametrize("max_iter", [math.nan, 2.5, 0])
+def test_non_integer_iteration_cap_is_refused_before_any_apply(max_iter):
+    op = make_operator("gaussian", 32, 64, seed=7)
+    u = op.forward(gen_sparse(64, 2, seed=8).values)
+    applied = op.matvec_count
+    with pytest.raises(UsageError, match=f"max_iter must be an integer at least 1, got {max_iter!r}"):
+        cosamp(op, u, 2, max_iter=max_iter)
+    assert op.matvec_count == applied
+    with pytest.raises(UsageError, match=f"max_iter must be an integer at least 1, got {max_iter!r}"):
+        base_config(max_iter=max_iter).validate()
+    cosamp(op, u, 2, max_iter=np.int64(1))
+    base_config(max_iter=np.int64(1)).validate()
+
+
+@pytest.mark.parametrize("field", ["m", "N", "trials", "master_seed", "signal_s"])
+def test_fractional_sizes_are_refused_before_any_operator(monkeypatch, field):
+    whole = base_config(signal_s=3)
+    cfg = replace(whole, **{field: getattr(whole, field) + 0.5})
+    with pytest.raises(UsageError, match=f"{field}.* got {getattr(cfg, field)!r}"):
+        cfg.validate()
+
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(bench, "make_operator", no_operator)
+    with pytest.raises(UsageError, match=f"{field}.* got {getattr(cfg, field)!r}"):
+        run_trials(cfg)
+    # numpy integers are integers.
+    replace(whole, **{field: np.int64(getattr(whole, field))}).validate()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -140,9 +163,10 @@ def test_non_integer_sparsity_is_refused_before_any_apply(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["romp", "cosamp"])
 def test_unknown_ls_method_is_refused_before_any_apply(algorithm):
+    # The pursuits choose their own refit and take no option for it.
     op = make_operator("gaussian", 32, 64, seed=9)
-    with pytest.raises(UsageError, match="unknown least-squares method 'lu'"):
-        PURSUITS[algorithm](op, np.ones(32), 2, ls_method="lu")
+    with pytest.raises(TypeError, match="ls_method"):
+        PURSUITS[algorithm](op, np.ones(32), 2, ls_method="cg")
     assert op.matvec_count == 0
 
 

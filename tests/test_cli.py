@@ -253,7 +253,6 @@ SCALING_ARGS = [
         ("--noise-level", "0.1"),
         ("--eta", "0.1"),
         ("--max-iter", "5"),
-        ("--ls-method", "richardson"),
     ],
 )
 def test_scaling_rejects_keys_it_does_not_use(capsys, flag, value):
@@ -267,7 +266,7 @@ def test_scaling_accepts_unused_keys_at_their_defaults(tmp_path, capsys):
     config = tmp_path / "shared.json"
     config.write_text(json.dumps({
         "s": None, "signal_s": None, "noise_mode": "none", "noise_level": 0.0,
-        "eta": 0.0, "max_iter": 100, "ls_method": "cg",
+        "eta": 0.0, "max_iter": 100,
     }))
     code, out, _ = run_cli(capsys, *SCALING_ARGS, "--config", str(config))
     assert code == 0
@@ -457,20 +456,20 @@ def test_ric_checks_the_probe_before_building_the_operator(monkeypatch, capsys, 
     assert fragment in err
 
 
-# ----------------------------------------------------- omp and ls_method
+# --------------------------------------------------- the deleted ls_method
 
 OMP_BENCH_ARGS = ["bench", "--alg", "omp", "--m", "64", "--N", "128", "--s", "4", "--trials", "2"]
 OMP_SWEEP_ARGS = ["sweep", "--alg", "omp", "--N", "64", "--m-values", "32", "--s-values", "4", "--trials", "2"]
 
 
+# No command has an ls_method parameter: each pursuit chooses its own refit.
 @pytest.mark.parametrize(
     "argv, config, fragment",
     [
-        (RECOVER_ARGS + ["--ls-method", "richardson"], None, "does not apply to omp"),
-        (RECOVER_ARGS, {"ls_method": "richardson"}, "does not apply to omp"),
-        (OMP_BENCH_ARGS + ["--ls-method", "richardson"], None, "does not apply to omp"),
-        (OMP_BENCH_ARGS, {"ls_method": "richardson"}, "does not apply to omp"),
-        # A sweep has no ls_method parameter at all.
+        (RECOVER_ARGS + ["--ls-method", "richardson"], None, "unrecognized arguments"),
+        (RECOVER_ARGS, {"ls_method": "richardson"}, "unknown config keys: ls_method"),
+        (OMP_BENCH_ARGS + ["--ls-method", "richardson"], None, "unrecognized arguments"),
+        (OMP_BENCH_ARGS, {"ls_method": "richardson"}, "unknown config keys: ls_method"),
         (OMP_SWEEP_ARGS + ["--ls-method", "richardson"], None, "unrecognized arguments"),
         (OMP_SWEEP_ARGS, {"ls_method": "richardson"}, "unknown config keys: ls_method"),
     ],
@@ -490,11 +489,21 @@ def test_omp_rejects_ls_method_before_any_work(tmp_path, monkeypatch, capsys, ar
     assert fragment in err
 
 
-@pytest.mark.parametrize("argv", [RECOVER_ARGS, OMP_BENCH_ARGS])
-def test_omp_accepts_ls_method_cg(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv, "--ls-method", "cg")
-    assert code == 0
-    assert out == run_cli(capsys, *argv)[1]
+@pytest.mark.parametrize("algorithm", ["romp", "cosamp"])
+def test_ls_method_config_key_exits_2_before_any_work(tmp_path, monkeypatch, capsys, algorithm):
+    # ls_method once steered these two; a config file that names it, even at
+    # its old default, is refused.
+    def no_trials(cfg, index):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "run_trial", no_trials)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"algorithm": algorithm, "ls_method": "cg"}))
+    argv = ["bench", "--m", "64", "--N", "128", "--s", "4", "--trials", "2", "--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys: ls_method" in err
 
 
 # Gaussian and Bernoulli at m * N = 1e11 entries (745 GiB), far over the cap.
@@ -645,7 +654,6 @@ _CHOICES = {
     "ensemble": ("gaussian", "bernoulli", "partial_dct"),
     "signal_kind": ("sparse", "compressible"),
     "noise_mode": ("none", "fixed", "fixed_rel", "sigma"),
-    "ls_method": ("cg", "richardson"),
 }
 
 # dest -> (option strings, type, choices, default); ``bool`` marks a switch.
@@ -666,7 +674,6 @@ _RECOVER_OPTIONS = {
     "eta": (("--eta",), float, None, None),
     "eta_rel": (("--eta-rel",), float, None, None),
     "max_iter": (("--max-iter",), int, None, None),
-    "ls_method": (("--ls-method",), None, _CHOICES["ls_method"], None),
     "config": (("--config",), None, None, None),
     "out": (("--out",), None, None, None),
 }

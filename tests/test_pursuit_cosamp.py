@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from refstream import word
+from sparsekit import pursuit
+from sparsekit.bench import TrialConfig, run_trials
 from sparsekit.errors import UsageError
 from sparsekit.pursuit import HaltReason, cosamp
 from sparsekit.rng import SplitMix64
@@ -129,3 +133,45 @@ def test_deterministic_results():
     assert np.array_equal(a.estimate, b.estimate)
     assert a.residual_norms == b.residual_norms
     assert a.halted_by is b.halted_by
+
+
+def test_iterates_record_least_squares_convergence(monkeypatch):
+    # CoSaMP refits by CG: a merged Gaussian refit needs more than one CG
+    # step, so a cap of one step leaves the solves unconverged; the trace
+    # must say so.
+    op = make_operator("gaussian", 32, 64, seed=8)
+    sig = gen_sparse(64, 4, seed=9)
+    u, _ = measure(op, sig)
+    solve = pursuit.restricted_least_squares
+    with monkeypatch.context() as patch:
+        patch.setattr(pursuit, "restricted_least_squares", lambda *a, **kw: solve(*a, **kw, max_iter=1))
+        capped = cosamp(op, u, 4)
+    assert capped.iterates[-1]["ls_converged"] is False
+    assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
+    full = cosamp(op, u, 4)
+    assert all(it["ls_converged"] is True for it in full.iterates)
+    assert any(it["ls_iterations"] > 1 for it in full.iterates)
+    for it in capped.iterates + full.iterates:
+        # one adjoint for the right-hand side, then a forward/adjoint pair per step
+        assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]
+
+
+# Mean matvecs per trial at N = 1,024 ... 65,536 in this setup ranged over
+# 95.2-104.2 at seed 11 (largest over smallest N: at most 1.095 at seeds 7,
+# 11 and 1009); the bound leaves room for that spread only.
+FLAT_MATVEC_RATIO = 1.15
+
+
+def test_matvecs_per_trial_stay_flat_as_n_grows():
+    # The paper's O(N log N) running time: with m = 64 log2(N / 16), the
+    # number of operator applies must not grow with N, so each trial costs
+    # a fixed number of O(N log N) partial-DCT applies.
+    means = []
+    for N in (1024, 4096, 16384):
+        m = 64 * int(math.log2(N / 16))
+        cfg = TrialConfig("cosamp", "partial_dct", m, N, 16, 12, 11, eta_rel=1e-8)
+        records = run_trials(cfg)
+        assert all(r.success for r in records)
+        means.append(sum(r.matvecs for r in records) / len(records))
+    for mean in means[1:]:
+        assert means[0] / FLAT_MATVEC_RATIO <= mean <= FLAT_MATVEC_RATIO * means[0], means

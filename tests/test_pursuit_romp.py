@@ -5,6 +5,7 @@ import pytest
 
 from refstream import index_below, word
 from sparsekit import pursuit
+from sparsekit.bench import TrialConfig, run_trials
 from sparsekit.errors import UsageError
 from sparsekit.pursuit import HaltReason, romp, romp_regularize
 from sparsekit.rng import SplitMix64
@@ -188,22 +189,37 @@ def test_deterministic_results():
     assert a.residual_norms == b.residual_norms
 
 
-def test_iterates_record_least_squares_convergence(monkeypatch):
-    # ROMP refits by CG: a 4-column Gaussian refit needs more than one CG
-    # step, so a cap of one step leaves the solves unconverged; the trace
-    # must say so.
-    op = make_operator("gaussian", 32, 64, seed=8)
-    sig = gen_sparse(64, 4, seed=9)
+def test_refits_grow_one_gram_factor():
+    # The support only grows, so every refit is a direct factor solve: two
+    # applies per new column (one for the very first), no CG iterations.
+    for seed in range(6):
+        op = make_operator(("gaussian", "bernoulli", "partial_dct")[seed % 3], 48, 96, seed=seed)
+        sig = gen_sparse(96, 6, seed=seed + 100)
+        u, _ = measure(op, sig, "sigma", 0.01 * (seed % 2), seed + 200)
+        result = romp(op, u, 6)
+        assert result.halted_by not in (HaltReason.PROXY_ZERO, HaltReason.SUPPORT_CAP)
+        for it in result.iterates:
+            assert it["ls_iterations"] == 0
+            first = 1 if it["iteration"] == 1 else 0
+            assert it["ls_applications"] == 2 * len(it["committed"]) - first
+        # per round the proxy adjoint and the residual's forward apply
+        applications = sum(it["ls_applications"] for it in result.iterates)
+        assert result.matvec_count == 2 * result.iterations + applications
+
+
+def test_exact_fit_halts_on_round_off_residual():
+    # An exact fit leaves a round-off residual, which the "r = 0" halt reads as zero.
+    op = make_operator("gaussian", 64, 128, seed=21)
+    sig = gen_sparse(128, 4, seed=22)
     u, _ = measure(op, sig)
-    solve = pursuit.restricted_least_squares
-    with monkeypatch.context() as patch:
-        patch.setattr(pursuit, "restricted_least_squares", lambda *a, **kw: solve(*a, **kw, max_iter=1))
-        capped = romp(op, u, 4)
-    assert capped.iterates[-1]["ls_converged"] is False
-    assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
-    full = romp(op, u, 4)
-    assert all(it["ls_converged"] is True for it in full.iterates)
-    assert any(it["ls_iterations"] > 1 for it in full.iterates)
-    for it in capped.iterates + full.iterates:
-        # one adjoint for the right-hand side, then a forward/adjoint pair per step
-        assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]
+    result = romp(op, u, 4)
+    assert result.halted_by is HaltReason.RESIDUAL_SMALL
+    assert 0.0 < result.residual_norms[-1] <= pursuit.ZERO_RESIDUAL_RATIO * np.linalg.norm(u)
+    np.testing.assert_allclose(result.estimate, sig.values, atol=1e-12)
+
+
+def test_readme_cell_has_no_solver_failure():
+    # With CG refits, 11 of these 40 trials ended in a CG divergence.
+    cfg = TrialConfig("romp", "gaussian", 16, 256, 8, 40, 3)
+    records = run_trials(cfg)
+    assert [r.error for r in records if r.halted_by == "solver_failure"] == []
