@@ -3,8 +3,8 @@
 Public surface: sensing operators (Gaussian, Bernoulli, partial DCT) with
 an empirical restricted-isometry probe, sparse/compressible signal
 generators, the OMP / ROMP / CoSaMP recovery algorithms backed by a
-restricted least-squares solver (a growing Cholesky factor for OMP,
-iterative for ROMP and CoSaMP), and a deterministic Monte
+restricted least-squares solver (a growing Cholesky factor for OMP and
+ROMP, conjugate gradients for CoSaMP), and a deterministic Monte
 Carlo benchmark harness with a CLI (``sparsekit``).
 """
 

@@ -9,16 +9,9 @@ emits identical bytes.  Wall-clock timings are kept on the in-memory
 records but never written to output files for the same reason.
 
 One runner, ``_run_trial_major``, executes batches, sweeps and scaling
-studies: it validates every config and the thread count before the first
-trial, runs trial indices in one pool, drops each trial's recovery trace
-as soon as the trial returns, and folds the records per config.  A batch
-is its one-config case.  Trial ``i``'s operator seed depends on neither m
-nor s, so with more than one config the largest m is drawn once per trial
-index and every cell's trial ``i`` builds its dense operator from a prefix
-of that draw (``sensing.shared_draw``), byte-identical to a draw of its
-own; partial-DCT cells draw their own rows.  A sweep worker then holds one
-unscaled largest-m draw plus the scaled operator of the cell it is
-running; a batch worker holds only its trial's operator.
+studies; a batch is its one-config case.  Trial ``i``'s operator seed
+depends on neither m nor s, so a sweep draws the largest m once per trial
+index and builds every cell's dense operator from a prefix of that draw.
 """
 
 from __future__ import annotations
@@ -35,11 +28,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .linalg import check_max_iter
-from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, cosamp, omp, romp, sparsity_problem
+from .linalg import check_integer, check_real
+from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
-from .sensing import Ensemble, check_dense_size, make_operator, shared_draw
-from .signals import Signal, gen_compressible, gen_sparse, head, measure, tail_l1
+from .sensing import as_ensemble, check_dense_size, make_operator, shape_problem, shared_draw
+from .signals import Signal, check_compressible, check_noise_level, check_sparse, gen_compressible, gen_sparse
+from .signals import head, measure, tail_l1
 
 FORMAT_VERSION = 1
 
@@ -115,19 +109,13 @@ class TrialConfig:
         return self
 
     def _check_settings(self) -> None:
-        """Every check of ``validate`` except the (m, N, s) shape rule."""
+        """Every check of ``validate`` except the (m, N, s) shape rule; each value
+        the library takes is checked by the rule of the layer that takes it."""
         if self.algorithm not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
-        try:
-            Ensemble(self.ensemble)
-        except ValueError:
-            raise UsageError(f"unknown ensemble {self.ensemble!r}") from None
-        for name in ("m", "N", "trials", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise UsageError(f"trial count must be at least 1, got {self.trials}")
+        as_ensemble(self.ensemble)
+        check_integer("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed)
         if self.signal_kind not in SIGNAL_KINDS:
             raise UsageError(f"unknown signal kind {self.signal_kind!r}")
         if self.signal_kind == "sparse":
@@ -136,36 +124,24 @@ class TrialConfig:
             if self.signal_truncate:
                 raise UsageError("signal_truncate applies only to compressible signals")
             # An unset signal_s means s, which the shape rule bounds.
-            if self.signal_s is not None and not (
-                isinstance(self.signal_s, (int, np.integer)) and 0 <= self.signal_s <= self.N
-            ):
-                raise UsageError(f"need an integer 0 <= signal_s <= N, got {self.signal_s!r}")
+            if self.signal_s is not None:
+                check_sparse(self.N, self.signal_s, "signal_s")
         else:
             if self.signal_s is not None:
                 raise UsageError("signal_s applies only to sparse signals")
             if self.p is None or self.R is None:
                 raise UsageError("compressible signals need p and R")
-            if self.p <= 0 or self.R <= 0:
-                raise UsageError("compressible signals need p > 0 and R > 0")
-        for name in ("noise_level", "eta", "eta_rel", "p", "R"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value!r}")
+            check_compressible(self.N, self.p, self.R)
         if self.noise_mode not in NOISE_MODES:
             raise UsageError(f"unknown noise mode {self.noise_mode!r}")
-        if self.noise_level < 0:
-            raise UsageError("noise level must be non-negative")
-        if self.eta < 0:
-            raise UsageError("eta must be non-negative")
-        if self.eta_rel is not None and self.eta_rel < 0:
-            raise UsageError("eta_rel must be non-negative")
-        check_max_iter(self.max_iter)
+        check_noise_level(self.noise_level)
+        if self.eta_rel is not None:
+            check_real("eta_rel", self.eta_rel)
+        check_halting(self.eta, self.max_iter)
 
     def _shape_problem(self) -> Optional[str]:
-        """The (m, N, s) rule this config breaks, or None: ``1 <= m <= N``, then ``sparsity_problem``."""
-        if self.m < 1 or self.m > self.N:
-            return f"need 1 <= m <= N, got m={self.m}, N={self.N}"
-        return sparsity_problem(self.algorithm, self.m, self.s)
+        """The (m, N, s) rule this config breaks, or None: ``shape_problem``, then ``sparsity_problem``."""
+        return shape_problem(self.m, self.N) or sparsity_problem(self.algorithm, self.m, self.s)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -311,8 +287,7 @@ def _run_trial_major(
     """
     for cfg in configs:
         cfg.validate()
-    if threads < 1:
-        raise UsageError("threads must be at least 1")
+    check_integer("threads", threads, 1)
     if not configs:
         return []
     first = configs[0]

@@ -11,6 +11,7 @@ updates a ``GramFactor`` directly at two applications per added column.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +43,22 @@ def as_vector(x, length=None, name="vector") -> np.ndarray:
     return v
 
 
-def check_max_iter(max_iter) -> None:
-    """Refuse an iteration cap that is not an integer at least 1."""
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise UsageError(f"max_iter must be an integer at least 1, got {max_iter!r}")
+def check_integer(name: str, value, low=None, high=None) -> None:
+    """Refuse a ``value`` that is not an integer in ``[low, high]``; a bool is not one."""
+    malformed = isinstance(value, bool) or not isinstance(value, (int, np.integer))
+    if malformed or (low is not None and value < low) or (high is not None and value > high):
+        limits = [f" at {word} {limit}" for word, limit in (("least", low), ("most", high)) if limit is not None]
+        raise UsageError(f"{name} must be an integer{' and'.join(limits)}, got {value!r}")
+
+
+def check_real(name: str, value, *, positive: bool = False) -> None:
+    """Refuse a ``value`` that is not a finite real ``>= 0``, or ``> 0`` if ``positive``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float first: ABCs are slow
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        raise UsageError(f"{name} must be {'positive' if positive else 'non-negative'}, got {value!r}")
 
 
 def largest_indices(values, k: int) -> np.ndarray:
@@ -61,8 +74,7 @@ def largest_indices(values, k: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise UsageError(f"values must be 1-D, got shape {v.shape}")
-    if k < 0:
-        raise UsageError("k must be non-negative")
+    check_integer("k", k, 0)
     n = v.shape[0]
     k = min(k, n)
     if k == 0:
@@ -87,13 +99,18 @@ def embed(coeffs, indices, length: int) -> np.ndarray:
     return out
 
 
-def as_support(indices) -> np.ndarray:
-    """Validate and return support indices: 1-D int64, strictly increasing, non-negative."""
-    idx = np.asarray(indices, dtype=np.int64)
+def as_support(indices, below=None) -> np.ndarray:
+    """Validate and return support indices: 1-D int64, strictly increasing, non-negative, under ``below``."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise UsageError(f"support indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.ndim != 1:
         raise UsageError("support indices must be 1-D")
     if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
         raise UsageError("support indices must be strictly increasing and non-negative")
+    if idx.size and below is not None and idx[-1] >= below:
+        raise UsageError("support index out of range")
     return idx
 
 
@@ -260,9 +277,9 @@ def restricted_least_squares(
     Raises
     ------
     UsageError
-        A support that is empty, unsorted, repeated, negative, out of range
-        or larger than ``m``; a wrong-length or non-finite ``rhs``; a
-        non-positive or non-finite ``tol``; a non-integer or sub-1
+        A support that is empty, non-integer, unsorted, repeated, negative,
+        out of range or larger than ``m``; a wrong-length or non-finite
+        ``rhs``; a non-positive or non-finite ``tol``; a non-integer or sub-1
         ``max_iter``; unknown method; or a factor built for another
         operator or right-hand side, or holding a column outside the support.
     SolverFailure
@@ -270,21 +287,18 @@ def restricted_least_squares(
         naming the offending iteration; or a column new to the factor is
         numerically dependent on the others (see ``DEPENDENT_COLUMN_RATIO``).
     """
-    support = as_support(support)
+    support = as_support(support, below=op.N)
     k = support.size
     if k > op.m:
         raise UsageError(
             f"support size {k} exceeds measurement count "
             f"{op.m}: restricted system is underdetermined"
         )
-    if k and int(support[-1]) >= op.N:
-        raise UsageError("support index out of range")
     rhs = as_vector(rhs, op.m, name="rhs")
     if k == 0:
         raise UsageError("restricted least squares needs a non-empty support")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise UsageError(f"tol must be positive and finite, got {tol!r}")
-    check_max_iter(max_iter)
+    check_real("tol", tol, positive=True)
+    check_integer("max_iter", max_iter, 1)
     if method not in LS_METHODS:
         raise UsageError(f"unknown method {method!r}")
     if factor is not None:

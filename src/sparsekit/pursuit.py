@@ -13,7 +13,6 @@ invariants can be audited after the fact.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -23,7 +22,8 @@ from .errors import SolverFailure, UsageError
 from .linalg import (
     GramFactor,
     as_vector,
-    check_max_iter,
+    check_integer,
+    check_real,
     embed,
     largest_indices,
     restricted_least_squares,
@@ -72,8 +72,7 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     operator's shape is not part of the rule.  A non-integral ``s`` is
     malformed input, not a shape, and raises ``UsageError``.
     """
-    if not isinstance(s, (int, np.integer)):
-        raise UsageError(f"sparsity must be an integer, got {s!r}")
+    check_integer("sparsity", s)
     if s < 1:
         return f"sparsity must be at least 1, got {s}"
     if algorithm == "cosamp":
@@ -82,6 +81,12 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     elif s > m:
         return f"sparsity {s} exceeds measurement count {m}"
     return None
+
+
+def check_halting(eta, max_iter) -> None:
+    """Refuse CoSaMP's halting rule unless ``eta`` is a finite real >= 0 and ``max_iter`` an integer >= 1."""
+    check_real("eta", eta)
+    check_integer("max_iter", max_iter, 1)
 
 
 def _checked(algorithm: str, op, u, s) -> np.ndarray:
@@ -305,11 +310,7 @@ def cosamp(
     refit runs CG from zero.
     """
     u = _checked("cosamp", op, u, s)
-    if not math.isfinite(eta):
-        raise UsageError(f"residual target eta must be finite, got {eta}")
-    if eta < 0.0:
-        raise UsageError("residual target eta must be non-negative")
-    check_max_iter(max_iter)
+    check_halting(eta, max_iter)
 
     def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)

@@ -26,12 +26,13 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import fft
 
 from .errors import UsageError
-from .linalg import as_vector
+from .linalg import as_vector, check_integer
 from .rng import SplitMix64
 
 
@@ -52,7 +53,7 @@ class Ensemble(enum.Enum):
     PARTIAL_DCT = "partial_dct"
 
 
-def _coerce_ensemble(ensemble) -> Ensemble:
+def as_ensemble(ensemble) -> Ensemble:
     if isinstance(ensemble, Ensemble):
         return ensemble
     try:
@@ -206,9 +207,17 @@ class _PartialDctOperator(SenseOperator):
         return self._scale * mat
 
 
+def shape_problem(m, N) -> Optional[str]:
+    """The rule ``1 <= m <= N`` this shape breaks, or None; a non-integer m or N raises ``UsageError``."""
+    check_integer("m", m)
+    check_integer("N", N)
+    return None if 1 <= m <= N else f"need 1 <= m <= N, got m={m}, N={N}"
+
+
 def _check_shape(m: int, N: int) -> None:
-    if m < 1 or m > N:
-        raise UsageError(f"need 1 <= m <= N, got m={m}, N={N}")
+    problem = shape_problem(m, N)
+    if problem is not None:
+        raise UsageError(problem)
 
 
 def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
@@ -241,7 +250,7 @@ def shared_draw(ensemble, m: int, N: int, seed: int):
     index around every cell's trial.  The draw is released when the block
     exits, also through an exception.
     """
-    kind = _coerce_ensemble(ensemble)
+    kind = as_ensemble(ensemble)
     check_dense_size(kind, m, N)
     _check_shape(m, N)
     outer = getattr(_scope, "draw", None)
@@ -265,8 +274,9 @@ def check_dense_size(ensemble, m: int, N: int) -> None:
     """Raise ``UsageError`` when an operator of this shape needs arrays of
     more than ``MAX_DENSE_ENTRIES`` entries: the m * N entries of a
     Gaussian or Bernoulli operator, or the length-N vectors of a partial-DCT
-    one."""
-    kind = _coerce_ensemble(ensemble)
+    one.  ``m`` and ``N`` must be integers; whether ``m <= N`` is not checked."""
+    kind = as_ensemble(ensemble)
+    shape_problem(m, N)
     if kind is Ensemble.PARTIAL_DCT:
         entries, what = N, "works on vectors of"
     else:
@@ -280,7 +290,7 @@ def check_dense_size(ensemble, m: int, N: int) -> None:
 
 def make_operator(ensemble, m: int, N: int, seed: int) -> SenseOperator:
     """Build a measurement operator; same parameters give identical entries."""
-    kind = _coerce_ensemble(ensemble)
+    kind = as_ensemble(ensemble)
     check_dense_size(kind, m, N)
     if kind is Ensemble.PARTIAL_DCT:
         return _PartialDctOperator(m, N, seed)
@@ -314,14 +324,10 @@ class RicEstimate:
 def check_ric_probe(m: int, n: int, trials: int) -> None:
     """Raise ``UsageError`` unless ``empirical_ric`` can probe an operator
     with ``m`` rows at sparsity ``n`` over ``trials`` draws."""
-    if n < 1:
-        raise UsageError("sparsity n must be at least 1")
+    check_integer("n", n, 1)
     if n > m:
-        raise UsageError(
-            f"n={n} exceeds m={m}: restricted isometry cannot hold at this sparsity"
-        )
-    if trials < 1:
-        raise UsageError("trials must be at least 1")
+        raise UsageError(f"n={n} exceeds m={m}: restricted isometry cannot hold at this sparsity")
+    check_integer("trials", trials, 1)
 
 
 def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstimate:

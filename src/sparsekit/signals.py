@@ -8,22 +8,19 @@ keeps decay-rate checks sharp and reproducible.  A ``Signal`` carries its
 support when it is known to be sparse (``gen_sparse``, ``head``) and
 ``None`` otherwise.
 
-``measure`` adds noise of one of the config's modes: ``"none"``, ``"fixed"``
-(exact norm) or ``"sigma"`` (i.i.d. Gaussian).  The benchmark's
-``fixed_rel`` mode is ``"fixed"`` at a norm relative to ``||Phi x||``,
-which ``bench.run_trial`` resolves before it measures.
+``measure`` adds noise in one of three modes: ``"none"``, ``"fixed"``
+(exact norm) or ``"sigma"`` (i.i.d. Gaussian).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_support, as_vector, embed, largest_indices
+from .linalg import as_support, as_vector, check_integer, check_real, embed, largest_indices
 from .rng import SplitMix64
 
 
@@ -41,12 +38,28 @@ class Signal:
     def __post_init__(self):
         self.values = as_vector(self.values, name="signal values")
         if self.true_support is not None:
-            self.true_support = as_support(self.true_support)
-            if self.true_support.size and self.true_support[-1] >= self.values.size:
-                raise UsageError("support index out of range")
+            self.true_support = as_support(self.true_support, below=self.values.size)
             off = np.delete(self.values, self.true_support)
             if off.size and np.any(off != 0.0):
                 raise UsageError("sparse signal has nonzeros off its declared support")
+
+
+def check_sparse(N, s, name: str = "s") -> None:
+    """Refuse a length ``N`` that is not an integer ``>= 1``, or a sparsity ``s`` not one in ``[0, N]``."""
+    check_integer("N", N, 1)
+    check_integer(name, s, 0, N)
+
+
+def check_compressible(N, p, R) -> None:
+    """Refuse a length ``N`` that is not an integer ``>= 1``, or a ``p`` or ``R`` not finite and positive."""
+    check_integer("N", N, 1)
+    check_real("p", p, positive=True)
+    check_real("R", R, positive=True)
+
+
+def check_noise_level(level) -> None:
+    """Refuse a noise level that is not a finite real number ``>= 0``."""
+    check_real("noise_level", level)
 
 
 def gen_sparse(N: int, s: int, seed: int) -> Signal:
@@ -55,8 +68,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
     Zero draws are resampled so the signal has exactly ``s`` nonzeros.
     ``s = 0`` yields the zero signal with an empty support.
     """
-    if s < 0 or s > N:
-        raise UsageError(f"need 0 <= s <= N, got s={s}, N={N}")
+    check_sparse(N, s)
     rng = SplitMix64(seed)
     support = rng.choose_without_replacement(N, s)
     coeffs = rng.normal(s)
@@ -69,10 +81,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
 
 def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
     """Power-law signal whose sorted magnitudes equal ``R * i**(-1/p)``."""
-    if p <= 0.0:
-        raise UsageError("decay exponent p must be positive")
-    if R <= 0.0:
-        raise UsageError("magnitude R must be positive")
+    check_compressible(N, p, R)
     rng = SplitMix64(seed)
     ranks = np.arange(1, N + 1, dtype=np.float64)
     magnitudes = R * ranks ** (-1.0 / p)
@@ -94,8 +103,6 @@ def head(x, s: int):
     array and returns the same flavour.
     """
     values = _signal_values(x)
-    if s < 0:
-        raise UsageError("s must be non-negative")
     kept = largest_indices(values, s)
     out = np.zeros_like(values)
     out[kept] = values[kept]
@@ -126,11 +133,8 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     """
     if mode not in ("none", "fixed", "sigma"):
         raise UsageError(f"unknown noise mode {mode!r}")
+    check_noise_level(level)
     level = float(level)
-    if not math.isfinite(level):
-        raise UsageError(f"noise level must be finite, got {level!r}")
-    if level < 0.0:
-        raise UsageError("noise level must be non-negative")
     values = _signal_values(x)
     clean = op.forward(values)
     m = clean.size

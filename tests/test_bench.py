@@ -89,6 +89,13 @@ def test_validate_passes_through_good_config():
         dict(eta_rel=math.inf),
         dict(signal_kind="compressible", p=math.nan, R=1.0),
         dict(signal_kind="compressible", p=0.5, R=math.inf),
+        # A bool is neither a count nor a level; each of these once validated.
+        dict(m=True, s=1),
+        dict(s=True),
+        dict(trials=True),
+        dict(master_seed=False),
+        dict(noise_mode="fixed", noise_level=True),
+        dict(eta_rel=True),
     ],
 )
 def test_validate_rejects_bad_values(overrides):
@@ -125,6 +132,26 @@ def test_fractional_sizes_are_refused_before_any_operator(monkeypatch, field):
         run_trials(cfg)
     # numpy integers are integers.
     replace(whole, **{field: np.int64(getattr(whole, field))}).validate()
+
+
+# A thread count must be a whole number: the pool used to round 2.5 up.
+FRACTIONAL_THREADS = {
+    "run_trials": lambda: run_trials(base_config(trials=2), threads=2.5),
+    "phase_sweep": lambda: phase_sweep(64, [16], [2], "gaussian", "omp", 2, 7, threads=1.5),
+    "compressible_scaling": lambda: compressible_scaling(
+        64, 32, 0.5, 1.0, [2, 4], "gaussian", "cosamp", 2, 7, threads=2.5
+    ),
+}
+
+
+@pytest.mark.parametrize("call", FRACTIONAL_THREADS.values(), ids=FRACTIONAL_THREADS.keys())
+def test_fractional_threads_are_refused_before_any_operator(monkeypatch, call):
+    def no_operator(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(bench, "make_operator", no_operator)
+    with pytest.raises(UsageError, match="threads must be an integer at least 1"):
+        call()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

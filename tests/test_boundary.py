@@ -1,0 +1,128 @@
+"""Bad input is refused at the boundary: a ``UsageError`` from the library,
+exit code 2 with nothing on stdout from the CLI, before any random draw,
+operator build or apply."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sparsekit import bench, cli, sensing, signals
+from sparsekit.bench import TrialConfig, run_trials
+from sparsekit.errors import UsageError
+from sparsekit.linalg import largest_indices
+from sparsekit.sensing import empirical_ric, make_operator
+from sparsekit.signals import gen_sparse, head, tail_l1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started on refused input")
+
+
+# Each call used to raise TypeError or ValueError from deep inside numpy or
+# the random stream, not the UsageError the README promises.
+FRACTIONAL_COUNTS = {
+    "make_operator-m": lambda op, v: make_operator("gaussian", 32.5, 64, 1),
+    "make_operator-N": lambda op, v: make_operator("partial_dct", 32, 64.5, 1),
+    "gen_sparse-s": lambda op, v: gen_sparse(64, 2.5, 1),
+    "largest_indices-k": lambda op, v: largest_indices(v, 2.5),
+    "head-s": lambda op, v: head(v, 2.5),
+    "tail_l1-s": lambda op, v: tail_l1(v, 2.5),
+    "empirical_ric-n": lambda op, v: empirical_ric(op, 2.5, 3, 1),
+    "empirical_ric-trials": lambda op, v: empirical_ric(op, 2, 2.5, 1),
+    "validate-noise_level": lambda op, v: TrialConfig(
+        "omp", "gaussian", 8, 16, 2, 2, 7, noise_level="x"
+    ).validate(),
+}
+
+
+@pytest.mark.parametrize("call", FRACTIONAL_COUNTS.values(), ids=FRACTIONAL_COUNTS.keys())
+def test_library_entry_points_refuse_fractional_counts_before_any_draw(monkeypatch, call):
+    op = make_operator("gaussian", 8, 16, 1)
+    monkeypatch.setattr(sensing, "SplitMix64", _refuse)
+    monkeypatch.setattr(signals, "SplitMix64", _refuse)
+    with pytest.raises(UsageError):
+        call(op, np.arange(6.0))
+    assert op.matvec_count == 0
+
+
+# --------------------------------------------- every numeric config field
+
+SPARSE = dict(algorithm="cosamp", ensemble="gaussian", m=24, N=48, s=4, trials=2, master_seed=7)
+COMPRESSIBLE = dict(SPARSE, signal_kind="compressible", p=0.5, R=1.0)
+NOISY = dict(SPARSE, noise_mode="fixed", noise_level=0.1)
+
+_NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)
+
+# Each numeric TrialConfig field: a valid config that sets it, and its
+# out-of-range values in that config (None when every integer is valid).
+FIELDS = {
+    "m": (SPARSE, st.integers(max_value=0) | st.integers(min_value=49)),
+    "N": (SPARSE, st.integers(max_value=23)),
+    "s": (SPARSE, st.integers(max_value=0) | st.integers(min_value=9)),  # cosamp: 3s <= m
+    "trials": (SPARSE, st.integers(max_value=0)),
+    "master_seed": (SPARSE, None),
+    "signal_s": (dict(SPARSE, signal_s=4), st.integers(max_value=-1) | st.integers(min_value=49)),
+    "max_iter": (SPARSE, st.integers(max_value=0)),
+    "p": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+    "R": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
+    "noise_level": (NOISY, _NEGATIVE),
+    "eta": (SPARSE, _NEGATIVE),
+    "eta_rel": (dict(SPARSE, eta_rel=1e-8), _NEGATIVE),
+}
+INTEGER_FIELDS = ("m", "N", "s", "trials", "master_seed", "signal_s", "max_iter")
+
+
+@st.composite
+def bad_fields(draw):
+    """A numeric field, its valid config, and a NaN, infinite, boolean,
+    fractional (integer fields) or out-of-range value for it."""
+    field = draw(st.sampled_from(sorted(FIELDS)))
+    base, out_of_range = FIELDS[field]
+    kinds = [st.sampled_from([math.nan, math.inf, -math.inf, True, False])]
+    if out_of_range is not None:
+        kinds.append(out_of_range)
+    if field in INTEGER_FIELDS:
+        kinds.append(st.integers(-10**6, 10**6).map(lambda k: k + 0.5))
+    return field, base, draw(st.one_of(kinds))
+
+
+def _bench_argv(config: dict, path) -> list:
+    """``sparsekit bench`` with every field of ``config`` in a config file."""
+    keys = {"seed" if k == "master_seed" else k: v for k, v in config.items()}
+    path.write_text(json.dumps(keys), encoding="utf-8")
+    return ["bench", "--config", str(path)]
+
+
+def test_each_field_has_a_valid_base(tmp_path, capsys):
+    for field, (base, _) in FIELDS.items():
+        TrialConfig(**base).validate()
+        assert cli.main(_bench_argv(base, tmp_path / "base.json")) == 0, field
+        assert capsys.readouterr().out.startswith("# format_version=")
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(bad_fields())
+def test_bad_numeric_field_is_refused_before_any_work(monkeypatch, tmp_path, capsys, case):
+    field, base, value = case
+    config = dict(base, **{field: value})
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    monkeypatch.setattr(bench, "run_trial", _refuse)
+    with pytest.raises(UsageError):
+        TrialConfig(**config).validate()
+    with pytest.raises(UsageError):
+        run_trials(TrialConfig(**config))
+    capsys.readouterr()
+    assert cli.main(_bench_argv(config, tmp_path / "bad.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

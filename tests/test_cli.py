@@ -350,7 +350,7 @@ def test_sweep_validates_when_every_cell_is_na(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "noise level" in err
+    assert "noise_level must be non-negative" in err
 
 
 def test_sweep_checks_threads_when_every_cell_is_na(capsys):
@@ -360,7 +360,7 @@ def test_sweep_checks_threads_when_every_cell_is_na(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "threads must be at least 1" in err
+    assert "threads must be an integer at least 1, got 0" in err
 
 
 def test_sweep_missing_grid(capsys):
@@ -442,7 +442,7 @@ def test_ric_rejects_oversparse_probe(capsys):
     "probe, fragment",
     [(["--n", "0", "--trials", "2"], "at least 1"),
      (["--n", "17", "--trials", "2"], "exceeds m"),
-     (["--n", "2", "--trials", "0"], "trials must be at least 1")],
+     (["--n", "2", "--trials", "0"], "trials must be an integer at least 1, got 0")],
     ids=["n-zero", "n-over-m", "trials-zero"],
 )
 def test_ric_checks_the_probe_before_building_the_operator(monkeypatch, capsys, probe, fragment):

@@ -118,6 +118,10 @@ BAD_LS_INPUTS = {
     "duplicate": ([1, 1], np.zeros(3), "strictly increasing and non-negative"),
     "negative": ([-1, 2], np.zeros(3), "strictly increasing and non-negative"),
     "2-D-support": ([[0, 1]], np.zeros(3), "support indices must be 1-D"),
+    # A float or bool index array was once cast to int64: [0.9, 1.2] solved on [0, 1].
+    "float-support": ([0.9, 1.2], np.zeros(3), "support indices must be integers"),
+    "whole-float-support": ([0.0, 1.0], np.zeros(3), "support indices must be integers"),
+    "bool-support": ([False, True], np.zeros(3), "support indices must be integers"),
     "empty": (np.empty(0, dtype=np.int64), np.ones(3), "needs a non-empty support"),
     "rhs-length": ([0], np.zeros(4), "rhs must have length 3, got 4"),
     "rhs-nan": ([0], np.array([1.0, np.nan, 0.0]), "rhs contains NaN or Inf"),
@@ -208,8 +212,8 @@ def test_ls_zero_rhs_short_circuits():
 
 
 BAD_LS_SETTINGS = {
-    "tol-nan": (dict(tol=math.nan), "tol must be positive and finite, got nan"),
-    "tol-inf": (dict(tol=math.inf), "tol must be positive and finite, got inf"),
+    "tol-nan": (dict(tol=math.nan), "tol must be finite, got nan"),
+    "tol-inf": (dict(tol=math.inf), "tol must be finite, got inf"),
     "max_iter-nan": (dict(max_iter=math.nan), "max_iter must be an integer at least 1, got nan"),
     "max_iter-2.5": (dict(max_iter=2.5), "max_iter must be an integer at least 1, got 2.5"),
 }

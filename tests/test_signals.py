@@ -187,6 +187,10 @@ def test_signal_validates_declared_support():
         Signal(values=values, true_support=[[1, 4]])
     with pytest.raises(UsageError, match="support index out of range"):
         Signal(values=values, true_support=[1, 4, 8])
+    # A float support was once truncated: [0.5, 4.7] was stored as [0, 4].
+    for bad in ([0.5, 4.7], [1.0, 4.0], [False, True]):
+        with pytest.raises(UsageError, match="support indices must be integers"):
+            Signal(values=values, true_support=bad)
 
 
 # --- measure -----------------------------------------------------------------
