@@ -319,6 +319,19 @@ def test_readme_sweep_bytes_are_pinned(capsys, threads):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_SHA256
 
 
+# The README grid swept with ROMP: its successes hold across changes to how
+# the Gram factor gets its columns, so these bytes must too.
+README_ROMP_SWEEP_SHA256 = "3f1ad2067a61bcce67612c01f944078bf67877a23db69ec689ed33f4c54a5deb"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_romp_sweep_bytes_are_pinned(capsys, threads):
+    argv = [("romp" if arg == "omp" else arg) for arg in README_SWEEP]
+    code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_ROMP_SWEEP_SHA256
+
+
 def test_sweep_json_marks_invalid_cells(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--alg", "cosamp", "--N", "32", "--m-values", "8,32",
