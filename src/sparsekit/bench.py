@@ -363,8 +363,9 @@ def phase_sweep(
     """Exact-recovery fraction over an (m, s) grid.
 
     Cells that violate the algorithm's dimensional preconditions (m > N,
-    s > m, or 3s > m for CoSaMP) are emitted with ``None`` statistics
-    rather than being skipped, so the grid shape of the output is always
+    s > m, 3s > m for CoSaMP, or an OMP or ROMP Gram factor over the size
+    cap) are emitted with ``None`` statistics rather than being skipped,
+    so the grid shape of the output is always
     ``len(m_values) * len(s_values)``.  An N, m or s below 1 is malformed
     input and raises ``UsageError`` before the first trial.
     The live cells run trial-major (``_run_trial_major``), which validates

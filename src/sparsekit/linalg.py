@@ -5,7 +5,9 @@ The least-squares solve is matrix-free: it only touches the measurement
 operator through ``forward_support`` / ``adjoint_support``.  It either
 iterates on the normal equations (CG or Richardson, a fixed number of
 operator applications per iteration) or, for a support that only grows,
-updates a ``GramFactor`` directly at two applications per added column.
+updates a ``GramFactor`` directly at one application per added column:
+the factor holds each column it applied for, and forms the correlations
+and the residual from them.
 """
 
 from __future__ import annotations
@@ -120,7 +122,9 @@ class LsSolution:
 
     ``converged`` says whether the normal-equation residual met the
     tolerance; an iterative solve that did not stopped at its iteration
-    cap.  A factor solve is direct and reports 0 ``iterations``.
+    cap.  A factor solve is direct, reports 0 ``iterations`` and also
+    returns the ``residual`` ``rhs - Phi_T coeffs``; an iterative solve
+    leaves it None.
     """
 
     coeffs: np.ndarray
@@ -128,22 +132,25 @@ class LsSolution:
     converged: bool
     normal_residual: float
     applications: int = field(default=0)  # operator applications consumed
+    residual: np.ndarray | None = None
 
 
 class GramFactor:
     """Inverse Cholesky factor of ``Phi_T^* Phi_T`` for a support that only grows.
 
     With ``Phi_T^* Phi_T = L L^T``, the factor holds ``L^{-1}`` and
-    ``z = L^{-1} Phi_T^* rhs`` in the order the columns were added.  Adding
-    column ``j`` costs one ``forward_support([j], [1.0])`` for ``phi_j`` and,
-    once ``T`` is non-empty, one ``adjoint_support(T, phi_j)`` for
-    ``g = Phi_T^* phi_j``.  The new row of ``L`` is ``(w, d)`` with
-    ``w = L^{-1} g`` and ``d^2 = ||phi_j||^2 - ||w||^2``, so the new row of
-    ``L^{-1}`` is ``(-w^T L^{-1} / d, 1 / d)`` and the new entry of ``z`` is
-    ``(phi_j . rhs - w . z) / d``.  The coefficients are ``L^{-T} z``.  Past
-    the two applies everything is a matrix product on ``|T|``-sized arrays.
-    The Gram matrix and ``Phi_T^* rhs`` are kept too, so every solve reports
-    its normal-equation residual without another apply.
+    ``z = L^{-1} Phi_T^* rhs`` in the order the columns were added, and
+    each column ``phi_j`` itself, as a row of ``block``.  Adding column
+    ``j`` costs one ``forward_support([j], [1.0])`` for ``phi_j``; the
+    correlations ``g = Phi_T^* phi_j`` are a product with the held block.
+    The new row of ``L`` is ``(w, d)`` with ``w = L^{-1} g`` and
+    ``d^2 = ||phi_j||^2 - ||w||^2``, so the new row of ``L^{-1}`` is
+    ``(-w^T L^{-1} / d, 1 / d)`` and the new entry of ``z`` is
+    ``(phi_j . rhs - w . z) / d``.  The coefficients are ``L^{-T} z``, and
+    the residual ``rhs - Phi_T c`` is one more product with the block.
+    Past the one apply everything is a matrix product on arrays of
+    ``|T|`` rows.  The Gram matrix and ``Phi_T^* rhs`` are kept too, so
+    every solve reports its normal-equation residual without another apply.
     """
 
     def __init__(self, operator, rhs):
@@ -153,6 +160,7 @@ class GramFactor:
         # Room for 8 columns, doubled when full; entries past ``_size`` (and
         # above the diagonal of L^{-1}) stay zero.
         self._columns = np.zeros(8, dtype=np.int64)
+        self._block = np.zeros((8, operator.m))  # phi_j, one per row
         self._inverse = np.zeros((8, 8))  # L^{-1}, lower triangular
         self._gram = np.zeros((8, 8))
         self._target = np.zeros(8)  # Phi_T^* rhs
@@ -162,6 +170,11 @@ class GramFactor:
     def columns(self) -> np.ndarray:
         """The factor's columns in the order they were added."""
         return self._columns[: self._size]
+
+    @property
+    def block(self) -> np.ndarray:
+        """The held columns ``phi_j`` as the rows of a ``|T| x m`` block, in add order."""
+        return self._block[: self._size]
 
     def solve(self, support: np.ndarray, tol: float) -> LsSolution:
         """Grow the factor to ``support`` (ascending) and solve on it.
@@ -175,7 +188,8 @@ class GramFactor:
         new = [j for j in support if j not in held]
         if len(held) + len(new) != len(support):
             raise UsageError("a factor only grows: the support must hold all its columns")
-        applications = sum(self._add(j) for j in new)
+        for j in new:
+            self._add(j)
         k = self._size
         coeffs = self._inverse[:k, :k].T @ self._z[:k]
         target = self._target[:k]
@@ -186,15 +200,15 @@ class GramFactor:
             iterations=0,
             converged=normal_residual <= tol * math.sqrt(float(target @ target)),
             normal_residual=normal_residual,
-            applications=applications,
+            applications=len(new),
+            residual=self.rhs - self.block.T @ coeffs,
         )
 
-    def _add(self, j: int) -> int:
-        """Grow the factor by column ``j``; returns the applications made."""
-        op = self.operator
+    def _add(self, j: int) -> None:
+        """Grow the factor by column ``j``, at one application."""
         k = self._size
-        phi = op.forward_support(np.array([j], dtype=np.int64), np.ones(1))
-        cross = op.adjoint_support(self.columns, phi) if k else np.empty(0)
+        phi = self.operator.forward_support(np.array([j], dtype=np.int64), np.ones(1))
+        cross = self.block @ phi
         inverse = self._inverse[:k, :k]
         w = inverse @ cross
         norm2 = float(phi @ phi)
@@ -206,10 +220,11 @@ class GramFactor:
                 f"{DEPENDENT_COLUMN_RATIO:g} of its own, {norm2:.3e}"
             )
         if k == self._z.size:
-            self._columns, self._inverse, self._gram, self._target, self._z = (
-                _grown(a, 2 * k)
-                for a in (self._columns, self._inverse, self._gram, self._target, self._z)
+            self._columns, self._target, self._z = (
+                _grown(a, (2 * k,)) for a in (self._columns, self._target, self._z)
             )
+            self._inverse, self._gram = (_grown(a, (2 * k, 2 * k)) for a in (self._inverse, self._gram))
+            self._block = _grown(self._block, (2 * k, self._block.shape[1]))
         d = math.sqrt(d2)
         target = float(phi @ self.rhs)
         self._inverse[k, :k] = (w @ inverse) / -d
@@ -219,14 +234,14 @@ class GramFactor:
         self._gram[k, k] = norm2
         self._z[k] = (target - float(w @ self._z[:k])) / d
         self._target[k] = target
+        self._block[k] = phi
         self._columns[k] = j
         self._size = k + 1
-        return 2 if k else 1
 
 
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    """A zero array of ``size`` along every axis with ``a`` in its leading block."""
-    out = np.zeros((size,) * a.ndim, dtype=a.dtype)
+def _grown(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A zero array of ``shape`` with ``a`` in its leading block."""
+    out = np.zeros(shape, dtype=a.dtype)
     out[tuple(slice(0, n) for n in a.shape)] = a
     return out
 
@@ -264,15 +279,16 @@ def restricted_least_squares(
         step ``2/(lmin+lmax)`` estimated by power iteration).
     factor : GramFactor, optional
         Solve directly instead: grow ``factor`` (built for this operator
-        and right-hand side) by the support's new columns, at two
-        applications each (one for the first).  ``tol`` then only decides
+        and right-hand side) by the support's new columns, at one
+        application each, and return the residual ``rhs - Phi_T w`` it
+        forms from the columns it holds.  ``tol`` then only decides
         ``converged``; ``max_iter`` and ``method`` go unused.
 
     Returns
     -------
     LsSolution
         Coefficients over ``T``, whether the tolerance was met, and the
-        iterations and applications spent.
+        iterations and applications spent; with ``factor``, the residual too.
 
     Raises
     ------

@@ -28,6 +28,7 @@ from .linalg import (
     largest_indices,
     restricted_least_squares,
 )
+from .sensing import MAX_DENSE_ENTRIES
 
 # CoSaMP declares the support stalled when it repeats and the residual
 # norm dropped by less than this relative amount.
@@ -68,9 +69,13 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     """The rule on ``(m, s)`` that ``algorithm`` needs and these break, or None.
 
     OMP and ROMP need ``1 <= s <= m``; CoSaMP refits on up to ``3s`` merged
-    columns, so it needs ``3s <= m`` to keep that system determined.  The
-    operator's shape is not part of the rule.  A non-integral ``s`` is
-    malformed input, not a shape, and raises ``UsageError``.
+    columns, so it needs ``3s <= m`` to keep that system determined.  OMP
+    and ROMP refit on a ``GramFactor``, which at the largest support ``k``
+    they can reach (``s`` for OMP, ``min(3s - 1, m)`` for ROMP) holds its
+    ``k`` columns of length ``m`` and two ``k x k`` arrays; those may not
+    exceed ``sensing.MAX_DENSE_ENTRIES`` entries.  The operator's shape is
+    not part of the rule.  A non-integral ``s`` is malformed input, not a
+    shape, and raises ``UsageError``.
     """
     check_integer("sparsity", s)
     if s < 1:
@@ -78,8 +83,17 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     if algorithm == "cosamp":
         if 3 * s > m:
             return f"cosamp needs 3*s <= m, got s={s}, m={m}"
-    elif s > m:
+        return None
+    if s > m:
         return f"sparsity {s} exceeds measurement count {m}"
+    k = s if algorithm == "omp" else min(3 * s - 1, m)
+    entries = k * m + 2 * k * k
+    if entries > MAX_DENSE_ENTRIES:
+        return (
+            f"{algorithm} with m={m}, s={s} refits on a factor of up to {entries} entries "
+            f"({k} columns of length {m} and two {k} x {k} arrays), more than the cap of "
+            f"{MAX_DENSE_ENTRIES} (sensing.MAX_DENSE_ENTRIES)"
+        )
     return None
 
 
@@ -116,7 +130,8 @@ def _pursue(
     refit on together with its trace entries.  ``prune(refit_support,
     coeffs)`` returns the support and coefficients to keep, plus their
     trace entries; without it the whole refit is kept, and one ``GramFactor``
-    serves every refit of the growing support (CG otherwise).  ``halt(norm,
+    serves every refit of the growing support and returns its residual (CG,
+    and a forward apply for the residual, otherwise).  ``halt(norm,
     previous_norm, support, new_support)`` runs after every iteration.
     A ``halted`` reason ends the run before the first iteration, and
     ``exhausted`` is reported when all ``rounds`` ran without a halt.
@@ -147,7 +162,9 @@ def _pursue(
             new_support, coeffs, pruned = prune(refit_support, solution.coeffs)
             entry.update(pruned)
         estimate = embed(coeffs, new_support, op.N)
-        if new_support.size:
+        if solution.residual is not None:
+            residual = solution.residual
+        elif new_support.size:
             residual = u - op.forward_support(new_support, coeffs)
         else:
             residual = u.copy()
@@ -186,10 +203,10 @@ def omp(op, u, s: int) -> RecoveryResult:
     proxy coordinate not already selected (ties to the lowest index), and
     refits all committed coordinates by least squares, so the residual is
     orthogonal to the selected columns and never increases.  The refit
-    grows ``_pursue``'s ``GramFactor`` by the new column, so ``s``
-    rounds cost ``4s - 1`` operator applications: per round the
-    proxy adjoint, the residual's forward apply and the factor's two
-    (one in the first round).  A column numerically dependent on the
+    grows ``_pursue``'s ``GramFactor`` by the new column, which forms the
+    residual from the columns it holds, so ``s`` rounds cost ``2s``
+    operator applications: per round the proxy adjoint and the new
+    column's forward apply.  A column numerically dependent on the
     support raises ``SolverFailure``.
     """
     u = _checked("omp", op, u, s)
@@ -255,9 +272,10 @@ def romp(op, u, s: int) -> RecoveryResult:
     whole window, and refits.  Runs at most ``s`` rounds, stopping early
     once the residual is zero up to round-off (``ZERO_RESIDUAL_RATIO``)
     or the support holds ``2s`` coordinates, so it never exceeds ``3s``.
-    Refits grow ``_pursue``'s ``GramFactor``: a round costs two applies
-    plus two per committed column (one for the very first); a dependent
-    column raises ``SolverFailure``.
+    Refits grow ``_pursue``'s ``GramFactor``, which forms the residual
+    from the columns it holds: a round costs one apply (the proxy adjoint)
+    plus one per committed column; a dependent column raises
+    ``SolverFailure``.
     """
     u = _checked("romp", op, u, s)
     zero = ZERO_RESIDUAL_RATIO * float(np.linalg.norm(u))

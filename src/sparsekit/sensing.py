@@ -70,7 +70,9 @@ class SenseOperator:
     their support-restricted variants each count as one).  Gaussian and
     Bernoulli operators also keep the column block ``matrix[:, T]`` of the
     last support ``T`` they applied, so the repeated Gram applies of one
-    restricted least-squares solve gather it only once.  Both are plain
+    iterative restricted least-squares solve (CoSaMP's CG) gather it only
+    once; OMP and ROMP apply one column at a time, which skips the memo,
+    and their ``GramFactor`` holds those columns itself.  Both are plain
     per-operator state without a lock: recovery calls are single-threaded,
     and when running trials concurrently each trial gets its own operator.
     An operator shared across threads would lose counter increments, and
@@ -253,6 +255,7 @@ def shared_draw(ensemble, m: int, N: int, seed: int):
     kind = as_ensemble(ensemble)
     check_dense_size(kind, m, N)
     _check_shape(m, N)
+    check_integer("seed", seed)
     outer = getattr(_scope, "draw", None)
     if kind is not Ensemble.PARTIAL_DCT:
         _scope.draw = (kind, N, seed, m, _draw(kind, m, N, seed))
@@ -289,9 +292,13 @@ def check_dense_size(ensemble, m: int, N: int) -> None:
 
 
 def make_operator(ensemble, m: int, N: int, seed: int) -> SenseOperator:
-    """Build a measurement operator; same parameters give identical entries."""
+    """Build a measurement operator; same parameters give identical entries.
+
+    A ``seed`` that is not an integer (a bool is not one) raises ``UsageError``.
+    """
     kind = as_ensemble(ensemble)
     check_dense_size(kind, m, N)
+    check_integer("seed", seed)
     if kind is Ensemble.PARTIAL_DCT:
         return _PartialDctOperator(m, N, seed)
     return _DenseEnsembleOperator(kind, m, N, seed)
@@ -338,6 +345,7 @@ def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstim
     ``max(1 - r, r - 1)`` over trials.
     """
     check_ric_probe(op.m, n, trials)
+    check_integer("seed", seed)
 
     rng = SplitMix64(seed)
     best = -1.0

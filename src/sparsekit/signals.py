@@ -69,6 +69,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
     ``s = 0`` yields the zero signal with an empty support.
     """
     check_sparse(N, s)
+    check_integer("seed", seed)
     rng = SplitMix64(seed)
     support = rng.choose_without_replacement(N, s)
     coeffs = rng.normal(s)
@@ -82,6 +83,7 @@ def gen_sparse(N: int, s: int, seed: int) -> Signal:
 def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
     """Power-law signal whose sorted magnitudes equal ``R * i**(-1/p)``."""
     check_compressible(N, p, R)
+    check_integer("seed", seed)
     rng = SplitMix64(seed)
     ranks = np.arange(1, N + 1, dtype=np.float64)
     magnitudes = R * ranks ** (-1.0 / p)
@@ -128,12 +130,13 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     noise that went into it, so callers can form bound ratios with the
     exact noise norm.
 
-    Raises ``UsageError`` for an unknown mode or a non-finite or negative
-    level.
+    Raises ``UsageError`` for an unknown mode, a non-finite or negative
+    level, or a seed that is not an integer.
     """
     if mode not in ("none", "fixed", "sigma"):
         raise UsageError(f"unknown noise mode {mode!r}")
     check_noise_level(level)
+    check_integer("seed", seed)
     level = float(level)
     values = _signal_values(x)
     clean = op.forward(values)

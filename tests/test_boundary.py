@@ -14,8 +14,9 @@ from sparsekit import bench, cli, sensing, signals
 from sparsekit.bench import TrialConfig, run_trials
 from sparsekit.errors import UsageError
 from sparsekit.linalg import largest_indices
+from sparsekit.pursuit import omp, romp, sparsity_problem
 from sparsekit.sensing import empirical_ric, make_operator
-from sparsekit.signals import gen_sparse, head, tail_l1
+from sparsekit.signals import gen_compressible, gen_sparse, head, measure, tail_l1
 
 
 def _refuse(*args, **kwargs):
@@ -36,6 +37,13 @@ FRACTIONAL_COUNTS = {
     "validate-noise_level": lambda op, v: TrialConfig(
         "omp", "gaussian", 8, 16, 2, 2, 7, noise_level="x"
     ).validate(),
+    "make_operator-seed": lambda op, v: make_operator("gaussian", 8, 16, 1.5),
+    "gen_sparse-seed": lambda op, v: gen_sparse(16, 2, 2.5),
+    "gen_compressible-seed": lambda op, v: gen_compressible(16, 0.5, 1.0, 2.5),
+    "measure-seed": lambda op, v: measure(op, np.ones(16), "sigma", 0.1, 2.5),
+    # A bool seed ran as seed 0 or 1.
+    "make_operator-bool-seed": lambda op, v: make_operator("partial_dct", 8, 16, True),
+    "empirical_ric-bool-seed": lambda op, v: empirical_ric(op, 2, 3, False),
 }
 
 
@@ -47,6 +55,47 @@ def test_library_entry_points_refuse_fractional_counts_before_any_draw(monkeypat
     with pytest.raises(UsageError):
         call(op, np.arange(6.0))
     assert op.matvec_count == 0
+
+
+# ------------------------------------------------------ the factor's size cap
+
+# OMP's factor at s = 8192 holds 8192 columns of length 16384 and two
+# 8192 x 8192 arrays: 2**28 entries.  ROMP's can reach 3s - 1 columns.
+OVERSIZED_FACTORS = [("omp", 16384, 8192), ("romp", 16384, 3000), ("romp", 8192, 1500)]
+
+
+@pytest.mark.parametrize("algorithm, m, s", OVERSIZED_FACTORS)
+def test_oversized_factor_is_refused_before_any_work(monkeypatch, capsys, algorithm, m, s):
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    config = TrialConfig(algorithm, "partial_dct", m, m, s, 1, 7)
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        config.validate()
+    argv = [
+        "bench", "--alg", algorithm, "--ensemble", "partial_dct",
+        "--m", str(m), "--N", str(m), "--s", str(s), "--trials", "1",
+    ]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_DENSE_ENTRIES" in captured.err
+    op = sensing.make_operator("partial_dct", m, m, 7)
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        (omp if algorithm == "omp" else romp)(op, np.zeros(m), s)
+    assert op.matvec_count == 0
+
+
+def test_factor_at_the_cap_is_accepted():
+    # 4096 columns of length 8192 and two 4096 x 4096 arrays: exactly 2**26.
+    assert sparsity_problem("omp", 8192, 4096) is None
+    assert sparsity_problem("omp", 8192, 4097) is not None
+    assert sparsity_problem("cosamp", 16384, 5000) is None
+
+
+def test_sweep_reports_an_oversized_factor_as_na(monkeypatch):
+    # Each cell is refused alone, like s > m, and builds no operator.
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    cells = bench.phase_sweep(16384, [16384], [8192], "partial_dct", "omp", 1, 7)
+    assert [cell["success_rate"] for cell in cells] == [None]
 
 
 # --------------------------------------------- every numeric config field

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from sparsekit import pursuit
 from sparsekit.errors import SolverFailure, UsageError
-from sparsekit.pursuit import HaltReason, omp
+from sparsekit.pursuit import HaltReason, omp, romp
 from sparsekit.rng import SplitMix64, derive_seed
 from sparsekit.sensing import make_operator
 from sparsekit.signals import gen_sparse, measure
@@ -162,17 +162,48 @@ def test_each_refit_matches_dense_cholesky(monkeypatch, ensemble):
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_costs_four_applies_per_round_less_one(ensemble):
-    # Per round: the proxy adjoint, the new column, its correlation with the
-    # support (not in round one), and the residual's forward apply.
+def test_costs_two_applies_per_round(ensemble):
+    # Per round: the proxy adjoint and the new column; the factor forms the
+    # correlations and the residual from the columns it holds.
     for trial in range(5):
         op, u = noisy_instance(ensemble, 48, 128, 6, trial)
         result = omp(op, u, 8)
         assert result.halted_by is HaltReason.SPARSITY_REACHED
         n = result.iterations
-        assert result.matvec_count == 4 * n - 1
-        assert sum(it["ls_applications"] for it in result.iterates) == 2 * n - 1
+        assert result.matvec_count == 2 * n
+        assert sum(it["ls_applications"] for it in result.iterates) == n
         assert all(it["ls_iterations"] == 0 and it["ls_converged"] for it in result.iterates)
+
+
+@pytest.mark.parametrize("algorithm", [omp, romp])
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_factor_holds_each_column_and_the_residual(monkeypatch, ensemble, algorithm):
+    # After every round the factor's block holds phi_j for each column j it
+    # added, in add order, and its residual is u - Phi_T c by dense product.
+    rounds = []
+    solve = pursuit.restricted_least_squares
+
+    def recording(op, support, rhs, **kwargs):
+        solution = solve(op, support, rhs, **kwargs)
+        factor = kwargs["factor"]
+        rounds.append((support, solution, factor.columns.copy(), factor.block.copy()))
+        return solution
+
+    monkeypatch.setattr(pursuit, "restricted_least_squares", recording)
+    for trial in range(3):
+        op, u = noisy_instance(ensemble, 48, 128, 6, trial)
+        rounds.clear()
+        result = algorithm(op, u, 6)
+        assert len(rounds) == result.iterations > 0
+        dense = op.dense_matrix()
+        for support, solution, columns, block in rounds:
+            assert sorted(columns.tolist()) == support.tolist()
+            if ensemble == "partial_dct":
+                np.testing.assert_allclose(block, dense[:, columns].T, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(block, dense[:, columns].T)
+            expected = u - dense[:, support] @ solution.coeffs
+            assert np.linalg.norm(solution.residual - expected) <= 1e-12 * np.linalg.norm(u)
 
 
 class MatrixOperator:
