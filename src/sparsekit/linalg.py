@@ -4,10 +4,11 @@ all pursuit algorithms.
 The least-squares solve is matrix-free: it only touches the measurement
 operator through ``forward_support`` / ``adjoint_support``.  It either
 iterates on the normal equations (CG or Richardson, a fixed number of
-operator applications per iteration) or, for a support that only grows,
-updates a ``GramFactor`` directly at one application per added column:
-the factor holds each column it applied for, and forms the correlations
-and the residual from them.
+operator applications per iteration, from zero or from a start vector
+whose normal-equation residual the caller may already hold) or, for a
+support that only grows, updates a ``GramFactor`` directly at one
+application per added column: the factor holds each column it applied
+for, and forms the correlations and the residual from them.
 """
 
 from __future__ import annotations
@@ -151,20 +152,26 @@ class GramFactor:
     Past the one apply everything is a matrix product on arrays of
     ``|T|`` rows.  The Gram matrix and ``Phi_T^* rhs`` are kept too, so
     every solve reports its normal-equation residual without another apply.
+    The arrays are sized once for ``capacity`` columns (at most ``m``), the
+    largest support the caller can reach; a solve on a larger support
+    raises ``UsageError`` before any apply.
     """
 
-    def __init__(self, operator, rhs):
+    def __init__(self, operator, rhs, *, capacity: int):
         self.operator = operator
         self.rhs = as_vector(rhs, operator.m, name="rhs")
+        check_integer("capacity", capacity, 1, operator.m)
         self._size = 0
-        # Room for 8 columns, doubled when full; entries past ``_size`` (and
-        # above the diagonal of L^{-1}) stay zero.
-        self._columns = np.zeros(8, dtype=np.int64)
-        self._block = np.zeros((8, operator.m))  # phi_j, one per row
-        self._inverse = np.zeros((8, 8))  # L^{-1}, lower triangular
-        self._gram = np.zeros((8, 8))
-        self._target = np.zeros(8)  # Phi_T^* rhs
-        self._z = np.zeros(8)
+        # Sized once for ``capacity`` columns; entries past ``_size`` (and
+        # above the diagonal of L^{-1}) stay zero.  Rows of the block past
+        # ``_size`` are never read, so it is left unzeroed: pages of columns
+        # the pursuit never reaches then stay out of resident memory.
+        self._columns = np.zeros(capacity, dtype=np.int64)
+        self._block = np.empty((capacity, operator.m))  # phi_j, one per row
+        self._inverse = np.zeros((capacity, capacity))  # L^{-1}, lower triangular
+        self._gram = np.zeros((capacity, capacity))
+        self._target = np.zeros(capacity)  # Phi_T^* rhs
+        self._z = np.zeros(capacity)
 
     @property
     def columns(self) -> np.ndarray:
@@ -188,6 +195,9 @@ class GramFactor:
         new = [j for j in support if j not in held]
         if len(held) + len(new) != len(support):
             raise UsageError("a factor only grows: the support must hold all its columns")
+        capacity = self._z.size
+        if len(support) > capacity:
+            raise UsageError(f"the factor holds at most {capacity} columns, the support has {len(support)}")
         for j in new:
             self._add(j)
         k = self._size
@@ -219,12 +229,6 @@ class GramFactor:
                 f"norm of its part orthogonal to the support, {d2:.3e}, is at most "
                 f"{DEPENDENT_COLUMN_RATIO:g} of its own, {norm2:.3e}"
             )
-        if k == self._z.size:
-            self._columns, self._target, self._z = (
-                _grown(a, (2 * k,)) for a in (self._columns, self._target, self._z)
-            )
-            self._inverse, self._gram = (_grown(a, (2 * k, 2 * k)) for a in (self._inverse, self._gram))
-            self._block = _grown(self._block, (2 * k, self._block.shape[1]))
         d = math.sqrt(d2)
         target = float(phi @ self.rhs)
         self._inverse[k, :k] = (w @ inverse) / -d
@@ -239,13 +243,6 @@ class GramFactor:
         self._size = k + 1
 
 
-def _grown(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """A zero array of ``shape`` with ``a`` in its leading block."""
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out
-
-
 def restricted_least_squares(
     op,
     support,
@@ -255,6 +252,8 @@ def restricted_least_squares(
     max_iter: int = DEFAULT_LS_MAX_ITER,
     method: str = "cg",
     factor: GramFactor | None = None,
+    x0=None,
+    start_residual=None,
 ) -> LsSolution:
     """Minimize ``||rhs - Phi_T w||_2`` on the normal equations.
 
@@ -283,6 +282,16 @@ def restricted_least_squares(
         application each, and return the residual ``rhs - Phi_T w`` it
         forms from the columns it holds.  ``tol`` then only decides
         ``converged``; ``max_iter`` and ``method`` go unused.
+    x0 : 1-D float array, optional
+        Start the iteration here instead of at zero: finite, of length
+        ``|T|``.  Not taken with ``factor``.
+    start_residual : 1-D float array, optional
+        The normal-equation residual at ``x0``, ``Phi_T^*(rhs - Phi_T x0)``,
+        when the caller already has it (finite, of length ``|T|``; needs
+        ``x0``).  A solve costs one application for ``Phi_T^* rhs``, whose
+        norm scales ``tol``, and a forward/adjoint pair per iteration:
+        ``1 + 2 * iterations`` in all, for CG.  An ``x0`` given without
+        ``start_residual`` costs one more pair to form it.
 
     Returns
     -------
@@ -295,9 +304,11 @@ def restricted_least_squares(
     UsageError
         A support that is empty, non-integer, unsorted, repeated, negative,
         out of range or larger than ``m``; a wrong-length or non-finite
-        ``rhs``; a non-positive or non-finite ``tol``; a non-integer or sub-1
-        ``max_iter``; unknown method; or a factor built for another
-        operator or right-hand side, or holding a column outside the support.
+        ``rhs``, ``x0`` or ``start_residual``; a ``start_residual`` without
+        ``x0``, or an ``x0`` with ``factor``; a non-positive or non-finite
+        ``tol``; a non-integer or sub-1 ``max_iter``; unknown method; or a
+        factor built for another operator or right-hand side, holding a
+        column outside the support or too small for it.
     SolverFailure
         The residual grew 10x above its running minimum (divergence),
         naming the offending iteration; or a column new to the factor is
@@ -313,6 +324,12 @@ def restricted_least_squares(
     rhs = as_vector(rhs, op.m, name="rhs")
     if k == 0:
         raise UsageError("restricted least squares needs a non-empty support")
+    if x0 is not None:
+        x0 = as_vector(x0, k, name="x0")
+    if start_residual is not None:
+        if x0 is None:
+            raise UsageError("start_residual is the residual at x0, and needs x0")
+        start_residual = as_vector(start_residual, k, name="start_residual")
     check_real("tol", tol, positive=True)
     check_integer("max_iter", max_iter, 1)
     if method not in LS_METHODS:
@@ -320,6 +337,8 @@ def restricted_least_squares(
     if factor is not None:
         if factor.operator is not op or not (rhs is factor.rhs or np.array_equal(rhs, factor.rhs)):
             raise UsageError("the factor was built for another operator or right-hand side")
+        if x0 is not None:
+            raise UsageError("a factor solves directly and takes no start vector x0")
         return factor.solve(support, tol)
 
     applications = 0
@@ -342,12 +361,13 @@ def restricted_least_squares(
         )
     threshold = tol * target_norm
 
-    if method == "cg":
-        coeffs, iters, resid_norm = _cg_normal(gram_apply, target, threshold, max_iter)
+    if x0 is None:
+        coeffs, resid = np.zeros(k), target.copy()
     else:
-        coeffs, iters, resid_norm = _richardson_normal(
-            gram_apply, target, threshold, max_iter, k
-        )
+        coeffs = x0.copy()
+        resid = target - gram_apply(x0) if start_residual is None else start_residual.copy()
+    iterate = _cg_normal if method == "cg" else _richardson_normal
+    iters, resid_norm = iterate(gram_apply, coeffs, resid, threshold, max_iter)
 
     return LsSolution(
         coeffs=coeffs,
@@ -358,16 +378,16 @@ def restricted_least_squares(
     )
 
 
-def _cg_normal(gram_apply, target, threshold, max_iter):
-    k = target.size
-    coeffs = np.zeros(k)
-    resid = target.copy()
+def _cg_normal(gram_apply, coeffs, resid, threshold, max_iter):
+    """CG on ``G w = b`` from ``coeffs``, whose residual ``b - G coeffs`` is
+    ``resid``; updates both in place and returns the iterations and the
+    final residual norm."""
     direction = resid.copy()
     rho = float(np.dot(resid, resid))
     resid_norm = float(np.sqrt(rho))
     min_norm = resid_norm
     if resid_norm <= threshold:
-        return coeffs, 0, resid_norm
+        return 0, resid_norm
     for it in range(1, max_iter + 1):
         gram_dir = gram_apply(direction)
         denom = float(np.dot(direction, gram_dir))
@@ -381,7 +401,7 @@ def _cg_normal(gram_apply, target, threshold, max_iter):
         rho_next = float(np.dot(resid, resid))
         resid_norm = float(np.sqrt(rho_next))
         if resid_norm <= threshold:
-            return coeffs, it, resid_norm
+            return it, resid_norm
         if resid_norm > 10.0 * min_norm:
             raise SolverFailure(
                 f"normal-equation CG diverged at iteration {it}: residual "
@@ -390,12 +410,14 @@ def _cg_normal(gram_apply, target, threshold, max_iter):
         min_norm = min(min_norm, resid_norm)
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
-    return coeffs, max_iter, resid_norm
+    return max_iter, resid_norm
 
 
-def _richardson_normal(gram_apply, target, threshold, max_iter, k):
+def _richardson_normal(gram_apply, coeffs, resid, threshold, max_iter):
+    """Fixed-step iteration with the same contract as ``_cg_normal``."""
     from .rng import SplitMix64, derive_seed
 
+    k = coeffs.size
     # Deterministic power-iteration start vector keyed on the support size.
     probe_rng = SplitMix64(derive_seed(_POWER_ITER_SEED_TAG, k))
     probe = probe_rng.normal(k)
@@ -424,22 +446,20 @@ def _richardson_normal(gram_apply, target, threshold, max_iter, k):
     lam_min = max(lam_hi - reflected, 0.0)
     step = 2.0 / (lam_min + lam_hi)
 
-    coeffs = np.zeros(k)
-    resid = target.copy()
     resid_norm = float(np.linalg.norm(resid))
     min_norm = resid_norm
     if resid_norm <= threshold:
-        return coeffs, 0, resid_norm
+        return 0, resid_norm
     for it in range(1, max_iter + 1):
         coeffs += step * resid
         resid -= step * gram_apply(resid)
         resid_norm = float(np.linalg.norm(resid))
         if resid_norm <= threshold:
-            return coeffs, it, resid_norm
+            return it, resid_norm
         if resid_norm > 10.0 * min_norm:
             raise SolverFailure(
                 f"Richardson iteration diverged at iteration {it}: residual "
                 f"{resid_norm:.3e} grew 10x above its minimum {min_norm:.3e}"
             )
         min_norm = min(min_norm, resid_norm)
-    return coeffs, max_iter, resid_norm
+    return max_iter, resid_norm

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import SolverFailure, UsageError
 from .linalg import (
+    DEFAULT_LS_TOL,
     GramFactor,
     as_vector,
     check_integer,
@@ -35,6 +36,12 @@ from .sensing import MAX_DENSE_ENTRIES
 STALL_RELATIVE_DECREASE = 1e-6
 
 DEFAULT_COSAMP_MAX_ITER = 100
+
+# CoSaMP solves each refit to a relative tolerance of this share of
+# eta / ||u||: with the restricted isometry keeping the Gram matrix near the
+# identity, the inexact solve moves the residual by about 1% of eta, which
+# the error analysis absorbs (never below DEFAULT_LS_TOL).
+COSAMP_LS_ETA_SHARE = 0.01
 
 # ROMP's "r = 0" halt, as a fraction of ||u||: an exact fit leaves round-off
 # of about 1e-15 to 1e-14 of ||u||, and a noisy fit never falls below its noise.
@@ -86,7 +93,7 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
         return None
     if s > m:
         return f"sparsity {s} exceeds measurement count {m}"
-    k = s if algorithm == "omp" else min(3 * s - 1, m)
+    k = _factor_capacity(algorithm, m, s)
     entries = k * m + 2 * k * k
     if entries > MAX_DENSE_ENTRIES:
         return (
@@ -112,6 +119,11 @@ def _checked(algorithm: str, op, u, s) -> np.ndarray:
     return u
 
 
+def _factor_capacity(algorithm: str, m: int, s: int) -> int:
+    """The largest support OMP (``s``) or ROMP (``min(3s - 1, m)``) refits on."""
+    return s if algorithm == "omp" else min(3 * s - 1, m)
+
+
 def _pursue(
     name: str,
     op,
@@ -119,6 +131,8 @@ def _pursue(
     rounds: int,
     select,
     *,
+    capacity: Optional[int] = None,
+    ls_tol: float = DEFAULT_LS_TOL,
     prune=None,
     halt=None,
     halted: Optional[HaltReason] = None,
@@ -130,14 +144,19 @@ def _pursue(
     refit on together with its trace entries.  ``prune(refit_support,
     coeffs)`` returns the support and coefficients to keep, plus their
     trace entries; without it the whole refit is kept, and one ``GramFactor``
-    serves every refit of the growing support and returns its residual (CG,
-    and a forward apply for the residual, otherwise).  ``halt(norm,
-    previous_norm, support, new_support)`` runs after every iteration.
+    of ``capacity`` columns serves every refit of the growing support and
+    returns its residual.  With ``prune``, each refit runs CG to ``ls_tol``
+    from the current estimate on the refit support, and a forward apply
+    forms the residual.  The refit support holds the current one, so the
+    proxy's slice on it is the start's normal-equation residual and costs
+    no apply; ``select`` must then leave the proxy as it found it.
+    ``halt(norm, previous_norm, support, new_support)`` runs after every
+    iteration.
     A ``halted`` reason ends the run before the first iteration, and
     ``exhausted`` is reported when all ``rounds`` ran without a halt.
     """
     start_count = op.matvec_count
-    factor = None if prune is not None else GramFactor(op, u)
+    factor = None if prune is not None else GramFactor(op, u, capacity=capacity)
     support = np.empty(0, dtype=np.int64)
     estimate = np.zeros(op.N)
     residual = u.copy()
@@ -148,13 +167,17 @@ def _pursue(
     iteration = 0
     while halted is None and iteration < rounds:
         iteration += 1
-        picked = select(op.adjoint(residual), support)
+        proxy = op.adjoint(residual)
+        picked = select(proxy, support)
         if isinstance(picked, HaltReason):
             halted = picked
             break
         refit_support, entry = picked
+        warm = {}
+        if factor is None:
+            warm = {"x0": estimate[refit_support], "start_residual": proxy[refit_support]}
         try:
-            solution = restricted_least_squares(op, refit_support, u, factor=factor)
+            solution = restricted_least_squares(op, refit_support, u, tol=ls_tol, factor=factor, **warm)
         except SolverFailure as exc:
             raise SolverFailure(f"{name} iteration {iteration}: {exc}") from exc
         new_support, coeffs = refit_support, solution.coeffs
@@ -179,6 +202,7 @@ def _pursue(
                 "ls_iterations": solution.iterations,
                 "ls_converged": solution.converged,
                 "ls_applications": solution.applications,
+                "ls_tol": ls_tol,
             }
         )
         if halt is not None:
@@ -219,7 +243,8 @@ def omp(op, u, s: int) -> RecoveryResult:
         merged = np.union1d(support, [chosen]).astype(np.int64)
         return merged, {"selected": chosen, "support_size": int(merged.size)}
 
-    return _pursue("omp", op, u, s, select, exhausted=HaltReason.SPARSITY_REACHED)
+    capacity = _factor_capacity("omp", op.m, s)
+    return _pursue("omp", op, u, s, select, capacity=capacity, exhausted=HaltReason.SPARSITY_REACHED)
 
 
 def romp_regularize(proxy_values) -> np.ndarray:
@@ -306,7 +331,8 @@ def romp(op, u, s: int) -> RecoveryResult:
             return HaltReason.SPARSITY_REACHED
         return None
 
-    return _pursue("romp", op, u, s, select, halt=halt)
+    capacity = _factor_capacity("romp", op.m, s)
+    return _pursue("romp", op, u, s, select, capacity=capacity, halt=halt)
 
 
 def cosamp(
@@ -325,7 +351,13 @@ def cosamp(
     residual.  Halts when the residual norm reaches ``eta``, when the
     support repeats without meaningful residual progress, or after
     ``max_iter`` iterations.  The support changes by pruning, so each
-    refit runs CG from zero.
+    refit runs CG, as the CoSaMP paper's iterative least-squares step does:
+    it starts from the current estimate, whose normal-equation residual is
+    the proxy's slice on the merged support, and stops at a relative
+    tolerance of ``COSAMP_LS_ETA_SHARE * eta / ||u||`` (at least
+    ``DEFAULT_LS_TOL``, which is all it is at ``eta = 0``).  A refit costs
+    one adjoint for ``Phi_T^* u`` and a forward/adjoint pair per CG step;
+    each iterate records the tolerance as ``ls_tol``.
     """
     u = _checked("cosamp", op, u, s)
     check_halting(eta, max_iter)
@@ -358,5 +390,7 @@ def cosamp(
             return HaltReason.SUPPORT_STALL
         return None
 
-    halted = HaltReason.RESIDUAL_SMALL if float(np.linalg.norm(u)) <= eta else None
-    return _pursue("cosamp", op, u, max_iter, select, prune=prune, halt=halt, halted=halted)
+    norm = float(np.linalg.norm(u))
+    halted = HaltReason.RESIDUAL_SMALL if norm <= eta else None
+    ls_tol = DEFAULT_LS_TOL if halted else max(DEFAULT_LS_TOL, COSAMP_LS_ETA_SHARE * eta / norm)
+    return _pursue("cosamp", op, u, max_iter, select, ls_tol=ls_tol, prune=prune, halt=halt, halted=halted)

@@ -127,16 +127,31 @@ BAD_LS_INPUTS = {
     "rhs-nan": ([0], np.array([1.0, np.nan, 0.0]), "rhs contains NaN or Inf"),
     "rhs-inf": ([0], np.array([1.0, np.inf, 0.0]), "rhs contains NaN or Inf"),
 }
+# A start vector and its residual are refused like rhs; the support is [0, 1].
+BAD_LS_STARTS = {
+    "x0-length": (dict(x0=np.zeros(3)), "x0 must have length 2, got 3"),
+    "x0-nan": (dict(x0=[0.0, np.nan]), "x0 contains NaN or Inf"),
+    "x0-inf": (dict(x0=[np.inf, 0.0]), "x0 contains NaN or Inf"),
+    "x0-minus-inf": (dict(x0=[0.0, -np.inf]), "x0 contains NaN or Inf"),
+    "start-length": (dict(x0=np.zeros(2), start_residual=np.zeros(1)), "start_residual must have length 2"),
+    "start-nan": (dict(x0=np.zeros(2), start_residual=[np.nan, 0.0]), "start_residual contains NaN"),
+    "start-without-x0": (dict(start_residual=np.zeros(2)), "start_residual is the residual at x0"),
+}
 
 
-@pytest.mark.parametrize("support, rhs, message", BAD_LS_INPUTS.values(), ids=BAD_LS_INPUTS.keys())
-def test_ls_rejects_bad_input_at_entry(support, rhs, message):
+@pytest.mark.parametrize(
+    "support, rhs, message, start",
+    [(*row, {}) for row in BAD_LS_INPUTS.values()]
+    + [([0, 1], np.ones(3), message, start) for start, message in BAD_LS_STARTS.values()],
+    ids=[*BAD_LS_INPUTS, *BAD_LS_STARTS],
+)
+def test_ls_rejects_bad_input_at_entry(support, rhs, message, start):
     op = MatrixOperator(np.eye(3, 5))
     for method in ("cg", "richardson"):
         with pytest.raises(UsageError, match=message):
-            restricted_least_squares(op, support, rhs, method=method)
+            restricted_least_squares(op, support, rhs, method=method, **start)
     with pytest.raises(UsageError, match=message):
-        restricted_least_squares(op, support, rhs, factor=GramFactor(op, np.zeros(3)))
+        restricted_least_squares(op, support, rhs, factor=GramFactor(op, np.zeros(3), capacity=3), **start)
     assert op.matvec_count == 0
 
 
@@ -227,7 +242,7 @@ def test_ls_rejects_non_finite_or_non_integer_settings(bad, message):
         with pytest.raises(UsageError, match=message):
             restricted_least_squares(op, [0, 1], rhs, method=method, **bad)
     with pytest.raises(UsageError, match=message):
-        restricted_least_squares(op, [0, 1], rhs, factor=GramFactor(op, rhs), **bad)
+        restricted_least_squares(op, [0, 1], rhs, factor=GramFactor(op, rhs, capacity=3), **bad)
     assert op.matvec_count == 0
 
 
@@ -271,6 +286,33 @@ def test_ls_on_real_ensemble_operator():
     assert np.linalg.norm(sol.coeffs - expected) / np.linalg.norm(expected) < 1e-8
 
 
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial_dct"])
+def test_ls_warm_start_matches_dense_lstsq(ensemble):
+    op = make_operator(ensemble, 64, 128, seed=83)
+    gen = SplitMix64(89)
+    rhs = gen.normal(64)
+    support = np.unique([index_below(gen, 128) for _ in range(40)])[:12]
+    columns = op.dense_matrix()[:, support]
+    expected = np.linalg.lstsq(columns, rhs, rcond=None)[0]
+    x0 = expected + 1e-4 * gen.normal(support.size)
+    kept = x0.copy()
+    start = columns.T @ (rhs - columns @ x0)
+    # Given the start's residual, a solve costs Phi_T^* rhs and a pair per
+    # step; without it, one more pair forms that residual.
+    for given, extra in ((dict(start_residual=start), 0), ({}, 2)):
+        before = op.matvec_count
+        sol = restricted_least_squares(op, support, rhs, x0=x0, **given)
+        assert sol.converged and sol.iterations >= 1
+        assert sol.applications == op.matvec_count - before == 1 + extra + 2 * sol.iterations
+        assert np.linalg.norm(sol.coeffs - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert sol.iterations < restricted_least_squares(op, support, rhs).iterations
+    # Richardson iterates from the same start.
+    sol = restricted_least_squares(op, support, rhs, x0=x0, start_residual=start, method="richardson")
+    assert sol.converged
+    assert np.linalg.norm(sol.coeffs - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert np.array_equal(x0, kept)  # the start is not updated in place
+
+
 # --- GramFactor ---------------------------------------------------------------
 
 def test_factor_solves_grow_to_the_cholesky_oracle():
@@ -278,7 +320,7 @@ def test_factor_solves_grow_to_the_cholesky_oracle():
     matrix = gen.normal(20 * 8).reshape(20, 8) / np.sqrt(20)
     op = MatrixOperator(matrix)
     rhs = gen.normal(20)
-    factor = GramFactor(op, rhs)
+    factor = GramFactor(op, rhs, capacity=5)
     # Columns arrive out of order, one or two at a time; coefficients come
     # back in support order, at one apply per column.
     for support, applications in (([5], 1), ([2, 5, 7], 2), ([0, 2, 5, 6, 7], 2)):
@@ -296,7 +338,7 @@ def test_factor_rejects_another_system_or_a_shrinking_support():
     gen = SplitMix64(79)
     op = MatrixOperator(gen.normal(10 * 4).reshape(10, 4))
     rhs = gen.normal(10)
-    factor = GramFactor(op, rhs)
+    factor = GramFactor(op, rhs, capacity=4)
     restricted_least_squares(op, [0, 1], rhs, factor=factor)
     for system in (
         (op, [0, 1, 2], rhs + 1.0),
@@ -305,4 +347,26 @@ def test_factor_rejects_another_system_or_a_shrinking_support():
     ):
         with pytest.raises(UsageError):
             restricted_least_squares(*system, factor=factor)
+    with pytest.raises(UsageError, match="takes no start vector"):
+        restricted_least_squares(op, [0, 1, 2], rhs, factor=factor, x0=np.zeros(3))
     assert factor.columns.tolist() == [0, 1]
+
+
+def test_factor_is_sized_once_and_refuses_a_support_past_it():
+    gen = SplitMix64(97)
+    op = MatrixOperator(gen.normal(10 * 6).reshape(10, 6))
+    rhs = gen.normal(10)
+    for capacity in (0, 11, 2.0, True):
+        with pytest.raises(UsageError, match="capacity"):
+            GramFactor(op, rhs, capacity=capacity)
+    factor = GramFactor(op, rhs, capacity=3)
+    assert factor.block.shape == (0, 10)
+    restricted_least_squares(op, [1, 4], rhs, factor=factor)
+    before = op.matvec_count
+    with pytest.raises(UsageError, match="at most 3 columns, the support has 4"):
+        restricted_least_squares(op, [0, 1, 2, 4], rhs, factor=factor)
+    assert op.matvec_count == before
+    sol = restricted_least_squares(op, [1, 2, 4], rhs, factor=factor)
+    expected = cholesky_least_squares(op.matrix, [1, 2, 4], rhs)
+    assert np.linalg.norm(sol.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert factor.columns.tolist() == [1, 4, 2]

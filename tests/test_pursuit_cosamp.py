@@ -7,6 +7,7 @@ from refstream import word
 from sparsekit import pursuit
 from sparsekit.bench import TrialConfig, run_trials
 from sparsekit.errors import UsageError
+from sparsekit.linalg import DEFAULT_LS_TOL
 from sparsekit.pursuit import HaltReason, cosamp
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
@@ -136,9 +137,10 @@ def test_deterministic_results():
 
 
 def test_iterates_record_least_squares_convergence(monkeypatch):
-    # CoSaMP refits by CG: a merged Gaussian refit needs more than one CG
-    # step, so a cap of one step leaves the solves unconverged; the trace
-    # must say so.
+    # CoSaMP refits by CG: the first, cold refit on a merged Gaussian support
+    # needs more than one CG step, so a cap of one step leaves it unconverged;
+    # the trace must say so.  Later refits start from the current estimate,
+    # and one step may then meet their tolerance.
     op = make_operator("gaussian", 32, 64, seed=8)
     sig = gen_sparse(64, 4, seed=9)
     u, _ = measure(op, sig)
@@ -146,14 +148,71 @@ def test_iterates_record_least_squares_convergence(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(pursuit, "restricted_least_squares", lambda *a, **kw: solve(*a, **kw, max_iter=1))
         capped = cosamp(op, u, 4)
-    assert capped.iterates[-1]["ls_converged"] is False
+    assert capped.iterates[0]["ls_converged"] is False
     assert all(it["ls_iterations"] <= 1 for it in capped.iterates)
     full = cosamp(op, u, 4)
     assert all(it["ls_converged"] is True for it in full.iterates)
     assert any(it["ls_iterations"] > 1 for it in full.iterates)
     for it in capped.iterates + full.iterates:
-        # one adjoint for the right-hand side, then a forward/adjoint pair per step
+        # one adjoint for Phi_T^* u, then a forward/adjoint pair per step: the
+        # start's residual is the proxy's slice and costs nothing
         assert it["ls_applications"] == 1 + 2 * it["ls_iterations"]
+
+
+ENSEMBLES = ("gaussian", "bernoulli", "partial_dct")
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_warm_start_residual_is_the_proxy_slice(monkeypatch, ensemble):
+    # Each refit starts from the current estimate on the merged support T;
+    # the proxy slice it is handed must be that start's normal-equation
+    # residual Phi_T^*(u - Phi_T x0), formed here from the dense matrix.
+    op = make_operator(ensemble, 64, 128, seed=21)
+    sig = gen_sparse(128, 6, seed=22)
+    u, _ = measure(op, sig, "fixed", 0.05, seed=23)
+    dense = op.dense_matrix()
+    calls = []
+    solve = pursuit.restricted_least_squares
+
+    def recorded(op_, support, rhs, **kw):
+        calls.append((support, kw["x0"], kw["start_residual"]))
+        return solve(op_, support, rhs, **kw)
+
+    monkeypatch.setattr(pursuit, "restricted_least_squares", recorded)
+    result = cosamp(op, u, 6, eta=0.0)
+    assert len(calls) == result.iterations >= 2
+    assert not np.any(calls[0][1])  # the first refit starts from zero
+    for support, x0, start in calls:
+        columns = dense[:, support]
+        expected = columns.T @ (u - columns @ x0)
+        assert np.linalg.norm(start - expected) <= 1e-12 * np.linalg.norm(columns.T @ u)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_least_squares_tolerance_follows_eta(monkeypatch, ensemble):
+    # A noisy trial halted at eta_rel = 0.01 solves each refit to
+    # 0.01 * eta / ||u||, not to DEFAULT_LS_TOL, so it spends fewer applies
+    # than the same trial at eta = 0, and finds the same support.
+    tols = []
+    solve = pursuit.restricted_least_squares
+    monkeypatch.setattr(pursuit, "restricted_least_squares", lambda *a, **kw: tols.append(kw["tol"]) or solve(*a, **kw))
+    noisy = dict(noise_mode="fixed_rel", noise_level=0.01)
+    runs = []
+    for eta_rel in (0.01, None):
+        tols.clear()
+        cfg = TrialConfig("cosamp", ensemble, 128, 256, 8, 4, 31, eta_rel=eta_rel, **noisy)
+        records = run_trials(cfg, keep_results=True)
+        for r in records:
+            u_norm = r.result.residual_norms[0]
+            eta = 0.0 if eta_rel is None else eta_rel * u_norm
+            rule = max(DEFAULT_LS_TOL, pursuit.COSAMP_LS_ETA_SHARE * eta / u_norm)
+            assert all(it["ls_tol"] == rule for it in r.result.iterates)
+        # each iterate records the tolerance its solve was given
+        assert [it["ls_tol"] for r in records for it in r.result.iterates] == tols
+        runs.append(records)
+    for loose, tight in zip(*runs):
+        assert loose.matvecs < tight.matvecs
+        assert loose.support_exact == tight.support_exact
 
 
 # Mean matvecs per trial at N = 1,024 ... 65,536 in this setup ranged over
