@@ -5,10 +5,11 @@ The least-squares solve is matrix-free: it only touches the measurement
 operator through ``forward_support`` / ``adjoint_support``.  It either
 iterates on the normal equations (CG or Richardson, a fixed number of
 operator applications per iteration, from zero or from a start vector
-whose normal-equation residual the caller may already hold) or, for a
-support that only grows, updates a ``GramFactor`` directly at one
-application per added column: the factor holds each column it applied
-for, and forms the correlations and the residual from them.
+given with its normal-equation residual) or, for a support that only
+grows, updates a ``GramFactor`` directly at one application per added
+column: the factor holds each column it applied for, and forms the
+correlations and the residual from them.  Every path measures its
+normal-equation residual against ``tol * ||rhs||``.
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ _POWER_ITERATIONS = 30
 DEPENDENT_COLUMN_RATIO = 1e-12
 
 
-def as_vector(x, length=None, name="vector") -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
+def as_values(x, length=None, name="values") -> np.ndarray:
+    """Return a 1-D float64 array, of ``length`` entries if given; reads no entry, so finiteness goes unchecked."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise UsageError(f"{name} must be 1-D, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
         raise UsageError(f"{name} must have length {length}, got {v.shape[0]}")
+    return v
+
+
+def as_vector(x, length=None, name="vector") -> np.ndarray:
+    """Validate and return a finite 1-D float64 array."""
+    v = as_values(x, length, name)
     if not np.all(np.isfinite(v)):
         raise UsageError(f"{name} contains NaN or Inf")
     return v
@@ -97,19 +104,25 @@ def largest_indices(values, k: int) -> np.ndarray:
 
 def embed(coeffs, indices, length: int) -> np.ndarray:
     """Scatter ``coeffs`` onto positions ``indices`` of a zero length-``length`` vector."""
+    indices = as_indices(indices)
     out = np.zeros(length)
-    out[np.asarray(indices, dtype=np.int64)] = coeffs
+    out[indices] = as_values(coeffs, indices.size, "coeffs")
     return out
+
+
+def as_indices(indices, name="indices") -> np.ndarray:
+    """Return 1-D integer ``indices`` as int64; reads no entry, so order and range are left to ``as_support``."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise UsageError(f"{name} must be integers, got dtype {idx.dtype}")
+    if idx.ndim != 1:
+        raise UsageError(f"{name} must be 1-D")
+    return idx.astype(np.int64, copy=False)
 
 
 def as_support(indices, below=None) -> np.ndarray:
     """Validate and return support indices: 1-D int64, strictly increasing, non-negative, under ``below``."""
-    idx = np.asarray(indices)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise UsageError(f"support indices must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
-    if idx.ndim != 1:
-        raise UsageError("support indices must be 1-D")
+    idx = as_indices(indices, "support indices")
     if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
         raise UsageError("support indices must be strictly increasing and non-negative")
     if idx.size and below is not None and idx[-1] >= below:
@@ -122,10 +135,10 @@ class LsSolution:
     """Solution of a restricted least-squares solve.
 
     ``converged`` says whether the normal-equation residual met the
-    tolerance; an iterative solve that did not stopped at its iteration
-    cap.  A factor solve is direct, reports 0 ``iterations`` and also
-    returns the ``residual`` ``rhs - Phi_T coeffs``; an iterative solve
-    leaves it None.
+    tolerance ``tol * ||rhs||``; an iterative solve that did not stopped at
+    its iteration cap.  A factor solve is direct, reports 0 ``iterations``
+    and also returns the ``residual`` ``rhs - Phi_T coeffs``; an iterative
+    solve leaves it None.
     """
 
     coeffs: np.ndarray
@@ -148,18 +161,20 @@ class GramFactor:
     ``d^2 = ||phi_j||^2 - ||w||^2``, so the new row of ``L^{-1}`` is
     ``(-w^T L^{-1} / d, 1 / d)`` and the new entry of ``z`` is
     ``(phi_j . rhs - w . z) / d``.  The coefficients are ``L^{-T} z``, and
-    the residual ``rhs - Phi_T c`` is one more product with the block.
-    Past the one apply everything is a matrix product on arrays of
-    ``|T|`` rows.  The Gram matrix and ``Phi_T^* rhs`` are kept too, so
-    every solve reports its normal-equation residual without another apply.
-    The arrays are sized once for ``capacity`` columns (at most ``m``), the
-    largest support the caller can reach; a solve on a larger support
-    raises ``UsageError`` before any apply.
+    the residual ``r = rhs - Phi_T c`` is one more product with the block,
+    and so is the normal-equation residual ``Phi_T^* r``, which every solve
+    reports without another apply.  Past the one apply everything is a
+    matrix product on arrays of ``|T|`` rows.  The factor holds ``||rhs||``
+    and four arrays, the columns, the block, ``L^{-1}`` and ``z``, sized once
+    for ``capacity`` columns (at most ``m``), the largest support the caller
+    can reach; a solve on a larger support raises ``UsageError`` before any
+    apply.
     """
 
     def __init__(self, operator, rhs, *, capacity: int):
         self.operator = operator
         self.rhs = as_vector(rhs, operator.m, name="rhs")
+        self._rhs_norm = float(np.linalg.norm(self.rhs))
         check_integer("capacity", capacity, 1, operator.m)
         self._size = 0
         # Sized once for ``capacity`` columns; entries past ``_size`` (and
@@ -169,8 +184,6 @@ class GramFactor:
         self._columns = np.zeros(capacity, dtype=np.int64)
         self._block = np.empty((capacity, operator.m))  # phi_j, one per row
         self._inverse = np.zeros((capacity, capacity))  # L^{-1}, lower triangular
-        self._gram = np.zeros((capacity, capacity))
-        self._target = np.zeros(capacity)  # Phi_T^* rhs
         self._z = np.zeros(capacity)
 
     @property
@@ -188,30 +201,32 @@ class GramFactor:
 
         The support must hold every column already in the factor.  The
         coefficients come back in support order; ``converged`` says whether
-        the normal-equation residual is within ``tol * ||Phi_T^* rhs||``.
+        the normal-equation residual is within ``tol * ||rhs||``.
         """
         support = support.tolist()
         held = set(self.columns.tolist())
         new = [j for j in support if j not in held]
         if len(held) + len(new) != len(support):
             raise UsageError("a factor only grows: the support must hold all its columns")
-        capacity = self._z.size
-        if len(support) > capacity:
-            raise UsageError(f"the factor holds at most {capacity} columns, the support has {len(support)}")
+        if len(support) > self._z.size:
+            raise UsageError(f"the factor holds at most {self._z.size} columns, the support has {len(support)}")
+        if self._rhs_norm == 0.0:  # zero is the exact solution, at no apply
+            zero = np.zeros(len(support))
+            return LsSolution(coeffs=zero, iterations=0, converged=True, normal_residual=0.0, residual=self.rhs.copy())
         for j in new:
             self._add(j)
         k = self._size
         coeffs = self._inverse[:k, :k].T @ self._z[:k]
-        target = self._target[:k]
-        residual = target - self._gram[:k, :k] @ coeffs
-        normal_residual = math.sqrt(float(residual @ residual))
+        residual = self.rhs - self.block.T @ coeffs
+        normal = self.block @ residual
+        normal_residual = math.sqrt(float(normal @ normal))
         return LsSolution(
             coeffs=coeffs[np.argsort(self.columns)],
             iterations=0,
-            converged=normal_residual <= tol * math.sqrt(float(target @ target)),
+            converged=normal_residual <= tol * self._rhs_norm,
             normal_residual=normal_residual,
             applications=len(new),
-            residual=self.rhs - self.block.T @ coeffs,
+            residual=residual,
         )
 
     def _add(self, j: int) -> None:
@@ -233,11 +248,7 @@ class GramFactor:
         target = float(phi @ self.rhs)
         self._inverse[k, :k] = (w @ inverse) / -d
         self._inverse[k, k] = 1.0 / d
-        self._gram[k, :k] = cross
-        self._gram[:k, k] = cross
-        self._gram[k, k] = norm2
         self._z[k] = (target - float(w @ self._z[:k])) / d
-        self._target[k] = target
         self._block[k] = phi
         self._columns[k] = j
         self._size = k + 1
@@ -268,8 +279,9 @@ def restricted_least_squares(
     rhs : 1-D float array
         Finite, of length ``m``.
     tol : float
-        Relative stopping tolerance: iterate until the normal-equation
-        residual satisfies ``||Phi_T^*(rhs - Phi_T w)|| <= tol * ||Phi_T^* rhs||``.
+        Relative tolerance: converged once ``||Phi_T^*(rhs - Phi_T w)|| <=
+        tol * ||rhs||``, a scale that costs no apply; a zero ``rhs`` returns
+        zeros at none.
     max_iter : int
         Iteration cap; hitting it is reported, not raised.
     method : str
@@ -282,16 +294,14 @@ def restricted_least_squares(
         application each, and return the residual ``rhs - Phi_T w`` it
         forms from the columns it holds.  ``tol`` then only decides
         ``converged``; ``max_iter`` and ``method`` go unused.
-    x0 : 1-D float array, optional
-        Start the iteration here instead of at zero: finite, of length
-        ``|T|``.  Not taken with ``factor``.
-    start_residual : 1-D float array, optional
-        The normal-equation residual at ``x0``, ``Phi_T^*(rhs - Phi_T x0)``,
-        when the caller already has it (finite, of length ``|T|``; needs
-        ``x0``).  A solve costs one application for ``Phi_T^* rhs``, whose
-        norm scales ``tol``, and a forward/adjoint pair per iteration:
-        ``1 + 2 * iterations`` in all, for CG.  An ``x0`` given without
-        ``start_residual`` costs one more pair to form it.
+    x0, start_residual : 1-D float arrays, optional
+        Start the iteration at ``x0`` instead of at zero, given its
+        normal-equation residual ``Phi_T^*(rhs - Phi_T x0)``: both or
+        neither, each finite and of length ``|T|``.  Not taken with
+        ``factor``.  A CG solve costs a forward/adjoint pair per iteration,
+        plus one application for the residual at zero, ``Phi_T^* rhs``,
+        when it starts there: ``2 * iterations`` applications from a start,
+        ``1 + 2 * iterations`` without one.
 
     Returns
     -------
@@ -304,11 +314,11 @@ def restricted_least_squares(
     UsageError
         A support that is empty, non-integer, unsorted, repeated, negative,
         out of range or larger than ``m``; a wrong-length or non-finite
-        ``rhs``, ``x0`` or ``start_residual``; a ``start_residual`` without
-        ``x0``, or an ``x0`` with ``factor``; a non-positive or non-finite
-        ``tol``; a non-integer or sub-1 ``max_iter``; unknown method; or a
-        factor built for another operator or right-hand side, holding a
-        column outside the support or too small for it.
+        ``rhs``, ``x0`` or ``start_residual``; only one of the last two, or
+        both with ``factor``; a non-positive or non-finite ``tol``; a
+        non-integer or sub-1 ``max_iter``; unknown method; or a factor built
+        for another operator or right-hand side, holding a column outside
+        the support or too small for it.
     SolverFailure
         The residual grew 10x above its running minimum (divergence),
         naming the offending iteration; or a column new to the factor is
@@ -327,9 +337,9 @@ def restricted_least_squares(
     if x0 is not None:
         x0 = as_vector(x0, k, name="x0")
     if start_residual is not None:
-        if x0 is None:
-            raise UsageError("start_residual is the residual at x0, and needs x0")
         start_residual = as_vector(start_residual, k, name="start_residual")
+    if (x0 is None) != (start_residual is None):
+        raise UsageError("x0 and start_residual go together: start_residual is the residual at x0")
     check_real("tol", tol, positive=True)
     check_integer("max_iter", max_iter, 1)
     if method not in LS_METHODS:
@@ -340,6 +350,9 @@ def restricted_least_squares(
         if x0 is not None:
             raise UsageError("a factor solves directly and takes no start vector x0")
         return factor.solve(support, tol)
+    rhs_norm = float(np.linalg.norm(rhs))
+    if rhs_norm == 0.0:
+        return LsSolution(coeffs=np.zeros(k), iterations=0, converged=True, normal_residual=0.0)
 
     applications = 0
 
@@ -348,24 +361,12 @@ def restricted_least_squares(
         applications += 2
         return op.adjoint_support(support, op.forward_support(support, w))
 
-    applications += 1
-    target = op.adjoint_support(support, rhs)
-    target_norm = float(np.linalg.norm(target))
-    if target_norm == 0.0:
-        return LsSolution(
-            coeffs=np.zeros(k),
-            iterations=0,
-            converged=True,
-            normal_residual=0.0,
-            applications=applications,
-        )
-    threshold = tol * target_norm
-
+    threshold = tol * rhs_norm
     if x0 is None:
-        coeffs, resid = np.zeros(k), target.copy()
+        applications += 1
+        coeffs, resid = np.zeros(k), op.adjoint_support(support, rhs)
     else:
-        coeffs = x0.copy()
-        resid = target - gram_apply(x0) if start_residual is None else start_residual.copy()
+        coeffs, resid = x0.copy(), start_residual.copy()
     iterate = _cg_normal if method == "cg" else _richardson_normal
     iters, resid_norm = iterate(gram_apply, coeffs, resid, threshold, max_iter)
 
@@ -418,31 +419,12 @@ def _richardson_normal(gram_apply, coeffs, resid, threshold, max_iter):
     from .rng import SplitMix64, derive_seed
 
     k = coeffs.size
-    # Deterministic power-iteration start vector keyed on the support size.
+    # Deterministic power-iteration start vectors keyed on the support size.
     probe_rng = SplitMix64(derive_seed(_POWER_ITER_SEED_TAG, k))
-    probe = probe_rng.normal(k)
-    probe /= np.linalg.norm(probe)
-    lam_max = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        image = gram_apply(probe)
-        lam_max = float(np.dot(probe, image))
-        nrm = float(np.linalg.norm(image))
-        if nrm == 0.0:
-            break
-        probe = image / nrm
+    lam_max = _power_iteration(gram_apply, probe_rng.normal(k))
     lam_hi = 1.05 * lam_max if lam_max > 0 else 1.0
-
     # lmin via power iteration on the reflected operator lam_hi*I - G.
-    probe = probe_rng.normal(k)
-    probe /= np.linalg.norm(probe)
-    reflected = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        image = lam_hi * probe - gram_apply(probe)
-        reflected = float(np.dot(probe, image))
-        nrm = float(np.linalg.norm(image))
-        if nrm == 0.0:
-            break
-        probe = image / nrm
+    reflected = _power_iteration(lambda probe: lam_hi * probe - gram_apply(probe), probe_rng.normal(k))
     lam_min = max(lam_hi - reflected, 0.0)
     step = 2.0 / (lam_min + lam_hi)
 
@@ -463,3 +445,18 @@ def _richardson_normal(gram_apply, coeffs, resid, threshold, max_iter):
             )
         min_norm = min(min_norm, resid_norm)
     return max_iter, resid_norm
+
+
+def _power_iteration(apply, probe):
+    """The largest eigenvalue of the symmetric map ``apply``, estimated by
+    ``_POWER_ITERATIONS`` steps from ``probe``."""
+    probe = probe / np.linalg.norm(probe)
+    value = 0.0
+    for _ in range(_POWER_ITERATIONS):
+        image = apply(probe)
+        value = float(np.dot(probe, image))
+        nrm = float(np.linalg.norm(image))
+        if nrm == 0.0:
+            break
+        probe = image / nrm
+    return value

@@ -37,10 +37,10 @@ STALL_RELATIVE_DECREASE = 1e-6
 
 DEFAULT_COSAMP_MAX_ITER = 100
 
-# CoSaMP solves each refit to a relative tolerance of this share of
-# eta / ||u||: with the restricted isometry keeping the Gram matrix near the
-# identity, the inexact solve moves the residual by about 1% of eta, which
-# the error analysis absorbs (never below DEFAULT_LS_TOL).
+# CoSaMP solves each refit until its normal-equation residual is within this
+# share of eta (and never below DEFAULT_LS_TOL * ||u||): with the restricted
+# isometry keeping the Gram matrix near the identity, the inexact solve moves
+# the residual by about 1% of eta, which the error analysis absorbs.
 COSAMP_LS_ETA_SHARE = 0.01
 
 # ROMP's "r = 0" halt, as a fraction of ||u||: an exact fit leaves round-off
@@ -79,10 +79,10 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     columns, so it needs ``3s <= m`` to keep that system determined.  OMP
     and ROMP refit on a ``GramFactor``, which at the largest support ``k``
     they can reach (``s`` for OMP, ``min(3s - 1, m)`` for ROMP) holds its
-    ``k`` columns of length ``m`` and two ``k x k`` arrays; those may not
-    exceed ``sensing.MAX_DENSE_ENTRIES`` entries.  The operator's shape is
-    not part of the rule.  A non-integral ``s`` is malformed input, not a
-    shape, and raises ``UsageError``.
+    ``k`` columns of length ``m`` and a ``k x k`` inverse factor; those
+    ``k*m + k*k`` entries may not exceed ``sensing.MAX_DENSE_ENTRIES``.
+    The operator's shape is not part of the rule.  A non-integral ``s`` is
+    malformed input, not a shape, and raises ``UsageError``.
     """
     check_integer("sparsity", s)
     if s < 1:
@@ -94,11 +94,11 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     if s > m:
         return f"sparsity {s} exceeds measurement count {m}"
     k = _factor_capacity(algorithm, m, s)
-    entries = k * m + 2 * k * k
+    entries = k * m + k * k
     if entries > MAX_DENSE_ENTRIES:
         return (
             f"{algorithm} with m={m}, s={s} refits on a factor of up to {entries} entries "
-            f"({k} columns of length {m} and two {k} x {k} arrays), more than the cap of "
+            f"({k} columns of length {m} and a {k} x {k} inverse factor), more than the cap of "
             f"{MAX_DENSE_ENTRIES} (sensing.MAX_DENSE_ENTRIES)"
         )
     return None
@@ -173,9 +173,7 @@ def _pursue(
             halted = picked
             break
         refit_support, entry = picked
-        warm = {}
-        if factor is None:
-            warm = {"x0": estimate[refit_support], "start_residual": proxy[refit_support]}
+        warm = {} if factor is not None else {"x0": estimate[refit_support], "start_residual": proxy[refit_support]}
         try:
             solution = restricted_least_squares(op, refit_support, u, tol=ls_tol, factor=factor, **warm)
         except SolverFailure as exc:
@@ -353,11 +351,10 @@ def cosamp(
     ``max_iter`` iterations.  The support changes by pruning, so each
     refit runs CG, as the CoSaMP paper's iterative least-squares step does:
     it starts from the current estimate, whose normal-equation residual is
-    the proxy's slice on the merged support, and stops at a relative
-    tolerance of ``COSAMP_LS_ETA_SHARE * eta / ||u||`` (at least
-    ``DEFAULT_LS_TOL``, which is all it is at ``eta = 0``).  A refit costs
-    one adjoint for ``Phi_T^* u`` and a forward/adjoint pair per CG step;
-    each iterate records the tolerance as ``ls_tol``.
+    the proxy's slice on the merged support, and stops once that residual
+    is within ``max(DEFAULT_LS_TOL * ||u||, COSAMP_LS_ETA_SHARE * eta)``;
+    each iterate records that target over ``||u||`` as ``ls_tol``.  A refit
+    costs a forward/adjoint pair per CG step and nothing else.
     """
     u = _checked("cosamp", op, u, s)
     check_halting(eta, max_iter)

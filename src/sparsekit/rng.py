@@ -4,7 +4,7 @@ Every random draw in this package comes from one fixed, fully documented
 generator.  Its words and index draws are integer arithmetic and match a
 pure-Python reference on any platform.  Its Gaussian variates go through
 numpy's ``log``, ``cos`` and ``sin``, whose last bits can differ between
-CPUs (ROADMAP item 3), so variates, fixtures and benchmark outputs are
+CPUs (ROADMAP item 5), so variates, fixtures and benchmark outputs are
 verified bit for bit across reruns and thread counts on one numpy/BLAS
 build only:
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import UsageError
-from .linalg import as_vector, check_integer
+from .linalg import as_indices, as_values, as_vector, check_integer
 from .rng import SplitMix64
 
 
@@ -101,14 +101,18 @@ class SenseOperator:
         return self._adjoint(v)
 
     def forward_support(self, indices, coeffs) -> np.ndarray:
-        """Apply the operator restricted to columns ``indices``."""
+        """Apply the operator restricted to integer columns ``indices``, one coefficient each (checked in O(1))."""
+        indices = as_indices(indices)
+        coeffs = as_values(coeffs, indices.size, "coeffs")
         self.matvec_count += 1
-        return self._forward_support(np.asarray(indices, dtype=np.int64), np.asarray(coeffs, dtype=np.float64))
+        return self._forward_support(indices, coeffs)
 
     def adjoint_support(self, indices, v) -> np.ndarray:
-        """Rows ``indices`` of the adjoint applied to ``v``."""
+        """Rows ``indices`` of the adjoint applied to a length-m ``v``, checked like ``forward_support``."""
+        indices = as_indices(indices)
+        v = as_values(v, self.m, "v")
         self.matvec_count += 1
-        return self._adjoint_support(np.asarray(indices, dtype=np.int64), np.asarray(v, dtype=np.float64))
+        return self._adjoint_support(indices, v)
 
     # -- hooks ------------------------------------------------------------
 

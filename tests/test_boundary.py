@@ -59,9 +59,11 @@ def test_library_entry_points_refuse_fractional_counts_before_any_draw(monkeypat
 
 # ------------------------------------------------------ the factor's size cap
 
-# OMP's factor at s = 8192 holds 8192 columns of length 16384 and two
-# 8192 x 8192 arrays: 2**28 entries.  ROMP's can reach 3s - 1 columns.
-OVERSIZED_FACTORS = [("omp", 16384, 8192), ("romp", 16384, 3000), ("romp", 8192, 1500)]
+# OMP's factor at s = 8192 holds 8192 columns of length 16384 and an
+# 8192 x 8192 inverse factor: 3 * 2**26 entries.  ROMP's can reach 3s - 1
+# columns: at m = 8192, s = 1688 gives 5063 of them, 67,110,065 entries, the
+# least s over the cap (s = 1687 gives 5060, 67,055,120 entries).
+OVERSIZED_FACTORS = [("omp", 16384, 8192), ("romp", 16384, 3000), ("romp", 8192, 1688)]
 
 
 @pytest.mark.parametrize("algorithm, m, s", OVERSIZED_FACTORS)
@@ -85,9 +87,10 @@ def test_oversized_factor_is_refused_before_any_work(monkeypatch, capsys, algori
 
 
 def test_factor_at_the_cap_is_accepted():
-    # 4096 columns of length 8192 and two 4096 x 4096 arrays: exactly 2**26.
-    assert sparsity_problem("omp", 8192, 4096) is None
-    assert sparsity_problem("omp", 8192, 4097) is not None
+    # 4096 columns of length 12288 and a 4096 x 4096 inverse factor: exactly 2**26.
+    assert sparsity_problem("omp", 12288, 4096) is None
+    assert sparsity_problem("omp", 12288, 4097) is not None
+    assert sparsity_problem("romp", 8192, 1687) is None
     assert sparsity_problem("cosamp", 16384, 5000) is None
 
 

@@ -107,6 +107,21 @@ def test_embed_scatter():
     assert out.tolist() == [0.0, 1.5, 0.0, -2.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "coeffs, indices, message",
+    [
+        ([1.0], [0.5], "indices must be integers"),  # once wrote position 0
+        ([1.0], [True], "indices must be integers"),
+        ([1.0, 2.0], [[0, 1]], "indices must be 1-D"),
+        ([1.0], [0, 1], "coeffs must have length 2"),
+        (1.0, [0, 1], "coeffs must be 1-D"),
+    ],
+)
+def test_embed_refuses_malformed_input(coeffs, indices, message):
+    with pytest.raises(UsageError, match=message):
+        embed(coeffs, indices, 4)
+
+
 # --- restricted_least_squares --------------------------------------------------
 
 # Every input the solver refuses at its entry, with the message it gives;
@@ -136,6 +151,7 @@ BAD_LS_STARTS = {
     "start-length": (dict(x0=np.zeros(2), start_residual=np.zeros(1)), "start_residual must have length 2"),
     "start-nan": (dict(x0=np.zeros(2), start_residual=[np.nan, 0.0]), "start_residual contains NaN"),
     "start-without-x0": (dict(start_residual=np.zeros(2)), "start_residual is the residual at x0"),
+    "x0-without-start": (dict(x0=np.zeros(2)), "x0 and start_residual go together"),
 }
 
 
@@ -220,10 +236,20 @@ def test_ls_stops_at_max_iterations():
 
 
 def test_ls_zero_rhs_short_circuits():
+    # Zero is the exact solution, at no apply on any path.
     op = MatrixOperator(np.eye(4))
-    sol = restricted_least_squares(op, [0, 2], np.zeros(4))
-    assert sol.converged
-    assert np.all(sol.coeffs == 0.0)
+    rhs = np.zeros(4)
+    solutions = [
+        restricted_least_squares(op, [0, 2], rhs, method="cg"),
+        restricted_least_squares(op, [0, 2], rhs, method="richardson"),
+        restricted_least_squares(op, [0, 2], rhs, x0=np.ones(2), start_residual=np.ones(2)),
+        restricted_least_squares(op, [0, 2], rhs, factor=GramFactor(op, rhs, capacity=2)),
+    ]
+    for sol in solutions:
+        assert sol.converged and (sol.iterations, sol.applications) == (0, 0)
+        assert sol.coeffs.tolist() == [0.0, 0.0]
+    assert solutions[-1].residual.tolist() == [0.0] * 4
+    assert op.matvec_count == 0
 
 
 BAD_LS_SETTINGS = {
@@ -297,15 +323,17 @@ def test_ls_warm_start_matches_dense_lstsq(ensemble):
     x0 = expected + 1e-4 * gen.normal(support.size)
     kept = x0.copy()
     start = columns.T @ (rhs - columns @ x0)
-    # Given the start's residual, a solve costs Phi_T^* rhs and a pair per
-    # step; without it, one more pair forms that residual.
-    for given, extra in ((dict(start_residual=start), 0), ({}, 2)):
-        before = op.matvec_count
-        sol = restricted_least_squares(op, support, rhs, x0=x0, **given)
-        assert sol.converged and sol.iterations >= 1
-        assert sol.applications == op.matvec_count - before == 1 + extra + 2 * sol.iterations
-        assert np.linalg.norm(sol.coeffs - expected) <= 1e-8 * np.linalg.norm(expected)
-    assert sol.iterations < restricted_least_squares(op, support, rhs).iterations
+    # From a start given with its residual, a solve costs a forward/adjoint
+    # pair per step; from zero, one more adjoint forms Phi_T^* rhs.
+    before = op.matvec_count
+    sol = restricted_least_squares(op, support, rhs, x0=x0, start_residual=start)
+    assert sol.converged and sol.iterations >= 1
+    assert sol.applications == op.matvec_count - before == 2 * sol.iterations
+    assert np.linalg.norm(sol.coeffs - expected) <= 1e-8 * np.linalg.norm(expected)
+    before = op.matvec_count
+    cold = restricted_least_squares(op, support, rhs)
+    assert cold.applications == op.matvec_count - before == 1 + 2 * cold.iterations
+    assert sol.iterations < cold.iterations
     # Richardson iterates from the same start.
     sol = restricted_least_squares(op, support, rhs, x0=x0, start_residual=start, method="richardson")
     assert sol.converged
@@ -348,7 +376,7 @@ def test_factor_rejects_another_system_or_a_shrinking_support():
         with pytest.raises(UsageError):
             restricted_least_squares(*system, factor=factor)
     with pytest.raises(UsageError, match="takes no start vector"):
-        restricted_least_squares(op, [0, 1, 2], rhs, factor=factor, x0=np.zeros(3))
+        restricted_least_squares(op, [0, 1, 2], rhs, factor=factor, x0=np.zeros(3), start_residual=np.zeros(3))
     assert factor.columns.tolist() == [0, 1]
 
 
@@ -365,8 +393,38 @@ def test_factor_is_sized_once_and_refuses_a_support_past_it():
     before = op.matvec_count
     with pytest.raises(UsageError, match="at most 3 columns, the support has 4"):
         restricted_least_squares(op, [0, 1, 2, 4], rhs, factor=factor)
+    with pytest.raises(UsageError, match="at most 1 columns, the support has 2"):
+        restricted_least_squares(op, [0, 1], np.zeros(10), factor=GramFactor(op, np.zeros(10), capacity=1))
     assert op.matvec_count == before
     sol = restricted_least_squares(op, [1, 2, 4], rhs, factor=factor)
     expected = cholesky_least_squares(op.matrix, [1, 2, 4], rhs)
     assert np.linalg.norm(sol.coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
     assert factor.columns.tolist() == [1, 4, 2]
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli", "partial_dct"])
+def test_factor_normal_residual_is_the_dense_one_against_rhs(ensemble):
+    # The factor forms Phi_T^*(rhs - Phi_T c) from its block; it must match
+    # the dense product, and ``converged`` must weigh it against tol * ||rhs||.
+    op = make_operator(ensemble, 48, 96, seed=101)
+    rhs = SplitMix64(103).normal(48)
+    rhs_norm = float(np.linalg.norm(rhs))
+    dense = op.dense_matrix()
+    factor = GramFactor(op, rhs, capacity=12)
+    residuals = []
+    for support in ([7], [7, 40, 41], [2, 7, 13, 40, 41, 60, 61, 77, 90, 95]):
+        sol = restricted_least_squares(op, support, rhs, factor=factor)
+        columns = dense[:, support]
+        normal = np.linalg.norm(columns.T @ (rhs - columns @ sol.coeffs))
+        assert abs(sol.normal_residual - normal) <= 1e-13 * rhs_norm
+        residuals.append(sol.normal_residual)
+        if sol.normal_residual == 0.0:
+            continue
+        before = op.matvec_count
+        for scale, converged in ((1.01, True), (0.99, False)):
+            tol = scale * sol.normal_residual / rhs_norm
+            again = restricted_least_squares(op, support, rhs, factor=factor, tol=tol)
+            assert again.converged is converged
+            assert again.normal_residual == sol.normal_residual
+        assert op.matvec_count == before
+    assert any(residuals)  # the tolerance was put to the test

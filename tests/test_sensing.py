@@ -68,6 +68,32 @@ def test_restricted_application_matches_full(ensemble):
     np.testing.assert_allclose(op.adjoint_support(support, v), (dense.T @ v)[support], atol=1e-10)
 
 
+# Malformed support applies, refused before the apply by checks that read no
+# entry.  Partial DCT once broadcast one coefficient over two columns, and
+# every ensemble applied column 0 for the float index 0.9.
+BAD_SUPPORT_APPLIES = {
+    "forward-short-coeffs": (lambda op: op.forward_support([0, 1], [1.0]), "coeffs must have length 2"),
+    "forward-long-coeffs": (lambda op: op.forward_support([0], [1.0, 2.0]), "coeffs must have length 1"),
+    "forward-scalar-coeffs": (lambda op: op.forward_support([0, 1], 1.0), "coeffs must be 1-D"),
+    "forward-float-indices": (lambda op: op.forward_support([0.9], [1.0]), "indices must be integers"),
+    "forward-bool-indices": (lambda op: op.forward_support([True], [1.0]), "indices must be integers"),
+    "forward-2-D-indices": (lambda op: op.forward_support([[0, 1]], [1.0, 2.0]), "indices must be 1-D"),
+    "adjoint-short-v": (lambda op: op.adjoint_support([0], np.zeros(op.m - 1)), "v must have length 20"),
+    "adjoint-long-v": (lambda op: op.adjoint_support([0], np.zeros(op.m + 1)), "v must have length 20"),
+    "adjoint-float-indices": (lambda op: op.adjoint_support(np.array([0.0, 1.0]), np.zeros(op.m)), "integers"),
+    "adjoint-bool-indices": (lambda op: op.adjoint_support([False, True], np.zeros(op.m)), "integers"),
+}
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+@pytest.mark.parametrize("call, message", BAD_SUPPORT_APPLIES.values(), ids=BAD_SUPPORT_APPLIES.keys())
+def test_support_applies_refuse_malformed_input(ensemble, call, message):
+    op = make_operator(ensemble, 20, 50, seed=3)
+    with pytest.raises(UsageError, match=message):
+        call(op)
+    assert op.matvec_count == 0
+
+
 @pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
 def test_support_applies_equal_freshly_gathered_columns(ensemble):
     # Dense operators keep the last gathered column block.  Whatever the
