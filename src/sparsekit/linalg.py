@@ -2,14 +2,17 @@
 all pursuit algorithms.
 
 The least-squares solve is matrix-free: it only touches the measurement
-operator through ``forward_support`` / ``adjoint_support``.  It either
-iterates on the normal equations (CG or Richardson, a fixed number of
-operator applications per iteration, from zero or from a start vector
-given with its normal-equation residual) or, for a support that only
-grows, updates a ``GramFactor`` directly at one application per added
-column: the factor holds each column it applied for, and forms the
-correlations and the residual from them.  Every path measures its
-normal-equation residual against ``tol * ||rhs||``.
+operator through ``forward_support`` / ``adjoint_support``, and reports
+the applications it spent as the change in the operator's
+``matvec_count``.  It either iterates on the normal equations (CG or
+Richardson, a fixed number of operator applications per iteration, from
+zero or from a start vector given with its normal-equation residual) or,
+for a support that only grows, updates a ``GramFactor`` directly at one
+application per added column: the factor holds each column it applied
+for, and forms the correlations and the residual from them.  Every path
+measures its normal-equation residual against ``tol * ||rhs||``; the two
+iterations share one loop, which stops there, at ``max_iter``, or on
+divergence, and differ only in their step.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverFailure, UsageError
+from .rng import SplitMix64, derive_seed
 
 DEFAULT_LS_TOL = 1e-10
 DEFAULT_LS_MAX_ITER = 100
@@ -213,6 +217,7 @@ class GramFactor:
         if self._rhs_norm == 0.0:  # zero is the exact solution, at no apply
             zero = np.zeros(len(support))
             return LsSolution(coeffs=zero, iterations=0, converged=True, normal_residual=0.0, residual=self.rhs.copy())
+        start_count = self.operator.matvec_count
         for j in new:
             self._add(j)
         k = self._size
@@ -223,9 +228,9 @@ class GramFactor:
         return LsSolution(
             coeffs=coeffs[np.argsort(self.columns)],
             iterations=0,
-            converged=normal_residual <= tol * self._rhs_norm,
+            converged=bool(normal_residual <= tol * self._rhs_norm),
             normal_residual=normal_residual,
-            applications=len(new),
+            applications=self.operator.matvec_count - start_count,
             residual=residual,
         )
 
@@ -271,8 +276,9 @@ def restricted_least_squares(
     Parameters
     ----------
     op
-        Anything exposing ``m``, ``N``, ``forward_support`` and
-        ``adjoint_support`` (see ``sensing.SenseOperator``).
+        Anything exposing ``m``, ``N``, ``forward_support``,
+        ``adjoint_support`` and ``matvec_count``, which each of the two
+        applies raises by one (see ``sensing.SenseOperator``).
     support : 1-D integer array
         The columns ``T``: strictly increasing, non-negative, below ``N``,
         and at most ``m`` of them.
@@ -320,9 +326,10 @@ def restricted_least_squares(
         for another operator or right-hand side, holding a column outside
         the support or too small for it.
     SolverFailure
-        The residual grew 10x above its running minimum (divergence),
-        naming the offending iteration; or a column new to the factor is
-        numerically dependent on the others (see ``DEPENDENT_COLUMN_RATIO``).
+        The residual grew 10x above its running minimum (divergence), or
+        CG met a non-positive curvature, naming the offending iteration; or
+        a column new to the factor is numerically dependent on the others
+        (see ``DEPENDENT_COLUMN_RATIO``).
     """
     support = as_support(support, below=op.N)
     k = support.size
@@ -354,71 +361,73 @@ def restricted_least_squares(
     if rhs_norm == 0.0:
         return LsSolution(coeffs=np.zeros(k), iterations=0, converged=True, normal_residual=0.0)
 
-    applications = 0
+    start_count = op.matvec_count
 
     def gram_apply(w):
-        nonlocal applications
-        applications += 2
         return op.adjoint_support(support, op.forward_support(support, w))
 
-    threshold = tol * rhs_norm
     if x0 is None:
-        applications += 1
         coeffs, resid = np.zeros(k), op.adjoint_support(support, rhs)
     else:
         coeffs, resid = x0.copy(), start_residual.copy()
-    iterate = _cg_normal if method == "cg" else _richardson_normal
-    iters, resid_norm = iterate(gram_apply, coeffs, resid, threshold, max_iter)
+    if method == "cg":
+        name, step = "normal-equation CG", _cg_step(gram_apply, resid)
+    else:
+        name, step = "Richardson iteration", _richardson_step(gram_apply, k)
+    threshold = tol * rhs_norm
+    resid_norm = float(np.linalg.norm(resid))
+    min_norm = resid_norm
+    iterations = 0
+    # ``not <=`` rather than ``>``: a NaN residual iterates on to the cap.
+    while not resid_norm <= threshold and iterations < max_iter:
+        iterations += 1
+        resid_norm = step(coeffs, resid, iterations)
+        if resid_norm > 10.0 * min_norm:  # min_norm > threshold, so this one has not converged
+            raise SolverFailure(
+                f"{name} diverged at iteration {iterations}: residual "
+                f"{resid_norm:.3e} grew 10x above its minimum {min_norm:.3e}"
+            )
+        min_norm = min(min_norm, resid_norm)
 
     return LsSolution(
         coeffs=coeffs,
-        iterations=iters,
-        converged=resid_norm <= threshold,
+        iterations=iterations,
+        converged=bool(resid_norm <= threshold),
         normal_residual=resid_norm,
-        applications=applications,
+        applications=op.matvec_count - start_count,
     )
 
 
-def _cg_normal(gram_apply, coeffs, resid, threshold, max_iter):
-    """CG on ``G w = b`` from ``coeffs``, whose residual ``b - G coeffs`` is
-    ``resid``; updates both in place and returns the iterations and the
-    final residual norm."""
+def _cg_step(gram_apply, resid):
+    """A conjugate-gradient step on ``G w = b``, started from the residual
+    ``resid``: ``step(coeffs, resid, iteration)`` moves ``coeffs`` and its
+    residual ``b - G coeffs`` in place and returns the new residual norm."""
     direction = resid.copy()
     rho = float(np.dot(resid, resid))
-    resid_norm = float(np.sqrt(rho))
-    min_norm = resid_norm
-    if resid_norm <= threshold:
-        return 0, resid_norm
-    for it in range(1, max_iter + 1):
+
+    def step(coeffs, resid, iteration):
+        nonlocal direction, rho
         gram_dir = gram_apply(direction)
         denom = float(np.dot(direction, gram_dir))
         if denom <= 0.0 or not np.isfinite(denom):
             raise SolverFailure(
-                f"normal-equation CG hit a non-positive curvature at iteration {it}"
+                f"normal-equation CG hit a non-positive curvature at iteration {iteration}"
             )
-        step = rho / denom
-        coeffs += step * direction
-        resid -= step * gram_dir
+        alpha = rho / denom
+        coeffs += alpha * direction
+        resid -= alpha * gram_dir
         rho_next = float(np.dot(resid, resid))
-        resid_norm = float(np.sqrt(rho_next))
-        if resid_norm <= threshold:
-            return it, resid_norm
-        if resid_norm > 10.0 * min_norm:
-            raise SolverFailure(
-                f"normal-equation CG diverged at iteration {it}: residual "
-                f"{resid_norm:.3e} grew 10x above its minimum {min_norm:.3e}"
-            )
-        min_norm = min(min_norm, resid_norm)
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
-    return max_iter, resid_norm
+        return math.sqrt(rho_next)
+
+    return step
 
 
-def _richardson_normal(gram_apply, coeffs, resid, threshold, max_iter):
-    """Fixed-step iteration with the same contract as ``_cg_normal``."""
-    from .rng import SplitMix64, derive_seed
-
-    k = coeffs.size
+def _richardson_step(gram_apply, k):
+    """A fixed-step iteration on ``G w = b`` for ``k`` unknowns, with the
+    contract of ``_cg_step``.  The step ``2/(lmin+lmax)`` is estimated here,
+    once, by power iteration."""
     # Deterministic power-iteration start vectors keyed on the support size.
     probe_rng = SplitMix64(derive_seed(_POWER_ITER_SEED_TAG, k))
     lam_max = _power_iteration(gram_apply, probe_rng.normal(k))
@@ -426,25 +435,14 @@ def _richardson_normal(gram_apply, coeffs, resid, threshold, max_iter):
     # lmin via power iteration on the reflected operator lam_hi*I - G.
     reflected = _power_iteration(lambda probe: lam_hi * probe - gram_apply(probe), probe_rng.normal(k))
     lam_min = max(lam_hi - reflected, 0.0)
-    step = 2.0 / (lam_min + lam_hi)
+    size = 2.0 / (lam_min + lam_hi)
 
-    resid_norm = float(np.linalg.norm(resid))
-    min_norm = resid_norm
-    if resid_norm <= threshold:
-        return 0, resid_norm
-    for it in range(1, max_iter + 1):
-        coeffs += step * resid
-        resid -= step * gram_apply(resid)
-        resid_norm = float(np.linalg.norm(resid))
-        if resid_norm <= threshold:
-            return it, resid_norm
-        if resid_norm > 10.0 * min_norm:
-            raise SolverFailure(
-                f"Richardson iteration diverged at iteration {it}: residual "
-                f"{resid_norm:.3e} grew 10x above its minimum {min_norm:.3e}"
-            )
-        min_norm = min(min_norm, resid_norm)
-    return max_iter, resid_norm
+    def step(coeffs, resid, iteration):
+        coeffs += size * resid
+        resid -= size * gram_apply(resid)
+        return float(np.linalg.norm(resid))
+
+    return step
 
 
 def _power_iteration(apply, probe):

@@ -251,10 +251,12 @@ def romp_regularize(proxy_values) -> np.ndarray:
     Given the candidate proxy values, returns ascending positions (into
     the input array) of a subset whose magnitudes are within a factor of
     two of each other and whose l2 energy is maximal among all such subsets.
-    Scanning maximal windows of the magnitude-sorted order suffices: any
-    comparable subset lives inside some maximal window, whose energy is
-    at least as large.  Ties in energy go to the window whose largest
-    entry has the lowest original position.
+    Maximal windows of the magnitude-sorted order suffice: any comparable
+    subset lives inside some maximal window, whose energy is at least as
+    large.  One sorted search finds where every window ends, and prefix
+    sums of the squared magnitudes give every window's energy.  Ties in
+    energy go to the window whose largest entry has the lowest original
+    position.
     """
     values = as_vector(proxy_values, name="proxy values")
     if values.size == 0:
@@ -264,26 +266,15 @@ def romp_regularize(proxy_values) -> np.ndarray:
 
     order = np.argsort(-np.abs(values), kind="stable")
     mags = np.abs(values)[order]
-    n = mags.size
     energy_prefix = np.concatenate(([0.0], np.cumsum(mags * mags)))
-
-    best_energy = -1.0
-    best_start = 0
-    best_stop = 0
-    stop = 0
-    for start in range(n):
-        if stop < start + 1:
-            stop = start + 1
-        while stop < n and mags[start] <= 2.0 * mags[stop]:
-            stop += 1
-        energy = float(energy_prefix[stop] - energy_prefix[start])
-        better = energy > best_energy
-        tied = energy == best_energy and order[start] < order[best_start]
-        if better or tied:
-            best_energy = energy
-            best_start = start
-            best_stop = stop
-    return np.sort(order[best_start:best_stop])
+    # The window from ``start`` ends before the first magnitude below half
+    # of ``mags[start]``: the count of ``j`` with ``mags[start] <= 2 mags[j]``.
+    stops = np.searchsorted(-2.0 * mags, -mags, side="right")
+    energies = energy_prefix[stops] - energy_prefix[:-1]
+    # nanmax: squares that overflow leave later windows NaN, never the best.
+    tied = np.flatnonzero(energies == np.nanmax(energies))
+    start = tied[np.argmin(order[tied])]
+    return np.sort(order[start : stops[start]])
 
 
 def romp(op, u, s: int) -> RecoveryResult:
@@ -305,11 +296,10 @@ def romp(op, u, s: int) -> RecoveryResult:
 
     def select(proxy, support):
         proxy[support] = 0.0
-        nonzero = int(np.count_nonzero(proxy))
-        if nonzero == 0:
-            return HaltReason.PROXY_ZERO
-        candidates = largest_indices(proxy, min(s, nonzero))
+        candidates = largest_indices(proxy, s)
         candidates = candidates[proxy[candidates] != 0.0]
+        if candidates.size == 0:
+            return HaltReason.PROXY_ZERO
         committed = candidates[romp_regularize(proxy[candidates])]
         if support.size + committed.size > op.m:
             return HaltReason.SUPPORT_CAP
@@ -389,5 +379,5 @@ def cosamp(
 
     norm = float(np.linalg.norm(u))
     halted = HaltReason.RESIDUAL_SMALL if norm <= eta else None
-    ls_tol = DEFAULT_LS_TOL if halted else max(DEFAULT_LS_TOL, COSAMP_LS_ETA_SHARE * eta / norm)
+    ls_tol = DEFAULT_LS_TOL if halted else float(max(DEFAULT_LS_TOL, COSAMP_LS_ETA_SHARE * eta / norm))
     return _pursue("cosamp", op, u, max_iter, select, ls_tol=ls_tol, prune=prune, halt=halt, halted=halted)

@@ -71,8 +71,8 @@ class SenseOperator:
     Bernoulli operators also keep the column block ``matrix[:, T]`` of the
     last support ``T`` they applied, so the repeated Gram applies of one
     iterative restricted least-squares solve (CoSaMP's CG) gather it only
-    once; OMP and ROMP apply one column at a time, which skips the memo,
-    and their ``GramFactor`` holds those columns itself.  Both are plain
+    once; OMP and ROMP apply one column at a time, and their
+    ``GramFactor`` holds those columns itself.  Both are plain
     per-operator state without a lock: recovery calls are single-threaded,
     and when running trials concurrently each trial gets its own operator.
     An operator shared across threads would lose counter increments, and
@@ -164,12 +164,8 @@ class _DenseEnsembleOperator(SenseOperator):
 
         The one-entry memo is keyed on the index values (shape and bytes),
         so a caller that mutates its index array in place never gets a
-        stale block.  A single column is gathered without the memo, so a
-        one-column apply such as OMP's ``forward_support([j])`` leaves the
-        block in place.
+        stale block.
         """
-        if indices.size == 1:
-            return self._matrix[:, indices]
         key = (indices.shape, indices.tobytes())
         cached_key, block = self._gathered
         if key != cached_key:

@@ -225,14 +225,30 @@ def test_ls_residual_orthogonality():
         assert abs(float(np.dot(residual, column))) <= bound
 
 
-def test_ls_stops_at_max_iterations():
+@pytest.mark.parametrize("method", ["cg", "richardson"])
+def test_ls_stops_at_max_iterations(method):
     gen = SplitMix64(61)
     matrix = gen.normal(12 * 3).reshape(12, 3)
     op = MatrixOperator(matrix)
     rhs = gen.normal(12)
-    sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=1e-300, max_iter=1)
-    assert not sol.converged
+    sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=1e-300, max_iter=1, method=method)
+    assert sol.converged is False
     assert sol.iterations == 1
+    assert sol.applications == op.matvec_count
+
+
+@pytest.mark.parametrize("method", ["cg", "richardson", "factor"])
+def test_ls_converged_is_a_python_bool_for_a_numpy_tol(method):
+    gen = SplitMix64(59)
+    matrix = gen.normal(12 * 3).reshape(12, 3)
+    op = MatrixOperator(matrix)
+    rhs = gen.normal(12)
+    tol = np.float64(1e-8)
+    if method == "factor":
+        sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=tol, factor=GramFactor(op, rhs, capacity=3))
+    else:
+        sol = restricted_least_squares(op, [0, 1, 2], rhs, tol=tol, method=method)
+    assert sol.converged is True
 
 
 def test_ls_zero_rhs_short_circuits():
@@ -293,12 +309,20 @@ class BrokenAdjointOperator(MatrixOperator):
         return -super().adjoint_support(indices, v)
 
 
-@pytest.mark.parametrize("method", ["cg", "richardson"])
-def test_ls_divergence_raises_solver_failure(method):
+# Each method's own cause: CG meets the negative curvature before its
+# residual can grow, and Richardson's residual grows past the shared guard.
+FAILURE_MESSAGES = {
+    "cg": "normal-equation CG hit a non-positive curvature at iteration 1$",
+    "richardson": "Richardson iteration diverged at iteration 1: residual",
+}
+
+
+@pytest.mark.parametrize("method, message", FAILURE_MESSAGES.items(), ids=FAILURE_MESSAGES.keys())
+def test_ls_divergence_raises_solver_failure(method, message):
     gen = SplitMix64(67)
     op = BrokenAdjointOperator(gen.normal(12 * 3).reshape(12, 3))
     rhs = gen.normal(12)
-    with pytest.raises(SolverFailure, match="iteration"):
+    with pytest.raises(SolverFailure, match=message):
         restricted_least_squares(op, [0, 1, 2], rhs, method=method)
 
 

@@ -4,6 +4,8 @@ The A7 acceptance checks assert these on fixed seeds; here Hypothesis
 draws the ensemble, the dimensions, the signal and the noise.
 """
 
+import json
+
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -58,6 +60,17 @@ def test_pursuit_structural_invariants(instance):
             assert len(it["proxy_picks"]) <= 2 * s
             assert it["merged_size"] <= 3 * s
             assert len(it["support"]) <= s
+
+
+def test_iterates_are_json_for_numpy_settings():
+    # A numpy sparsity, and CoSaMP's numpy eta, must leave plain Python values
+    # in the trace: JSON refuses a numpy.bool such as ``ls_converged`` was.
+    op = make_operator("partial_dct", 32, 64, seed=5)
+    u, _ = measure(op, gen_sparse(64, 4, seed=6))
+    s = np.int64(4)
+    for result in (omp(op, u, s), romp(op, u, s), cosamp(op, u, np.int64(2), eta=np.float64(1e-3))):
+        assert result.iterates
+        json.dumps(result.iterates)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -56,8 +56,26 @@ def test_regularize_prefers_energy_over_size():
     assert set(picked) == {0}
 
 
+# Magnitudes exactly a factor of two apart sit on a window's boundary, and
+# repeated ones tie; [3] against nine ones ties two windows' energies exactly,
+# which must go to the window whose largest entry comes first.
+BOUNDARY_VALUES = [
+    [4.0, 2.0, 1.0],
+    [1.0, 4.0, 2.0],
+    [1.0, 0.5, 0.5, 0.25],
+    [0.25, -0.5, 1.0, 0.5],
+    [1.0, 1.0, 1.0],
+    [2.0, -2.0, 1.0, 1.0, 0.5, 0.5],
+    [0.5, 0.5, 2.0, 2.0, 1.0, 1.0],
+    [3.0] + [1.0] * 9,
+    [1.0] * 9 + [-3.0],
+    [1.0] * 4 + [3.0] + [-1.0] * 5,
+]
+
+
 def test_regularize_against_brute_force():
     gen = SplitMix64(101)
+    cases = [np.array(values) for values in BOUNDARY_VALUES]
     for trial in range(300):
         size = 1 + index_below(gen, 12)
         values = gen.normal(size)
@@ -65,6 +83,8 @@ def test_regularize_against_brute_force():
         if trial % 5 == 0:
             # quantized magnitudes provoke within-window ties
             values = np.sign(values) * np.maximum(np.round(np.abs(values) * 4) / 4, 0.25)
+        cases.append(values)
+    for values in cases:
         got = set(int(i) for i in romp_regularize(values))
         expected = brute_force_regularize(values.tolist())
         assert got == expected, f"values={values.tolist()}"

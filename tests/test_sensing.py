@@ -104,7 +104,7 @@ def test_support_applies_equal_freshly_gathered_columns(ensemble):
     gen = SplitMix64(13)
     a = np.array([2, 9, 31, 58])
     b = np.array([0, 9, 40, 41, 59])
-    one = np.array([31])  # gathered without the memo, between applies on a
+    one = np.array([31])  # one column, as OMP and ROMP apply: it replaces the block of a
     mutable = a.copy()
     plan = [
         (a, None), (b, None), (a, None), (a, None),  # alternating, then repeated
