@@ -426,18 +426,22 @@ def _cg_step(gram_apply, resid):
 
 def _richardson_step(gram_apply, k):
     """A fixed-step iteration on ``G w = b`` for ``k`` unknowns, with the
-    contract of ``_cg_step``.  The step ``2/(lmin+lmax)`` is estimated here,
-    once, by power iteration."""
-    # Deterministic power-iteration start vectors keyed on the support size.
-    probe_rng = SplitMix64(derive_seed(_POWER_ITER_SEED_TAG, k))
-    lam_max = _power_iteration(gram_apply, probe_rng.normal(k))
-    lam_hi = 1.05 * lam_max if lam_max > 0 else 1.0
-    # lmin via power iteration on the reflected operator lam_hi*I - G.
-    reflected = _power_iteration(lambda probe: lam_hi * probe - gram_apply(probe), probe_rng.normal(k))
-    lam_min = max(lam_hi - reflected, 0.0)
-    size = 2.0 / (lam_min + lam_hi)
+    contract of ``_cg_step``.  The step ``2/(lmin+lmax)`` is estimated by
+    power iteration on the first call, so a start that already meets the
+    tolerance costs no application."""
+    size = None
 
     def step(coeffs, resid, iteration):
+        nonlocal size
+        if size is None:
+            # Deterministic power-iteration start vectors keyed on the support size.
+            probe_rng = SplitMix64(derive_seed(_POWER_ITER_SEED_TAG, k))
+            lam_max = _power_iteration(gram_apply, probe_rng.normal(k))
+            lam_hi = 1.05 * lam_max if lam_max > 0 else 1.0
+            # lmin via power iteration on the reflected operator lam_hi*I - G.
+            reflected = _power_iteration(lambda probe: lam_hi * probe - gram_apply(probe), probe_rng.normal(k))
+            lam_min = max(lam_hi - reflected, 0.0)
+            size = 2.0 / (lam_min + lam_hi)
         coeffs += size * resid
         resid -= size * gram_apply(resid)
         return float(np.linalg.norm(resid))

@@ -218,10 +218,10 @@ class SplitMix64:
         Step ``i`` swaps entry ``i`` with entry ``i + word_i % (population - i)``;
         the modulo bias, below population / 2**64, is accepted for a simple,
         fully specified reduction.  All ``k`` words come from one ``raw(k)``
-        block.  Only the
-        entries moved past the prefix are stored, so the cost is O(k) for
-        any population.  Returns the ``k`` picks in order and the map from
-        each later position that was moved to the entry now there.
+        block.  Only the entries moved past the prefix are stored, so the
+        cost is O(k) for any population.  Returns the ``k`` picks in order
+        and the map from each later position that was moved to the entry
+        now there.
         """
         bounds = np.arange(population, population - k, -1, dtype=np.uint64)
         offsets = (self.raw(k) % bounds).tolist()

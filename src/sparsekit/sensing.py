@@ -8,7 +8,9 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
 * ``bernoulli``  - i.i.d. entries ``+-1/sqrt(m)`` equiprobable.
 * ``partial_dct`` - ``m`` distinct rows of the orthonormal type-II DCT
   matrix, drawn uniformly without replacement and scaled by
-  ``sqrt(N/m)``.  Application uses an O(N log N) fast transform.
+  ``sqrt(N/m)``.  Application uses an O(N log N) fast transform from
+  ``scipy.fft``, which loads when the first partial-DCT operator is
+  built: Gaussian and Bernoulli work never imports scipy.
 
 Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft
 
 from .errors import UsageError
 from .linalg import as_indices, as_values, as_vector, check_integer
@@ -191,14 +192,20 @@ class _PartialDctOperator(SenseOperator):
         rng = SplitMix64(seed)
         self.rows = rng.choose_without_replacement(N, m)
         self._scale = math.sqrt(N / m)
+        # scipy.fft takes most of the package's import time, and only this
+        # ensemble uses it: it loads with the first partial-DCT operator.
+        from scipy import fft
+
+        self._dct = fft.dct
+        self._idct = fft.idct
 
     def _forward(self, x):
-        return self._scale * fft.dct(x, type=2, norm="ortho")[self.rows]
+        return self._scale * self._dct(x, type=2, norm="ortho")[self.rows]
 
     def _adjoint(self, v):
         padded = np.zeros(self.N)
         padded[self.rows] = v
-        return self._scale * fft.idct(padded, type=2, norm="ortho")
+        return self._scale * self._idct(padded, type=2, norm="ortho")
 
     def dense_matrix(self):
         # Closed-form cosine entries, independent of the fft fast path.

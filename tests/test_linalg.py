@@ -235,6 +235,23 @@ def test_ls_stops_at_max_iterations(method):
     assert sol.converged is False
     assert sol.iterations == 1
     assert sol.applications == op.matvec_count
+    # One application for the residual at zero and a pair for the step;
+    # Richardson adds two 30-step power iterations for its step size.
+    assert sol.applications == {"cg": 3, "richardson": 123}[method]
+
+
+@pytest.mark.parametrize("method", ["cg", "richardson"])
+def test_ls_converged_start_costs_no_application(method):
+    op = make_operator("gaussian", 32, 64, 5)
+    support = np.array([3, 17, 40])
+    columns = op.dense_matrix()[:, support]
+    x0 = SplitMix64(67).normal(3)
+    rhs = columns @ x0
+    start_residual = columns.T @ (rhs - columns @ x0)
+    sol = restricted_least_squares(op, support, rhs, x0=x0, start_residual=start_residual, method=method)
+    assert sol.converged is True
+    assert (sol.iterations, sol.applications, op.matvec_count) == (0, 0, 0)
+    assert sol.coeffs.tolist() == x0.tolist()
 
 
 @pytest.mark.parametrize("method", ["cg", "richardson", "factor"])

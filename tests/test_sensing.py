@@ -1,11 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from refstream import reference_normal, reference_signs
-from sparsekit import sensing
+from sparsekit import cli, sensing
 from sparsekit.errors import UsageError
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import (
@@ -412,3 +417,66 @@ def test_ric_deterministic():
     b = empirical_ric(op, 3, 50, seed=9)
     assert a.delta_lower == b.delta_lower
     assert np.array_equal(a.witness, b.witness)
+
+
+# ------------------------------------------------------------- cold start
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this sparsekit; return
+    the JSON object it prints last."""
+    src = Path(sensing.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_dense_work_loads_no_scipy_and_a_partial_dct_operator_loads_it():
+    loaded = run_fresh(f"""
+import contextlib, io, json, sys
+import sparsekit
+import sparsekit.cli
+sparsekit.run_trials(sparsekit.TrialConfig("romp", "bernoulli", 32, 64, 4, 3, 7))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sparsekit.cli.main(["recover", "--alg", "omp", "--ensemble", "gaussian",
+                               "--m", "32", "--N", "64", "--s", "4", "--seed", "3"])
+dense = {SCIPY_MODULES}
+sparsekit.make_operator("partial_dct", 16, 64, 3)
+print(json.dumps({{"code": code, "dense": dense, "dct": "scipy.fft" in sys.modules}}))
+""")
+    assert loaded == {"code": 0, "dense": [], "dct": True}
+
+
+def test_first_scipy_import_inside_the_sweep_pool(tmp_path):
+    # The two workers start on their first trials together, so both can
+    # reach the scipy.fft import while it is loading; the finder records
+    # which thread loads it.
+    argv = ["sweep", "--alg", "omp", "--ensemble", "partial_dct", "--N", "256",
+            "--m-values", "32,64", "--s-values", "4,8", "--trials", "6", "--seed", "3"]
+    pooled = tmp_path / "pooled.csv"
+    loaded = run_fresh(f"""
+import importlib.abc, json, sys, threading
+importers = []
+
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.fft":
+            importers.append(threading.current_thread().name)
+        return None
+
+sys.meta_path.insert(0, Spy())
+import sparsekit.cli
+before = {SCIPY_MODULES}
+code = sparsekit.cli.main({argv!r} + ["--threads", "2", "--out", {str(pooled)!r}])
+print(json.dumps({{"code": code, "before": before, "importers": importers}}))
+""")
+    assert loaded["code"] == 0 and loaded["before"] == []
+    assert len(loaded["importers"]) == 1 and loaded["importers"][0] != "MainThread"
+    serial = tmp_path / "serial.csv"
+    assert cli.main(argv + ["--threads", "1", "--out", str(serial)]) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
