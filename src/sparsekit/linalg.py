@@ -13,6 +13,13 @@ for, and forms the correlations and the residual from them.  Every path
 measures its normal-equation residual against ``tol * ||rhs||``; the two
 iterations share one loop, which stops there, at ``max_iter``, or on
 divergence, and differ only in their step.
+
+Every public call checks its inputs, and each check costs a few numpy
+calls whatever the array's size: ``as_vector`` one ``isfinite`` and its
+``all``, ``as_support`` one neighbour comparison and two bounds read as
+Python ints.  So the pursuits, which pass every refit through
+``restricted_least_squares`` and every apply through the operator's public
+methods, pay the checks each round at that cost rather than skip them.
 """
 
 from __future__ import annotations
@@ -52,9 +59,15 @@ def as_values(x, length=None, name="values") -> np.ndarray:
 def as_vector(x, length=None, name="vector") -> np.ndarray:
     """Validate and return a finite 1-D float64 array."""
     v = as_values(x, length, name)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise UsageError(f"{name} contains NaN or Inf")
     return v
+
+
+def l2_norm(v) -> float:
+    """``||v||_2`` of a contiguous 1-D float64 array as ``sqrt(v . v)``: the
+    bits of ``np.linalg.norm(v)``, which computes exactly that, in one call."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def check_integer(name: str, value, low=None, high=None) -> None:
@@ -98,7 +111,7 @@ def largest_indices(values, k: int) -> np.ndarray:
     # ties go to the lowest position like any other.
     np.copyto(magnitude, -1.0, where=np.isnan(magnitude))
     if k == 1:
-        return np.array([np.argmax(magnitude)], dtype=np.int64)
+        return np.array([magnitude.argmax()], dtype=np.int64)
     kth = np.partition(magnitude, n - k)[n - k]
     keep = magnitude > kth
     ties = np.flatnonzero(magnitude == kth)
@@ -127,10 +140,13 @@ def as_indices(indices, name="indices") -> np.ndarray:
 def as_support(indices, below=None) -> np.ndarray:
     """Validate and return support indices: 1-D int64, strictly increasing, non-negative, under ``below``."""
     idx = as_indices(indices, "support indices")
-    if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-        raise UsageError("support indices must be strictly increasing and non-negative")
-    if idx.size and below is not None and idx[-1] >= below:
-        raise UsageError("support index out of range")
+    if idx.size:
+        # Neighbours compared, not differenced: a difference of two int64
+        # indices can overflow and pass a descending pair.
+        if int(idx[0]) < 0 or (idx.size > 1 and not (idx[1:] > idx[:-1]).all()):
+            raise UsageError("support indices must be strictly increasing and non-negative")
+        if below is not None and int(idx[-1]) >= below:
+            raise UsageError("support index out of range")
     return idx
 
 
@@ -168,10 +184,11 @@ class GramFactor:
     the residual ``r = rhs - Phi_T c`` is one more product with the block,
     and so is the normal-equation residual ``Phi_T^* r``, which every solve
     reports without another apply.  Past the one apply everything is a
-    matrix product on arrays of ``|T|`` rows.  The factor holds ``||rhs||``
-    and four arrays, the columns, the block, ``L^{-1}`` and ``z``, sized once
-    for ``capacity`` columns (at most ``m``), the largest support the caller
-    can reach; a solve on a larger support raises ``UsageError`` before any
+    matrix product on arrays of ``|T|`` rows.  The factor holds ``||rhs||``,
+    its columns also as a set, which finds a support's new columns, and four
+    arrays, the columns, the block, ``L^{-1}`` and ``z``, sized once for
+    ``capacity`` columns (at most ``m``), the largest support the caller can
+    reach; a solve on a larger support raises ``UsageError`` before any
     apply.
     """
 
@@ -181,6 +198,7 @@ class GramFactor:
         self._rhs_norm = float(np.linalg.norm(self.rhs))
         check_integer("capacity", capacity, 1, operator.m)
         self._size = 0
+        self._held = set()  # the columns, as a set of Python ints
         # Sized once for ``capacity`` columns; entries past ``_size`` (and
         # above the diagonal of L^{-1}) stay zero.  Rows of the block past
         # ``_size`` are never read, so it is left unzeroed: pages of columns
@@ -208,9 +226,8 @@ class GramFactor:
         the normal-equation residual is within ``tol * ||rhs||``.
         """
         support = support.tolist()
-        held = set(self.columns.tolist())
-        new = [j for j in support if j not in held]
-        if len(held) + len(new) != len(support):
+        new = [j for j in support if j not in self._held]
+        if len(self._held) + len(new) != len(support):
             raise UsageError("a factor only grows: the support must hold all its columns")
         if len(support) > self._z.size:
             raise UsageError(f"the factor holds at most {self._z.size} columns, the support has {len(support)}")
@@ -221,12 +238,13 @@ class GramFactor:
         for j in new:
             self._add(j)
         k = self._size
+        block = self._block[:k]
         coeffs = self._inverse[:k, :k].T @ self._z[:k]
-        residual = self.rhs - self.block.T @ coeffs
-        normal = self.block @ residual
+        residual = self.rhs - block.T @ coeffs
+        normal = block @ residual
         normal_residual = math.sqrt(float(normal @ normal))
         return LsSolution(
-            coeffs=coeffs[np.argsort(self.columns)],
+            coeffs=coeffs[self._columns[:k].argsort()],
             iterations=0,
             converged=bool(normal_residual <= tol * self._rhs_norm),
             normal_residual=normal_residual,
@@ -237,8 +255,8 @@ class GramFactor:
     def _add(self, j: int) -> None:
         """Grow the factor by column ``j``, at one application."""
         k = self._size
-        phi = self.operator.forward_support(np.array([j], dtype=np.int64), np.ones(1))
-        cross = self.block @ phi
+        phi = self.operator.forward_support(np.array([j], dtype=np.int64), np.array([1.0]))
+        cross = self._block[:k] @ phi
         inverse = self._inverse[:k, :k]
         w = inverse @ cross
         norm2 = float(phi @ phi)
@@ -256,6 +274,7 @@ class GramFactor:
         self._z[k] = (target - float(w @ self._z[:k])) / d
         self._block[k] = phi
         self._columns[k] = j
+        self._held.add(j)
         self._size = k + 1
 
 

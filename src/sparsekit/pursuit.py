@@ -26,6 +26,7 @@ from .linalg import (
     check_integer,
     check_real,
     embed,
+    l2_norm,
     largest_indices,
     restricted_least_squares,
 )
@@ -149,7 +150,10 @@ def _pursue(
     from the current estimate on the refit support, and a forward apply
     forms the residual.  The refit support holds the current one, so the
     proxy's slice on it is the start's normal-equation residual and costs
-    no apply; ``select`` must then leave the proxy as it found it.
+    no apply; ``select`` must then leave the proxy as it found it.  The loop
+    keeps the estimate as its support and coefficients, and embeds it in a
+    length-N vector only where it is read: once after the loop, and each
+    round for ``prune``'s warm start.
     ``halt(norm, previous_norm, support, new_support)`` runs after every
     iteration.
     A ``halted`` reason ends the run before the first iteration, and
@@ -157,10 +161,9 @@ def _pursue(
     """
     start_count = op.matvec_count
     factor = None if prune is not None else GramFactor(op, u, capacity=capacity)
-    support = np.empty(0, dtype=np.int64)
-    estimate = np.zeros(op.N)
+    support, coeffs = np.empty(0, dtype=np.int64), np.empty(0)
     residual = u.copy()
-    norm = float(np.linalg.norm(residual))
+    norm = l2_norm(residual)
     residual_norms = [norm]
     iterates: List[dict] = []
 
@@ -173,24 +176,25 @@ def _pursue(
             halted = picked
             break
         refit_support, entry = picked
-        warm = {} if factor is not None else {"x0": estimate[refit_support], "start_residual": proxy[refit_support]}
+        warm = {}
+        if factor is None:  # the current estimate on the refit support
+            warm = {"x0": embed(coeffs, support, op.N)[refit_support], "start_residual": proxy[refit_support]}
         try:
             solution = restricted_least_squares(op, refit_support, u, tol=ls_tol, factor=factor, **warm)
         except SolverFailure as exc:
             raise SolverFailure(f"{name} iteration {iteration}: {exc}") from exc
-        new_support, coeffs = refit_support, solution.coeffs
+        new_support, new_coeffs = refit_support, solution.coeffs
         if prune is not None:
-            new_support, coeffs, pruned = prune(refit_support, solution.coeffs)
+            new_support, new_coeffs, pruned = prune(refit_support, solution.coeffs)
             entry.update(pruned)
-        estimate = embed(coeffs, new_support, op.N)
         if solution.residual is not None:
             residual = solution.residual
         elif new_support.size:
-            residual = u - op.forward_support(new_support, coeffs)
+            residual = u - op.forward_support(new_support, new_coeffs)
         else:
             residual = u.copy()
         previous_norm = norm
-        norm = float(np.linalg.norm(residual))
+        norm = l2_norm(residual)
         residual_norms.append(norm)
         iterates.append(
             {
@@ -205,10 +209,10 @@ def _pursue(
         )
         if halt is not None:
             halted = halt(norm, previous_norm, support, new_support)
-        support = new_support
+        support, coeffs = new_support, new_coeffs
 
     return RecoveryResult(
-        estimate=estimate,
+        estimate=embed(coeffs, support, op.N),
         support=support,
         iterations=len(iterates),
         residual_norms=residual_norms,
@@ -235,10 +239,11 @@ def omp(op, u, s: int) -> RecoveryResult:
 
     def select(proxy, support):
         proxy[support] = 0.0
-        if not np.any(proxy != 0.0):
+        if not proxy.any():  # for float64, the test ``any(proxy != 0.0)``; NaN counts
             return HaltReason.PROXY_ZERO
         chosen = int(largest_indices(proxy, 1)[0])
-        merged = np.union1d(support, [chosen]).astype(np.int64)
+        # The sorted union: NaN ranks below zero, so the pick may be held already.
+        merged = np.array(sorted({chosen, *support.tolist()}), dtype=np.int64)
         return merged, {"selected": chosen, "support_size": int(merged.size)}
 
     capacity = _factor_capacity("omp", op.m, s)

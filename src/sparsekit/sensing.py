@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_indices, as_values, as_vector, check_integer
+from .linalg import as_support, as_values, as_vector, check_integer
 from .rng import SplitMix64
 
 
@@ -102,15 +102,20 @@ class SenseOperator:
         return self._adjoint(v)
 
     def forward_support(self, indices, coeffs) -> np.ndarray:
-        """Apply the operator restricted to integer columns ``indices``, one coefficient each (checked in O(1))."""
-        indices = as_indices(indices)
+        """Apply the operator restricted to the support ``indices``, one coefficient each.
+
+        A float, bool, repeated, descending, negative or out-of-range index
+        raises ``UsageError``, and so does a wrong number of coefficients;
+        their values go unchecked.
+        """
+        indices = as_support(indices, below=self.N)
         coeffs = as_values(coeffs, indices.size, "coeffs")
         self.matvec_count += 1
         return self._forward_support(indices, coeffs)
 
     def adjoint_support(self, indices, v) -> np.ndarray:
-        """Rows ``indices`` of the adjoint applied to a length-m ``v``, checked like ``forward_support``."""
-        indices = as_indices(indices)
+        """Rows ``indices`` of the adjoint applied to a length-m ``v``; ``indices`` form a support, checked like ``forward_support``."""
+        indices = as_support(indices, below=self.N)
         v = as_values(v, self.m, "v")
         self.matvec_count += 1
         return self._adjoint_support(indices, v)

@@ -39,8 +39,9 @@ class Signal:
         self.values = as_vector(self.values, name="signal values")
         if self.true_support is not None:
             self.true_support = as_support(self.true_support, below=self.values.size)
-            off = np.delete(self.values, self.true_support)
-            if off.size and np.any(off != 0.0):
+            off = self.values.copy()
+            off[self.true_support] = 0.0
+            if off.any():
                 raise UsageError("sparse signal has nonzeros off its declared support")
 
 

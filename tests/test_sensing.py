@@ -89,6 +89,32 @@ BAD_SUPPORT_APPLIES = {
     "adjoint-bool-indices": (lambda op: op.adjoint_support([False, True], np.zeros(op.m)), "integers"),
 }
 
+# Indices that are integers but no support.  A repeated index was applied
+# twice (3*phi_3 on a dense operator, 2*phi_3 on a partial-DCT one for
+# ``forward_support([3, 3], [1, 2])``), a negative one applied column N - k,
+# and one past N raised numpy's IndexError.
+NOT_A_SUPPORT = {
+    "repeated": ([3, 3], "strictly increasing and non-negative"),
+    "descending": ([7, 3], "strictly increasing and non-negative"),
+    "negative": ([-1], "strictly increasing and non-negative"),
+    "negative-in-support": ([-2, 4], "strictly increasing and non-negative"),
+    "at-N": ([49, 50], "support index out of range"),
+    "past-N": ([60], "support index out of range"),
+}
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+@pytest.mark.parametrize("side", ["forward", "adjoint"])
+@pytest.mark.parametrize("indices, message", NOT_A_SUPPORT.values(), ids=NOT_A_SUPPORT.keys())
+def test_support_applies_refuse_indices_that_are_no_support(ensemble, side, indices, message):
+    op = make_operator(ensemble, 20, 50, seed=3)
+    with pytest.raises(UsageError, match=message):
+        if side == "forward":
+            op.forward_support(indices, np.arange(1.0, len(indices) + 1.0))
+        else:
+            op.adjoint_support(indices, np.ones(op.m))
+    assert op.matvec_count == 0
+
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
 @pytest.mark.parametrize("call, message", BAD_SUPPORT_APPLIES.values(), ids=BAD_SUPPORT_APPLIES.keys())

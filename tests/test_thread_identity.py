@@ -1,0 +1,99 @@
+"""Byte identity across thread counts for random configurations.
+
+The README grids are pinned elsewhere; here Hypothesis draws valid
+``TrialConfig``s and small sweeps over every algorithm, ensemble, signal
+kind and noise mode, and each must emit the same CSV and JSON bytes at 1, 2
+and 3 threads.
+"""
+
+import io
+
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from sparsekit import bench
+from sparsekit.errors import UsageError
+
+THREADS = (1, 2, 3)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+algorithms = st.sampled_from(bench.ALGORITHMS)
+ensembles = st.sampled_from(["gaussian", "bernoulli", "partial_dct"])
+noise_modes = st.sampled_from(bench.NOISE_MODES)
+noise_levels = st.sampled_from([0.0, 1e-3, 0.05])
+seeds = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def trial_configs(draw):
+    algorithm = draw(algorithms)
+    N = draw(st.integers(4, 48))
+    m = draw(st.integers(1, N))
+    s = draw(st.integers(1, max(1, m // 3 if algorithm == "cosamp" else m)))
+    kind = draw(st.sampled_from(bench.SIGNAL_KINDS))
+    signal = {}
+    if kind == "sparse":
+        signal["signal_s"] = draw(st.one_of(st.none(), st.integers(0, N)))
+    else:
+        signal.update(p=draw(st.sampled_from([0.5, 0.7, 1.0])), R=draw(st.sampled_from([1.0, 3.0])))
+        signal["signal_truncate"] = draw(st.booleans())
+    halting = {}
+    if algorithm == "cosamp":
+        halting["max_iter"] = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            halting["eta_rel"] = draw(st.sampled_from([0.0, 1e-8, 0.01]))
+        else:
+            halting["eta"] = draw(st.sampled_from([0.0, 1e-6, 0.1]))
+    cfg = bench.TrialConfig(
+        algorithm, draw(ensembles), m, N, s, draw(st.integers(1, 6)), draw(seeds),
+        signal_kind=kind, noise_mode=draw(noise_modes), noise_level=draw(noise_levels),
+        **signal, **halting,
+    )
+    try:
+        return cfg.validate()
+    except UsageError:
+        reject()
+
+
+def batch_bytes(cfg, threads):
+    records = bench.run_trials(cfg, threads=threads)
+    csv = io.StringIO()
+    bench.write_trials_csv(csv, cfg, records)
+    return csv.getvalue(), bench.render_json(bench.trials_report(cfg, records))
+
+
+@SETTINGS
+@given(trial_configs())
+def test_random_batches_emit_the_same_bytes_at_any_thread_count(cfg):
+    serial = batch_bytes(cfg, 1)
+    for threads in THREADS[1:]:
+        assert batch_bytes(cfg, threads) == serial
+
+
+@st.composite
+def sweeps(draw):
+    N = draw(st.integers(4, 40))
+    m_values = draw(st.lists(st.integers(1, N + 2), min_size=1, max_size=3, unique=True))
+    s_values = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2, unique=True))
+    options = dict(noise_mode=draw(noise_modes), noise_level=draw(noise_levels))
+    if draw(st.booleans()):
+        options["eta_rel"] = draw(st.sampled_from([0.0, 0.01]))
+    args = (N, m_values, s_values, draw(ensembles), draw(algorithms), draw(st.integers(1, 4)), draw(seeds))
+    return args, options
+
+
+def sweep_bytes(args, options, threads):
+    cells = bench.phase_sweep(*args, threads=threads, **options)
+    config = {"args": list(args[:6]), "master_seed": args[6], **options}
+    csv = io.StringIO()
+    bench.write_sweep_csv(csv, config, cells)
+    return csv.getvalue(), bench.render_json(bench.sweep_report(config, cells))
+
+
+@SETTINGS
+@given(sweeps())
+def test_random_sweeps_emit_the_same_bytes_at_any_thread_count(sweep):
+    args, options = sweep
+    serial = sweep_bytes(args, options, 1)
+    for threads in THREADS[1:]:
+        assert sweep_bytes(args, options, threads) == serial
