@@ -120,8 +120,8 @@ def largest_indices(values, k: int) -> np.ndarray:
 
 
 def embed(coeffs, indices, length: int) -> np.ndarray:
-    """Scatter ``coeffs`` onto positions ``indices`` of a zero length-``length`` vector."""
-    indices = as_indices(indices)
+    """Scatter ``coeffs`` onto the support ``indices`` of a zero length-``length`` vector."""
+    indices = as_support(indices, below=length)
     out = np.zeros(length)
     out[indices] = as_values(coeffs, indices.size, "coeffs")
     return out

@@ -38,9 +38,10 @@ from .rng import SplitMix64
 
 
 # Gaussian and Bernoulli operators store their m * N entries as float64.  A
-# fresh draw peaks at the entries plus under 1 MiB of generator scratch (1.09
-# times the entries at 512 x 2048, by tracemalloc); inside a ``shared_draw``
-# block of the same m, building the operator peaks at twice the entries: the
+# fresh draw peaks at the entries plus under 1 MiB of generator scratch, that
+# of both threads when a Gaussian draw is split (at 512 x 2048, by
+# tracemalloc: 1.08 times the entries split, 1.07 on one thread); inside a
+# ``shared_draw`` block of the same m, building the operator peaks at twice the entries: the
 # block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
 # larger dense operator, or a partial-DCT operator whose length-N signal,
 # proxy and transform vectors would each exceed it, is refused as a usage

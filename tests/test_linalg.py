@@ -115,6 +115,11 @@ def test_embed_scatter():
         ([1.0, 2.0], [[0, 1]], "indices must be 1-D"),
         ([1.0], [0, 1], "coeffs must have length 2"),
         (1.0, [0, 1], "coeffs must be 1-D"),
+        ([1.0], [-1], "strictly increasing and non-negative"),  # once wrote position 3
+        ([1.0, 2.0], [3, 3], "strictly increasing"),  # once kept only the 2.0
+        ([1.0, 2.0], [3, 1], "strictly increasing"),
+        ([1.0], [4], "out of range"),  # once raised numpy's IndexError
+        ([1.0], [7], "out of range"),
     ],
 )
 def test_embed_refuses_malformed_input(coeffs, indices, message):

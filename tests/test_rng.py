@@ -1,8 +1,12 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from refstream import MASK, reference_normal, reference_signs, reference_stream, uniform, word
 from sparsekit import rng
@@ -150,6 +154,128 @@ def test_large_draw_allocates_little_beyond_its_result(method):
         tracemalloc.stop()
     assert out.nbytes == 2**23
     assert peak <= out.nbytes + 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+# Split draws at a block of 12 words, so a few dozen words make a draw that
+# splits, into half blocks of 6 words (3 Box-Muller pairs).  EDGE_SIZES holds
+# 0, 1, odd sizes, and one word either side of a block boundary, of the split
+# size (itself a block boundary) and of a half-block boundary past it.
+SPLIT_BLOCK = 12
+SPLIT_WORDS = rng._SPLIT_BLOCKS * SPLIT_BLOCK
+EDGE_SIZES = [0, 1, 3, 5, 11, 12, 13, SPLIT_WORDS - 1, SPLIT_WORDS, SPLIT_WORDS + 1, SPLIT_WORDS + 2,
+              SPLIT_WORDS + 5, SPLIT_WORDS + 6, SPLIT_WORDS + 7, 4 * SPLIT_WORDS + 1]
+
+
+def interleaved_draws(seed, position, sizes, cores):
+    """``raw``, ``normal`` and ``signs`` at each size in turn, from one
+    generator at ``position`` with a block of ``SPLIT_BLOCK`` words, as a
+    process on ``cores`` cores makes them: each output with the position
+    after it.  The switch interval is shortened so that the helper thread
+    takes blocks of even these small draws."""
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_BLOCK", SPLIT_BLOCK)
+            patch.setattr(rng, "_cores", lambda: cores)
+            gen = SplitMix64(seed)
+            gen.raw(position)
+            return [(getattr(gen, method)(n), gen.position) for n in sizes for method in ("raw", "normal", "signs")]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, MASK),
+    position=st.integers(0, 40),
+    sizes=st.lists(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 6 * SPLIT_WORDS)), min_size=1, max_size=3),
+)
+@example(seed=0x5EED, position=1, sizes=EDGE_SIZES)
+def test_split_draws_match_the_oracles_and_one_thread(seed, position, sizes):
+    split = interleaved_draws(seed, position, sizes, cores=2)
+    one = interleaved_draws(seed, position, sizes, cores=1)
+    assert [(a.dtype, a.tobytes(), p) for a, p in split] == [(b.dtype, b.tobytes(), q) for b, q in one]
+    draws = iter(split)
+    for n in sizes:
+        oracles = {
+            "raw": lambda: np.array(reference_stream(seed, position + n)[position:], dtype=np.uint64),
+            "normal": lambda: reference_normal(seed, n, position=position),
+            "signs": lambda: reference_signs(seed, n, position=position),
+        }
+        for method, oracle in oracles.items():
+            got, after = next(draws)
+            want = oracle()
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (method, n)
+            position += 2 * ((n + 1) // 2) if method == "normal" else n
+            assert after == position, (method, n)
+
+
+def split_size():
+    """A normal draw that splits at the module's block size: one block and
+    one pair past the split size."""
+    return (rng._SPLIT_BLOCKS + 1) * rng._BLOCK + 2
+
+
+def test_helper_blocks_land_in_place(monkeypatch):
+    # The caller's first block waits until the helper has mixed words, so on
+    # any machine the helper makes part of the draw.
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    caller = threading.get_ident()
+    helped = threading.Event()
+    mix = rng._mix64_array
+
+    def mix_once_helped(z, shifted):
+        if threading.get_ident() == caller:
+            assert helped.wait(30)
+        else:
+            helped.set()
+        return mix(z, shifted)
+
+    monkeypatch.setattr(rng, "_mix64_array", mix_once_helped)
+    got = SplitMix64(11).normal(split_size())
+    assert helped.is_set()
+    monkeypatch.setattr(rng, "_cores", lambda: 1)
+    gen = SplitMix64(11)
+    assert got.tobytes() == gen.normal(split_size()).tobytes()
+    assert gen.position == split_size()
+
+
+def test_helper_error_reaches_the_caller(monkeypatch):
+    # A block the helper fails to make would leave its slice unwritten: the
+    # draw must raise, not return.
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    mix = rng._mix64_array
+
+    def mix_failing_on_the_helper(z, shifted):
+        if threading.get_ident() == caller:
+            assert failed.wait(30)
+            return mix(z, shifted)
+        failed.set()
+        raise MemoryError("helper scratch")
+
+    monkeypatch.setattr(rng, "_mix64_array", mix_failing_on_the_helper)
+    with pytest.raises(MemoryError, match="helper scratch"):
+        SplitMix64(11).normal(split_size())
+
+
+def test_busy_helper_does_not_stall_a_split_draw(monkeypatch):
+    # The helper is held by another job for the whole draw, as by another
+    # thread's draw: the caller makes every block itself and returns.
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    release = threading.Event()
+    held = rng._HELPER.submit(lambda: release.wait(10))
+    try:
+        got = SplitMix64(13).normal(split_size())
+        assert not held.done()
+    finally:
+        release.set()
+    assert held.result(timeout=10)
+    monkeypatch.setattr(rng, "_cores", lambda: 1)
+    assert got.tobytes() == SplitMix64(13).normal(split_size()).tobytes()
 
 
 def reference_fisher_yates(seed, population, steps):
