@@ -35,7 +35,7 @@ from .sensing import as_ensemble, check_dense_size, make_operator, shape_problem
 from .signals import Signal, check_compressible, check_noise_level, check_sparse, gen_compressible, gen_sparse
 from .signals import head, measure, tail_l1
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Exact recovery means relative l2 error at or below this; the margin
 # separates least-squares round-off from genuine support errors.
@@ -176,7 +176,12 @@ class TrialRecord:
 
 
 def trial_seeds(master_seed: int, trial_index: int) -> dict:
-    """Per-trial seeds for the operator, signal, and noise streams."""
+    """Per-trial seeds for the operator, signal, and noise streams.
+
+    Trial ``i``'s seed is ``derive_seed(master_seed, i)``, which mixes the
+    master seed first, so different master seeds run different trials;
+    each stream's seed folds its tag into the trial's.
+    """
     trial_seed = derive_seed(master_seed, trial_index)
     return {
         "operator": derive_seed(trial_seed, _STREAM_OPERATOR),

@@ -1,41 +1,48 @@
 """Seeded random number generation from one documented bit stream.
 
 Every random draw in this package comes from one fixed, fully documented
-generator.  Its words and index draws are integer arithmetic and match a
-pure-Python reference on any platform.  Its Gaussian variates go through
-numpy's ``log``, ``cos`` and ``sin``, whose last bits can differ between
-CPUs (ROADMAP item 5), so variates, fixtures and benchmark outputs are
-verified bit for bit across reruns and thread counts on one numpy/BLAS
-build only:
+generator.  Every draw is integer arithmetic plus IEEE 754 double add,
+subtract, multiply, divide and square root, each correctly rounded, in a
+fixed order: no draw calls the platform's ``log``, ``exp`` or trig
+functions, so the bits of every draw are the same on every CPU and match
+the tests' pure-Python reference:
 
 * Bit stream: SplitMix64.  Output ``i`` (0-based) for seed ``s`` is
   ``mix64((s + (i + 1) * 0x9E3779B97F4A7C15) mod 2**64)`` where ``mix64``
   is the standard SplitMix64 finalizer (xor-shift 30 / multiply
   0xBF58476D1CE4E5B9 / xor-shift 27 / multiply 0x94D049BB133111EB /
   xor-shift 31).
-* Gaussians: the Box-Muller transform on pairs of words, each taken as
-  its top 53 bits scaled by 2**-53 (no ziggurat, no rejection).
+* Gaussians: a ziggurat (Marsaglia & Tsang, "The Ziggurat Method for
+  Generating Random Variables", J. Stat. Softw. 5(8), 2000) of 1024
+  layers.  Variate ``i`` of a draw comes from the word at its stream
+  position: bits 0-9 pick the layer, bit 10 the sign and the top 53 bits
+  the magnitude ``u``, so the layer and the value take disjoint bits
+  (Doornik, "An Improved Ziggurat Method to Generate Normal Random
+  Samples", 2005).  When ``u`` is below the layer's integer bound, the
+  variate is ``+-u`` times the layer's width over 2**53: one exact compare
+  and one correctly rounded multiply, taken by 99.57 % of words.  The rest
+  are resolved from side streams: attempt ``a`` for the variate at stream
+  position ``p`` reads words ``2p`` and ``2p + 1`` of
+  ``SplitMix64(derive_seed(seed, 0x5A16, a))`` for a wedge test, a tail
+  draw or, after a failed wedge test, a fresh word.  The wedge and tail
+  tests use ``_log``, fdlibm's logarithm built from basic operations, and
+  the layer tables are computed from three pinned constants the same way.
 * Blocks: ``raw``, ``normal`` and ``signs`` make their words a fixed
   ``_BLOCK`` at a time and map each block into its slice of the result
-  while it is in cache.  Every step is elementwise, so no bit of any draw
-  depends on the block size, on where a draw's blocks start, or on which
-  thread makes a block.  A large ``normal`` draw in a process that may run
-  on more than one core shares its blocks between the calling thread and
-  one helper thread, started by the first such draw; its bytes and the
-  stream positions it consumes are those of a draw on one thread.
-* Derived seeds: ``derive_seed(master, *parts)`` folds each integer part
-  into the state with one mix64 round.  Trial ``i`` of a benchmark uses
-  ``derive_seed(master_seed, i)``, and the operator / signal / noise
-  streams inside a trial use stream tags ``derive_seed(trial_seed, tag)``
-  with tags 1, 2, 3 respectively (see ``bench``).
+  while it is in cache.  A variate depends only on its stream position,
+  so no bit of any draw depends on the block size or on where a draw's
+  blocks start.  Every draw runs on its calling thread.
+* Derived seeds: ``derive_seed(master, *parts)`` mixes the master seed,
+  then folds each integer part into the state with one mix64 round.
+  Trial ``i`` of a benchmark uses ``derive_seed(master_seed, i)``, and
+  the operator / signal / noise streams inside a trial use stream tags
+  ``derive_seed(trial_seed, tag)`` with tags 1, 2, 3 respectively (see
+  ``bench``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,55 +64,29 @@ _SHIFT_31 = np.uint64(31)
 # for a set bit and -1.0 for a clear one.
 _TOP_BIT = np.uint64(1 << 63)
 _MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)
-# Box-Muller's angle scale in one factor: 2*pi*2**-53 only rescales 2*pi by
-# a power of two, so ``w * _ANGLE_SCALE`` rounds to the same double as
-# ``(w * 2**-53) * (2 * pi)``.
-_ANGLE_SCALE = 2.0 * math.pi * _INV_2_53
+# A word's low 11 bits: its ziggurat layer (bits 0-9) and sign (bit 10).
+_INDEX_BITS = 0x7FF
+_LOW_BITS = np.uint64(_INDEX_BITS)
+_LAYER_BITS = 0x3FF
+_ONE = np.uint64(1)
+_TWO_GAMMA = np.uint64(2 * _GAMMA & _MASK64)
+# The tag of the ziggurat's side streams, one per attempt (``derive_seed``).
+_SIDE_TAG = 0x5A16
+# A draw resolves its rejected words together, at most _RESOLVE_CHUNK at a
+# time, which bounds the memory of an array round.  A chunk of more than
+# _SCALAR_REJECTS words runs their first attempt on arrays, about 70 numpy
+# calls, else resolves each in Python; the two took about as long at 30
+# words.  The bits do not depend on either constant.
+_SCALAR_REJECTS = 24
+_RESOLVE_CHUNK = 1024
 
 # Words are made _BLOCK at a time (256 KiB of uint64), so each block is
-# generated, mixed and mapped while it sits in cache.  Even, so a block
-# always holds whole Box-Muller pairs.  _RAMP[j] is (j + 1) * GAMMA mod 2**64:
-# a block's counters are this ramp plus the block's offset.
+# generated, mixed and mapped while it sits in cache.  _RAMP[j] is
+# (j + 1) * GAMMA mod 2**64: a block's counters are this ramp plus the
+# block's offset.
 _BLOCK = 2**15
 _RAMP = np.arange(1, _BLOCK + 1, dtype=np.uint64)
 _RAMP *= np.uint64(_GAMMA)
-# A normal draw of more than _SPLIT_BLOCKS blocks (2**16 words) is shared
-# with a helper thread.  Measured on two cores against one thread, a split
-# draw took 0.54-0.66 times as long from 2**17 words on, 0.65-0.70 at 2**16
-# and 0.77-0.86 at 2**15 with the other core idle; with it busy, 0.96-1.05
-# times from 2**17 on, 1.07 at 2**16 and 1.10 at 2**15.  Signs and raw words
-# never split: they cost too little per word for handing blocks over to pay.
-_SPLIT_BLOCKS = 2
-
-
-def _cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-class _Helper:
-    """The one thread that takes blocks of split draws beside their callers,
-    started by the first draw that splits."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pool = None
-
-    def submit(self, fn):
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(1, thread_name_prefix="sparsekit-rng")
-            return self._pool.submit(fn)
-
-
-_HELPER = _Helper()
-if hasattr(os, "register_at_fork"):
-    # A forked child has no helper thread, and a lock held at the fork stays
-    # held there: the child starts its own helper when it first needs one.
-    os.register_at_fork(after_in_child=_HELPER.__init__)
 
 
 def mix64(value: int) -> int:
@@ -120,10 +101,13 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     """Derive a child seed from a master seed and integer labels.
 
     The rule is ``h <- mix64((h + GAMMA) XOR part)`` applied left to
-    right, starting from ``h = master_seed mod 2**64``.  Used for
-    per-trial seeds and per-stream seeds inside a trial.
+    right, starting from ``h = mix64(master_seed + GAMMA)``.  The master
+    is mixed first so that different masters have unrelated children:
+    folded in unmixed, it gave ``derive_seed(5, i) == derive_seed(7, i ^ 6)``
+    for every ``i``, so masters 5 and 7 ran the same trials in another
+    order.  Used for per-trial seeds and per-stream seeds inside a trial.
     """
-    h = master_seed & _MASK64
+    h = mix64(master_seed + _GAMMA)
     for part in parts:
         h = mix64(((h + _GAMMA) & _MASK64) ^ (part & _MASK64))
     return h
@@ -147,19 +131,23 @@ class SplitMix64:
     """Seedable counter-based SplitMix64 stream.
 
     Every draw consumes a documented number of stream positions, so
-    generation is reproducible regardless of block sizes.  ``raw(n)`` and
-    ``signs(n)`` consume ``n``; ``normal(n)`` always consumes
-    ``2 * ceil(n / 2)``.  ``choose_without_replacement(population, k)``
-    consumes exactly ``k`` positions and ``permutation(n)`` consumes
-    ``max(n - 1, 0)``: one word per Fisher-Yates step, reduced modulo the
-    population still unpicked at that step.  A large ``raw``, ``normal`` or
-    ``signs`` draw allocates its result and two blocks (512 KiB) of scratch:
-    on one thread, or half on each thread of a split draw.
+    generation is reproducible regardless of block sizes.  ``raw(n)``,
+    ``normal(n)`` and ``signs(n)`` consume ``n``; a Gaussian variate whose
+    word the ziggurat rejects reads side streams keyed by its position,
+    never later positions of this one.
+    ``choose_without_replacement(population, k)`` consumes exactly ``k``
+    positions and ``permutation(n)`` consumes ``max(n - 1, 0)``: one word
+    per Fisher-Yates step, reduced modulo the population still unpicked at
+    that step.  A large ``raw``, ``normal`` or ``signs`` draw allocates its
+    result and two blocks (512 KiB) of scratch; ``normal`` adds a block's
+    reject mask (32 KiB), the positions of its rejected words (0.43 % of
+    the draw) and arrays for resolving 1024 of them at a time.
     """
 
     def __init__(self, seed: int):
         self._seed = seed & _MASK64
         self._position = 0
+        self._side_seeds = []
 
     @property
     def position(self) -> int:
@@ -187,12 +175,20 @@ class SplitMix64:
         return out
 
     def normal(self, n: int) -> np.ndarray:
-        """``n`` standard normal doubles via Box-Muller."""
-        size = 2 * ((n + 1) // 2)
-        start = self._take(size)
-        out = np.empty(size)
-        self._fill(out, start, self._normal_block, split=True)
-        return out[:n]
+        """``n`` standard normal doubles from the ziggurat, one per position.
+
+        The blocks take the fast path; the words it rejects, about 0.43 %,
+        are then resolved together, so a large draw pays the fixed cost of
+        resolving them once.
+        """
+        start = self._take(n)
+        out = np.empty(n)
+        rejects = [block for block in self._fill(out, start, self._normal_block) if block is not None]
+        if rejects:
+            positions, layers = rejects[0] if len(rejects) == 1 else map(np.concatenate, zip(*rejects))
+            for lo in range(0, positions.size, _RESOLVE_CHUNK):
+                self._resolve(start, out, positions[lo : lo + _RESOLVE_CHUNK], layers[lo : lo + _RESOLVE_CHUNK])
+        return out
 
     def signs(self, n: int) -> np.ndarray:
         """``n`` equiprobable +-1.0 values (top bit of each word)."""
@@ -201,73 +197,111 @@ class SplitMix64:
         self._fill(out, start, self._signs_block)
         return out
 
-    def _fill(self, out: np.ndarray, start: int, fill, split: bool = False) -> None:
+    def _fill(self, out: np.ndarray, start: int, fill) -> list:
         """Fill ``out`` from stream position ``start`` on, a block at a time:
         ``fill(first, dest, scratch)`` maps the words from position ``first``
-        on into the block's slice ``dest``, with scratch of twice its size
-        that belongs to the thread making it.
-
-        With ``split``, a draw of more than ``_SPLIT_BLOCKS`` blocks in a
-        process that may run on more than one core is shared: the caller and
-        the helper thread take half blocks from one counter, so together
-        they hold the scratch of one thread.  The caller never waits for a
-        block it could take itself.  Once none is left, it cancels the
-        helper's share if the helper has not started it (it may still be
-        busy with another thread's draw), else waits for the block the
-        helper is making.
-        """
-        size = out.size
-        if not (split and size > _SPLIT_BLOCKS * _BLOCK and _cores() > 1):
-            scratch = np.empty(2 * min(size, _BLOCK), np.uint64)
-            for lo in range(0, size, _BLOCK):
-                fill(start + lo, out[lo : lo + _BLOCK], scratch)
-            return
-        block = _BLOCK // 4 * 2  # half a block, in whole Box-Muller pairs
-        blocks = iter(range(0, size, block))
-        lock = threading.Lock()
-
-        def take_blocks():
-            scratch = np.empty(2 * block, np.uint64)
-            while True:
-                with lock:
-                    lo = next(blocks, None)
-                if lo is None:
-                    return
-                fill(start + lo, out[lo : lo + block], scratch)
-
-        helped = _HELPER.submit(take_blocks)
-        take_blocks()
-        if not helped.cancel():
-            helped.result()
+        on into the block's slice ``dest``, with scratch of twice its size.
+        Returns what each ``fill`` returned."""
+        scratch = np.empty(2 * min(out.size, _BLOCK), np.uint64)
+        return [fill(start + lo, out[lo : lo + _BLOCK], scratch) for lo in range(0, out.size, _BLOCK)]
 
     def _raw_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
         _mix64_array(self._counters(first, dest.size, dest), scratch[: dest.size])
 
-    def _normal_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
-        # Variates 2i and 2i + 1 come from words 2i and 2i + 1.  ``dest`` is
-        # the mix's scratch until the variates land in it, and the spent words
-        # hold each trig value.
-        half = dest.size // 2
-        words = self._counters(first, dest.size, scratch[: dest.size])
-        z = _mix64_array(words, dest.view(np.uint64))
-        z >>= _SHIFT_11
-        radius = scratch[dest.size : dest.size + half].view(np.float64)
-        angle = scratch[dest.size + half : 2 * dest.size].view(np.float64)
-        trig = words[:half].view(np.float64)
-        # u1 in (0, 1] so log never sees zero; u2 in [0, 1).  The strided
-        # halves are read into contiguous arrays: numpy may take another loop
-        # for strided input, and the bits of log/cos/sin must not depend on
-        # that.
-        np.add(z[0::2], 1.0, radius)
-        radius *= _INV_2_53
-        np.multiply(z[1::2], _ANGLE_SCALE, angle)
-        np.log(radius, radius)
-        radius *= -2.0
-        np.sqrt(radius, radius)
-        np.cos(angle, trig)
-        np.multiply(radius, trig, dest[0::2])
-        np.sin(angle, trig)
-        np.multiply(radius, trig, dest[1::2])
+    def _normal_block(self, first: int, dest: np.ndarray, scratch: np.ndarray):
+        """The ziggurat's fast path for every word of a block at once: the low
+        11 bits pick a bound and a signed width from 2048-entry tables, and
+        the top 53 bits are the magnitude.  ``dest`` holds the bounds until
+        the variates land in it.  Returns the stream positions and layers of
+        the rejected words, whose slots hold their signed values, or None if
+        there are none."""
+        n = dest.size
+        words = _mix64_array(self._counters(first, n, scratch[:n]), scratch[n : 2 * n])
+        index = np.bitwise_and(words, _LOW_BITS, scratch[n : 2 * n]).view(np.int64)
+        magnitude = np.right_shift(words, _SHIFT_11, words).view(np.int64)
+        rejected = (magnitude >= _ZIG_BOUND.take(index, out=dest.view(np.int64), mode="wrap")).nonzero()[0]
+        np.multiply(magnitude, _ZIG_WIDTH.take(index, out=dest, mode="wrap"), dest)
+        if rejected.size:
+            return rejected + first, index[rejected] & _LAYER_BITS
+        return None
+
+    def _side_seed(self, attempt: int) -> int:
+        """The seed of the ziggurat's side stream for ``attempt``."""
+        while len(self._side_seeds) <= attempt:
+            self._side_seeds.append(derive_seed(self._seed, _SIDE_TAG, len(self._side_seeds)))
+        return self._side_seeds[attempt]
+
+    def _resolve(self, start: int, out: np.ndarray, positions: np.ndarray, layer: np.ndarray) -> None:
+        """Finish the variates at stream ``positions`` of a draw ``out`` from
+        position ``start``, whose words in layers ``layer`` failed the fast
+        test; their slots hold their signed values ``+-u * width``.
+
+        With more than ``_SCALAR_REJECTS`` of them, attempt 0 runs on arrays,
+        in the operations of ``_resolve_one`` and their order; the variates
+        it leaves open, and all of a smaller set, go through
+        ``_resolve_one``.
+        """
+        value = out[positions - start]
+        attempt = 0
+        if positions.size > _SCALAR_REJECTS:
+            seed = self._side_seed(0)
+            starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
+            keys = positions.astype(np.uint64) * _TWO_GAMMA
+            words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
+            uniform = ((words >> _SHIFT_11) + _ONE) * _INV_2_53
+            uniform[0] *= _WEDGE_SPAN[layer]
+            uniform[0] += _WEDGE_BASE[layer]
+            logs = _log(uniform, np.frexp)
+            tail = layer == 0
+            excess = logs[0] / -_ZIG_R
+            taken = np.where(tail, -2.0 * logs[1] > excess * excess, -2.0 * logs[0] > value * value)
+            index = (words[1] & _LOW_BITS).view(np.int64)
+            u = (words[1] >> _SHIFT_11).view(np.int64)
+            # A tail keeps its sign, taken or not; a failed wedge test takes
+            # the fresh word's value.
+            value = np.where(tail, np.copysign(_ZIG_R + excess, value), np.where(taken, value, u * _ZIG_WIDTH[index]))
+            out[positions - start] = value
+            left = ~taken & (tail | (u >= _ZIG_BOUND[index]))
+            if not left.any():
+                return
+            positions, value = positions[left], value[left]
+            layer = np.where(tail, 0, index & _LAYER_BITS)[left]
+            attempt = 1
+        for position, j, x in zip(positions.tolist(), layer.tolist(), value.tolist()):
+            out[position - start] = self._resolve_one(position, j, x, attempt)
+
+    def _resolve_one(self, position: int, layer: int, value: float, attempt: int) -> float:
+        """The variate at stream position ``position`` whose word, in layer
+        ``layer`` with signed value ``value``, failed the fast test, from
+        ``attempt`` on.
+
+        Attempt ``a`` reads side words ``2p`` and ``2p + 1`` of the side
+        stream for ``a``, at ``p = position``.  In the base layer (0) the
+        variate lies past the last layer's edge ``R``: the words give
+        ``e0 = -log(u0)`` and ``e1 = -log(u1)``, and ``+-(R + e0 / R)`` is
+        taken when ``2 * e1 > (e0 / R)**2``.  In any other layer, word ``2p``
+        gives a height ``y`` in the layer, and the value ``x`` is taken when
+        ``-2 * log(y) > x**2``, that is, when ``y < exp(-x**2 / 2)``; else
+        word ``2p + 1`` starts over as a fresh word.
+        """
+        key = (2 * position + 1) * _GAMMA
+        while True:
+            state = self._side_seed(attempt) + key
+            log_y = _log(((mix64(state) >> 11) + 1) * _INV_2_53 * _SPAN[layer] + _BASE[layer], math.frexp)
+            if layer == 0:
+                excess = log_y / -_ZIG_R
+                if -2.0 * _log(((mix64(state + _GAMMA) >> 11) + 1) * _INV_2_53, math.frexp) > excess * excess:
+                    return math.copysign(_ZIG_R + excess, value)
+            elif -2.0 * log_y > value * value:
+                return value
+            else:
+                fresh = mix64(state + _GAMMA)
+                index = fresh & _INDEX_BITS
+                u = fresh >> 11
+                value, layer = u * _WIDTH[index], index & _LAYER_BITS
+                if u < _BOUND[index]:
+                    return value
+            attempt += 1
 
     def _signs_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
         z = _mix64_array(self._counters(first, dest.size, dest.view(np.uint64)), scratch[: dest.size])
@@ -313,3 +347,76 @@ class SplitMix64:
             picked.append(displaced.get(j, j))
             displaced[j] = displaced.pop(i, i)
         return picked, displaced
+
+
+# fdlibm's __ieee754_log: ln 2 split so that k * _LN2_HI is exact for
+# |k| < 2000, and the minimax coefficients of R(z) ~ (log((1+s)/(1-s)) - 2s) / s.
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_LG = [float.fromhex(h) for h in (
+    "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2", "0x1.c71c51d8e78afp-3",
+    "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3", "0x1.2f112df3e5244p-3",
+)]
+_SQRT_HALF = float.fromhex("0x1.6a09e667f3bcdp-1")
+
+
+def _log(y, frexp):
+    """Natural log of ``y > 0``, a float with ``frexp=math.frexp`` or a
+    float64 array with ``np.frexp``, by fdlibm's algorithm from basic
+    operations in a fixed order, so both give the same bits on any CPU.
+
+    ``y = 2**k * (1 + f)`` with ``1 + f`` in [sqrt(1/2), sqrt(2)),
+    ``s = f / (2 + f)`` and ``log(1 + f) = f - (f**2 / 2 - s * (f**2 / 2 + R(s**2)))``.
+    Within 1 ulp of the exact logarithm.
+    """
+    m, e = frexp(y)
+    small = m < _SQRT_HALF
+    f = (m + m * small) - 1.0
+    k = e - small
+    s = f / (2.0 + f)
+    z = s * s
+    r = z * (_LG[0] + z * (_LG[1] + z * (_LG[2] + z * (_LG[3] + z * (_LG[4] + z * (_LG[5] + z * _LG[6]))))))
+    half_f2 = 0.5 * f * f
+    return k * _LN2_HI - ((half_f2 - (s * (half_f2 + r) + k * _LN2_LO)) - f)
+
+
+# The ziggurat: 1024 layers of equal area V under exp(-x**2 / 2), x >= 0.
+# Layer j >= 1 has width x_j and spans the heights exp(-x_j**2 / 2) to
+# exp(-x_{j-1}**2 / 2), from the top layer (1, where x_0 = 0) down to layer
+# 1023, which ends at x = R; layer 0 is the base strip, of width
+# V / exp(-R**2 / 2), whose part past R stands for the tail.  R, V and
+# exp(-R**2 / 2), solved to 50 digits so that the top layer ends at height
+# 1, are pinned as hex literals; the edges and heights follow from them by
+# f_{j-1} = V / x_j + f_j and x_{j-1} = sqrt(-2 log f_{j-1}), in basic
+# operations and ``_log``, so every CPU computes the same tables.  Each
+# entry is within a relative 5e-13 of its exact value.
+_ZIG_LAYERS = 1024
+_ZIG_R = float.fromhex("0x1.027c84109fad5p+2")
+_ZIG_V = float.fromhex("0x1.417941005fc17p-10")
+_ZIG_F_R = float.fromhex("0x1.2ce74ae9493f7p-12")
+
+
+def _layers():
+    """The layers' right edges and their heights exp(-x_j**2 / 2), each a
+    list by layer; the base strip's entries are its width and 1."""
+    edge = [_ZIG_V / _ZIG_F_R] + [0.0] * (_ZIG_LAYERS - 2) + [_ZIG_R]
+    height = [1.0] * (_ZIG_LAYERS - 1) + [_ZIG_F_R]
+    for j in range(_ZIG_LAYERS - 1, 1, -1):
+        height[j - 1] = _ZIG_V / edge[j] + height[j]
+        edge[j - 1] = math.sqrt(-2.0 * _log(height[j - 1], math.frexp))
+    return edge, height
+
+
+_edge, _height = _layers()
+# The fast path's tables, by a word's low 11 bits.  A magnitude u below
+# _ZIG_BOUND, floor(2**53 * x_{j-1} / x_j) with the quotient rounded, puts
+# the point left of x_{j-1}, where all of layer j lies under the curve (for
+# the base strip, left of R), so +-u * x_j * 2**-53 is taken at once.
+_ZIG_BOUND = np.tile(np.floor(np.array([_ZIG_R, 0.0, *_edge[1:-1]]) / _edge * 2.0**53).astype(np.int64), 2)
+_ZIG_WIDTH = np.array(_edge + [-x for x in _edge]) * _INV_2_53
+# A wedge test's height is u * span + base, uniform over layer j's heights;
+# for the base strip it is u itself, the tail's first uniform.
+_WEDGE_BASE = np.array([0.0] + _height[1:])
+_WEDGE_SPAN = np.array([1.0] + [_height[j - 1] - _height[j] for j in range(1, _ZIG_LAYERS)])
+# The same tables as lists, for ``SplitMix64._resolve_one``.
+_BOUND, _WIDTH, _BASE, _SPAN = (t.tolist() for t in (_ZIG_BOUND, _ZIG_WIDTH, _WEDGE_BASE, _WEDGE_SPAN))

@@ -38,11 +38,10 @@ from .rng import SplitMix64
 
 
 # Gaussian and Bernoulli operators store their m * N entries as float64.  A
-# fresh draw peaks at the entries plus under 1 MiB of generator scratch, that
-# of both threads when a Gaussian draw is split (at 512 x 2048, by
-# tracemalloc: 1.08 times the entries split, 1.07 on one thread); inside a
-# ``shared_draw`` block of the same m, building the operator peaks at twice the entries: the
-# block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
+# fresh draw peaks at the entries plus under 1 MiB of generator scratch (at
+# 512 x 2048, by tracemalloc: 1.07 times the entries); inside a
+# ``shared_draw`` block of the same m, building the operator peaks at twice
+# the entries: the block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
 # larger dense operator, or a partial-DCT operator whose length-N signal,
 # proxy and transform vectors would each exceed it, is refused as a usage
 # error rather than left to fail, or to exhaust memory, in the allocator.
@@ -239,8 +238,8 @@ def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
     """The unscaled, row-major ``m * N`` entries of a dense operator.
 
     The draw for m rows is a prefix of the draw for any larger m: variate
-    ``i`` of ``normal`` uses words ``2*(i//2)`` and ``2*(i//2) + 1`` whatever
-    the length, and sign ``i`` uses word ``i``.
+    ``i`` of ``normal`` uses word ``i`` and, if the ziggurat rejects it, side
+    words keyed by ``i``, whatever the length; sign ``i`` uses word ``i``.
     """
     rng = SplitMix64(seed)
     if kind is Ensemble.GAUSSIAN:

@@ -601,7 +601,7 @@ def test_trials_csv_shape_and_repr_round_trip():
     buf = io.StringIO()
     write_trials_csv(buf, cfg, records)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# format_version=1"
+    assert lines[0] == "# format_version=2"
     assert lines[1].startswith("# config=")
     assert json.loads(lines[1].removeprefix("# config=")) == cfg.to_dict()
     body = [ln for ln in lines if not ln.startswith("#")]
@@ -620,7 +620,7 @@ def test_trials_report_is_json_renderable():
     cfg = base_config(trials=3)
     records = run_trials(cfg)
     payload = json.loads(render_json(trials_report(cfg, records)))
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["config"]["algorithm"] == "omp"
     assert payload["summary"]["trials"] == 3
     assert len(payload["records"]) == 3
@@ -640,10 +640,10 @@ def test_sweep_emitters():
     buf = io.StringIO()
     write_sweep_csv(buf, config, cells)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# format_version=1"
+    assert lines[0] == "# format_version=2"
     assert lines[2] == "m,s,trials,successes,success_rate"
     payload = json.loads(render_json(sweep_report(config, cells)))
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert len(payload["cells"]) == 2
 
 
@@ -663,11 +663,11 @@ def test_scaling_emitters():
     buf = io.StringIO()
     write_scaling_csv(buf, config, result)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# format_version=1"
+    assert lines[0] == "# format_version=2"
     assert lines[2].startswith("# fit=")
     assert lines[3] == "s,trials,median_l2_error"
     payload = json.loads(render_json(scaling_report(config, result)))
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["slope"] == result["slope"]
 
 

@@ -30,7 +30,7 @@ def test_recover_emits_json_record(capsys):
     assert code == 0
     assert err == ""
     payload = json.loads(out)
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["config"]["algorithm"] == "omp"
     assert payload["config"]["master_seed"] == 3
     assert payload["record"]["success"] is True
@@ -162,7 +162,7 @@ def test_bench_csv_to_stdout(capsys):
     assert code == 0
     assert err == ""
     lines = out.splitlines()
-    assert lines[0] == "# format_version=1"
+    assert lines[0] == "# format_version=2"
     assert lines[1].startswith("# config=")
     assert lines[2].startswith("trial_index,")
     assert len(lines) == 3 + 5  # comments + header + one row per trial
@@ -172,7 +172,7 @@ def test_bench_json_format(capsys):
     code, out, _ = run_cli(capsys, *BENCH_ARGS, "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["summary"]["trials"] == 5
     assert len(payload["records"]) == 5
 
@@ -307,9 +307,9 @@ README_SWEEP = [
     "sweep", "--alg", "omp", "--N", "256", "--m-values", "16,32,64,128,256",
     "--s-values", "4,8", "--trials", "40", "--seed", "7",
 ]
-# The README sweep's CSV as the cell-by-cell runner wrote it, before sweeps
-# ran trial-major; the trial-major runner must keep every byte.
-README_SWEEP_SHA256 = "c8c1a3223886ba883816f9af97612fff93591fe1ef9d75c4e46479c827cda54c"
+# The README sweep's CSV at format version 2 (ziggurat variates, mixed master
+# seeds); every later runner must keep every byte.
+README_SWEEP_SHA256 = "161d6228cd9d1130ec5a880ccb755ed1ca73759a1c8d3c53a12a11481d50477c"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -321,7 +321,7 @@ def test_readme_sweep_bytes_are_pinned(capsys, threads):
 
 # The README grid swept with ROMP: its successes hold across changes to how
 # the Gram factor gets its columns, so these bytes must too.
-README_ROMP_SWEEP_SHA256 = "3f1ad2067a61bcce67612c01f944078bf67877a23db69ec689ed33f4c54a5deb"
+README_ROMP_SWEEP_SHA256 = "4bafbe3cdc0c77ddc9f4a5369da27e7c1471dbacd945b0fac4a8627b0353990f"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -229,10 +229,13 @@ class MatrixOperator:
 
 def test_dependent_column_raises_solver_failure():
     # Columns a and a * (1 + 2**-40) span one direction to working precision;
-    # the third round must report that rather than split a's weight.
+    # the third round must report that rather than split a's weight.  The
+    # small third term keeps the residual after two rounds off zero: an
+    # instance whose fit leaves no residual at all halts by proxy_zero
+    # before a third round, as it should.
     for seed in range(20):
         gen = SplitMix64(seed)
         a, b = gen.normal(8), gen.normal(8)
         op = MatrixOperator(np.column_stack([a, a * (1.0 + 2.0**-40), b]))
         with pytest.raises(SolverFailure, match=r"^omp iteration 3: column [01] is numerically dependent"):
-            omp(op, a + b, 3)
+            omp(op, a + b + 1e-6 * gen.normal(8), 3)

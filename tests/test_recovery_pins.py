@@ -23,15 +23,15 @@ INSTANCES = ((24, 96, 4, 4, 0.0), (40, 128, 6, 6, 1e-3), (16, 128, 5, 7, 0.0))
 SEEDS = (0, 1, 2)
 
 PINNED = {
-    ("omp", "gaussian"): "edd62f5dc8504295a847c3916d338afeeba1f0174f567c6233e7f8ec6c585482",
-    ("omp", "bernoulli"): "675ca9311f7657867dfdb0d0fc3354be822ecb67ec6fa1086ee6d711dd998c57",
-    ("omp", "partial_dct"): "24afdeeeea1d40ba5f466505a938d8f6edf958ba1abfaa149adf72d07bfc1e89",
-    ("romp", "gaussian"): "a3122c7e9ac1810de108950b7bfe56d91c68efff3005e034f1d5ae3f4637f4fa",
-    ("romp", "bernoulli"): "658b52a03186aa44989e135ad52e9e93e941a73fb1faa37a1ba3bb479c879755",
-    ("romp", "partial_dct"): "4c85719086aec4db8da0e29eb0ac7df59e6cba4fae78bd603b1e33dbe25b0d09",
-    ("cosamp", "gaussian"): "428ceb99506671555fb44ab5222cba66ff93c414f0f8ea255b58c56b4714b73e",
-    ("cosamp", "bernoulli"): "859fa9f59e167afda6de8a220b4c216cd3baeb53430310d5b38f9302ef33c070",
-    ("cosamp", "partial_dct"): "faf45c1ed3ecd50cf6351b32a0921c757bbfc8cfbdc6c5b822232907910cb2dd",
+    ("omp", "gaussian"): "3b6e1d53fe51d4aad5046f0a4e6ba9b2b4826c4d692f49ab7d515bda31223cd7",
+    ("omp", "bernoulli"): "668523a698603907f6a3b5ded9f98be5076478c826e1e58251466bf7b74afeb2",
+    ("omp", "partial_dct"): "b3060772ac1d26b407bbc448a5224a4ea43605fd92a96976adfb057c95e9284d",
+    ("romp", "gaussian"): "774eeec88a845215fec24f0d7db6a8ecee1fbbacd44b028c56ae4b4be60e7cff",
+    ("romp", "bernoulli"): "d3fa4d5affa17410277c08e83920b2cbbf0f87de2ee193096713ff422811b247",
+    ("romp", "partial_dct"): "f67600964adc85e3fc6c375a94e1df7a644898bf2121d35ed31465b4131b3b48",
+    ("cosamp", "gaussian"): "203675b1d1463f5de77892d3a10a4702125717e809f5989469a1f688a5c95687",
+    ("cosamp", "bernoulli"): "3e4eb5d734e99bbecdbfa816e2203acc3392c4cae65b6e7e38d68c67e0af7acb",
+    ("cosamp", "partial_dct"): "65b2ea6d4a858a25374c7ae721366e306202daba7b2376da18a26ab1c8c9a7ea",
 }
 
 

@@ -313,9 +313,9 @@ def reference_operator_bytes(ensemble, m, N, seed):
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
 def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
-    # An odd N makes m * N odd for every odd m, so a prefix can end half way
-    # through a Box-Muller pair; at N = 513 the larger draws, and the shared
-    # one, span several ``rng`` blocks.
+    # An odd N makes m * N odd for every odd m, so prefixes end at odd stream
+    # positions; at N = 513 the larger draws, and the shared one, span
+    # several ``rng`` blocks and hold hundreds of rejected words.
     seed = 0x5EED_F00D
     for N, m_values in ((129, (1, 15, 33, 129)), (513, (1, 129, 257))):
         fresh = {m: make_operator(ensemble, m, N, seed) for m in m_values}

@@ -3,8 +3,8 @@
 The README grids are pinned elsewhere; here Hypothesis draws valid
 ``TrialConfig``s and small sweeps over every algorithm, ensemble, signal
 kind and noise mode, and each must emit the same CSV and JSON bytes at 1, 2
-and 3 threads.  A Gaussian batch whose operator draws split between their
-caller and the generator's helper thread is checked the same way.
+and 3 threads.  A batch of large Gaussian operators is checked the same
+way, and no draw may start a thread of its own.
 """
 
 import io
@@ -101,28 +101,26 @@ def test_random_sweeps_emit_the_same_bytes_at_any_thread_count(sweep):
         assert sweep_bytes(args, options, threads) == serial
 
 
-def test_split_operator_draws_emit_the_same_bytes_at_any_thread_count(monkeypatch):
-    # Each trial's 2**20-variate draw splits, so at 2 and 3 threads pool
-    # workers split draws at once and share the one helper.
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
+def test_large_gaussian_batch_emits_the_same_bytes_at_any_thread_count():
+    # Each trial draws a 2**20-variate operator over 32 blocks, with
+    # thousands of rejected words resolved on arrays and in Python; at 2 and
+    # 3 threads pool workers draw at once.
     cfg = bench.TrialConfig("omp", "gaussian", 512, 2048, 32, 3, 7).validate()
-    assert cfg.m * cfg.N > rng._SPLIT_BLOCKS * rng._BLOCK
+    assert cfg.m * cfg.N == 32 * rng._BLOCK
     serial = batch_bytes(cfg, 1)
     for threads in THREADS[1:]:
         assert batch_bytes(cfg, threads) == serial
 
 
-def test_only_large_normal_draws_start_the_helper(monkeypatch):
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
-    monkeypatch.setattr(rng, "_HELPER", rng._Helper())
+def test_no_draw_starts_a_thread():
     before = threading.active_count()
     gen = rng.SplitMix64(5)
-    split = rng._SPLIT_BLOCKS * rng._BLOCK
-    gen.normal(split)
-    gen.signs(2 * split)
-    gen.raw(2 * split)
+    for n in (1, 2**16, 2**17 + 1):
+        gen.normal(n)
+        gen.signs(n)
+        gen.raw(n)
     dct = bench.TrialConfig("cosamp", "partial_dct", 1024, 4096, 48, 1, 7, noise_mode="fixed_rel", noise_level=0.01)
     bench.run_trial(dct.validate(), 0)
+    dense = bench.TrialConfig("cosamp", "gaussian", 256, 1024, 16, 1, 7)
+    bench.run_trial(dense.validate(), 0)
     assert threading.active_count() == before
-    gen.normal(split + 1)
-    assert threading.active_count() == before + 1
