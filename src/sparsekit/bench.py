@@ -22,7 +22,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import SolverFailure, UsageError
 from .linalg import check_integer, check_real
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
-from .sensing import as_ensemble, check_dense_size, make_operator, shape_problem, shared_draw
+from .sensing import _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
 from .signals import Signal, check_compressible, check_noise_level, check_sparse, gen_compressible, gen_sparse
 from .signals import head, measure, tail_l1
 
@@ -56,22 +56,6 @@ SCALING_ETA_REL = 1e-8
 _STREAM_OPERATOR = 1
 _STREAM_SIGNAL = 2
 _STREAM_NOISE = 3
-
-TRIAL_CSV_COLUMNS = (
-    "trial_index",
-    "l2_error",
-    "rel_error",
-    "support_exact",
-    "success",
-    "tail_term",
-    "noise_norm",
-    "bound_ratio",
-    "residual_norm",
-    "iterations",
-    "matvecs",
-    "halted_by",
-    "error",
-)
 
 SWEEP_CSV_COLUMNS = ("m", "s", "trials", "successes", "success_rate")
 
@@ -175,6 +159,10 @@ class TrialRecord:
         return {name: getattr(self, name) for name in TRIAL_CSV_COLUMNS}
 
 
+# Every TrialRecord field but the two kept in memory only, in field order.
+TRIAL_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name not in ("wall_time", "result"))
+
+
 def trial_seeds(master_seed: int, trial_index: int) -> dict:
     """Per-trial seeds for the operator, signal, and noise streams.
 
@@ -205,7 +193,8 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     seeds = trial_seeds(cfg.master_seed, trial_index)
     op = make_operator(cfg.ensemble, cfg.m, cfg.N, seeds["operator"])
     signal = _trial_signal(cfg, seeds["signal"])
-    mode, level = cfg.noise_mode, cfg.noise_level
+    # As Python floats: a numpy float32 level or eta would keep products in float32.
+    mode, level = cfg.noise_mode, float(cfg.noise_level)
     if mode == "fixed_rel":
         # One forward apply probes ||Phi x||; a zero level needs no probe.
         if level != 0.0:
@@ -213,7 +202,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
         mode = "fixed"
     u, e = measure(op, signal, mode, level, seeds["noise"])
 
-    eta = cfg.eta if cfg.eta_rel is None else cfg.eta_rel * float(np.linalg.norm(u))
+    eta = float(cfg.eta) if cfg.eta_rel is None else float(cfg.eta_rel) * float(np.linalg.norm(u))
 
     started = time.perf_counter()
     error_message = None
@@ -283,10 +272,12 @@ def _run_trial_major(
 
     Every config and the thread count are validated before the first
     trial.  The configs differ only in m and s, so trial ``i`` has one
-    operator seed: with more than one config, one ``shared_draw`` of the
-    largest m serves ``run_trial(cfg, i)`` of every config, and each worker
-    holds that unscaled draw plus the operator of the cell it is running.
-    A single config opens no block, so each trial draws its operator alone.
+    operator seed: with more than one config, each worker opens the private
+    ``sensing._shared_draw`` block of the largest m around
+    ``run_trial(cfg, i)`` of every config, and holds that unscaled draw plus
+    the operator of the cell it is running.  This is the only place the
+    block is opened, and only for configs validated here.  A single config
+    opens no block, so each trial draws its operator alone.
     The pool runs trial indices.  Unless ``keep_results``, each ``result``
     is dropped as soon as its trial returns.
     """
@@ -296,6 +287,7 @@ def _run_trial_major(
     if not configs:
         return []
     first = configs[0]
+    kind = as_ensemble(first.ensemble)
     m_max = max(cfg.m for cfg in configs)
 
     def run(cfg: TrialConfig, i: int) -> TrialRecord:
@@ -308,7 +300,7 @@ def _run_trial_major(
         if len(configs) == 1:
             return [run(first, i)]
         seed = trial_seeds(first.master_seed, i)["operator"]
-        with shared_draw(first.ensemble, m_max, first.N, seed):
+        with _shared_draw(kind, m_max, first.N, seed):
             return [run(cfg, i) for cfg in configs]
 
     indices = range(first.trials)
@@ -380,12 +372,13 @@ def phase_sweep(
     count.  Only live cells meet the size cap: an m whose cells are all
     NA builds no operator, however large.
     """
+    m_values, s_values = list(m_values), list(s_values)
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
     if N < 1 or min(m_values) < 1 or min(s_values) < 1:
         raise UsageError(
             f"sweep needs N and every m and s at least 1, got N={N}, "
-            f"m_values={list(m_values)}, s_values={list(s_values)}"
+            f"m_values={m_values}, s_values={s_values}"
         )
     base = TrialConfig(
         algorithm, ensemble, m_values[0], N, s_values[0], trials_per_cell, master_seed,
@@ -454,9 +447,10 @@ def compressible_scaling(
     run trial-major like ``phase_sweep``: m is fixed, so one operator draw
     per trial index serves every s.
     """
+    s_values = list(s_values)
     if not s_values:
         raise UsageError("scaling needs at least one s value")
-    if list(s_values) != sorted(set(s_values)):
+    if s_values != sorted(set(s_values)):
         raise UsageError("s values must be strictly increasing")
     base = TrialConfig(
         algorithm, ensemble, m, N, s_values[0], trials, master_seed,
@@ -491,7 +485,7 @@ def _cell_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float64 reprs as np.float64(...)
     return str(value)
 
 
@@ -502,10 +496,8 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        value = float(value)
+    if isinstance(value, np.generic):  # a numpy bool, integer or float
+        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value

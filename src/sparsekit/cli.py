@@ -154,9 +154,21 @@ def _int_list(text) -> List[int]:
     try:
         if isinstance(text, list):
             return [_config_value(int, v) for v in text]
-        return [int(part) for part in str(text).split(",") if part != ""]
+        return [int(part) for part in str(text).split(",")]
     except (TypeError, ValueError):
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+
+
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an ``--out`` that cannot be written, before any work; creates
+    and truncates nothing, so a failed run leaves an existing file as it was."""
+    if out is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write --out {out!r}: no directory {folder!r}")
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else folder, os.W_OK):
+        raise UsageError(f"cannot write --out {out!r}: not a writable file")
 
 
 def _require(params: dict, names: Sequence[str]) -> None:
@@ -314,6 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
     try:
+        _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,7 +103,7 @@ def largest_indices(values, k: int) -> np.ndarray:
         raise UsageError(f"values must be 1-D, got shape {v.shape}")
     check_integer("k", k, 0)
     n = v.shape[0]
-    k = min(k, n)
+    k = min(int(k), n)  # a numpy uint64 k would make k - count a float
     if k == 0:
         return np.empty(0, dtype=np.int64)
     magnitude = np.abs(v)
@@ -127,19 +127,14 @@ def embed(coeffs, indices, length: int) -> np.ndarray:
     return out
 
 
-def as_indices(indices, name="indices") -> np.ndarray:
-    """Return 1-D integer ``indices`` as int64; reads no entry, so order and range are left to ``as_support``."""
-    idx = np.asarray(indices)
-    if idx.size and idx.dtype.kind not in "iu":
-        raise UsageError(f"{name} must be integers, got dtype {idx.dtype}")
-    if idx.ndim != 1:
-        raise UsageError(f"{name} must be 1-D")
-    return idx.astype(np.int64, copy=False)
-
-
 def as_support(indices, below=None) -> np.ndarray:
     """Validate and return support indices: 1-D int64, strictly increasing, non-negative, under ``below``."""
-    idx = as_indices(indices, "support indices")
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise UsageError(f"support indices must be integers, got dtype {idx.dtype}")
+    if idx.ndim != 1:
+        raise UsageError("support indices must be 1-D")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size:
         # Neighbours compared, not differenced: a difference of two int64
         # indices can overflow and pass a descending pair.

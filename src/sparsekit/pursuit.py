@@ -94,8 +94,8 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
         return None
     if s > m:
         return f"sparsity {s} exceeds measurement count {m}"
-    k = _factor_capacity(algorithm, m, s)
-    entries = k * m + k * k
+    k = int(_factor_capacity(algorithm, m, s))  # as Python integers: numpy int32 products can wrap
+    entries = k * int(m) + k * k
     if entries > MAX_DENSE_ENTRIES:
         return (
             f"{algorithm} with m={m}, s={s} refits on a factor of up to {entries} entries "
@@ -308,7 +308,7 @@ def romp(op, u, s: int) -> RecoveryResult:
         committed = candidates[romp_regularize(proxy[candidates])]
         if support.size + committed.size > op.m:
             return HaltReason.SUPPORT_CAP
-        merged = np.union1d(support, committed).astype(np.int64)
+        merged = np.union1d(support, committed)
         return merged, {
             "candidates": candidates.tolist(),
             "candidate_values": proxy[candidates].tolist(),
@@ -357,7 +357,7 @@ def cosamp(
     def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)
         picks = picks[proxy[picks] != 0.0]
-        merged = np.union1d(picks, support).astype(np.int64)
+        merged = np.union1d(picks, support)
         if merged.size == 0:
             return HaltReason.PROXY_ZERO
         return merged, {

@@ -43,6 +43,7 @@ the tests' pure-Python reference:
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -106,10 +107,11 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     folded in unmixed, it gave ``derive_seed(5, i) == derive_seed(7, i ^ 6)``
     for every ``i``, so masters 5 and 7 ran the same trials in another
     order.  Used for per-trial seeds and per-stream seeds inside a trial.
+    Numpy integers give the bits of their Python values.
     """
-    h = mix64(master_seed + _GAMMA)
+    h = mix64(operator.index(master_seed) + _GAMMA)
     for part in parts:
-        h = mix64(((h + _GAMMA) & _MASK64) ^ (part & _MASK64))
+        h = mix64(((h + _GAMMA) & _MASK64) ^ (operator.index(part) & _MASK64))
     return h
 
 
@@ -145,7 +147,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        self._seed = operator.index(seed) & _MASK64
         self._position = 0
         self._side_seeds = []
 
@@ -154,18 +156,20 @@ class SplitMix64:
         return self._position
 
     def _take(self, n: int) -> int:
-        """Consume ``n`` positions; returns the first."""
+        """Consume ``n`` positions; returns the first.  The position stays a
+        Python integer, so a numpy ``n`` cannot overflow the seed arithmetic."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError("draw count must be non-negative")
         start = self._position
         self._position += n
         return start
 
-    def _counters(self, start: int, n: int, out=None) -> np.ndarray:
-        """The unmixed states of words ``start .. start + n - 1`` (``n`` at
-        most ``_BLOCK``), into ``out`` or, if it is None, a new array."""
+    def _counters(self, start: int, out: np.ndarray) -> np.ndarray:
+        """The unmixed states of words ``start .. start + out.size - 1``
+        (at most ``_BLOCK`` of them), into ``out``; returns ``out``."""
         offset = np.uint64((self._seed + start * _GAMMA) & _MASK64)
-        return np.add(_RAMP[:n], offset, out)
+        return np.add(_RAMP[: out.size], offset, out)
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` output words as uint64."""
@@ -206,7 +210,7 @@ class SplitMix64:
         return [fill(start + lo, out[lo : lo + _BLOCK], scratch) for lo in range(0, out.size, _BLOCK)]
 
     def _raw_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
-        _mix64_array(self._counters(first, dest.size, dest), scratch[: dest.size])
+        _mix64_array(self._counters(first, dest), scratch[: dest.size])
 
     def _normal_block(self, first: int, dest: np.ndarray, scratch: np.ndarray):
         """The ziggurat's fast path for every word of a block at once: the low
@@ -216,7 +220,7 @@ class SplitMix64:
         the rejected words, whose slots hold their signed values, or None if
         there are none."""
         n = dest.size
-        words = _mix64_array(self._counters(first, n, scratch[:n]), scratch[n : 2 * n])
+        words = _mix64_array(self._counters(first, scratch[:n]), scratch[n : 2 * n])
         index = np.bitwise_and(words, _LOW_BITS, scratch[n : 2 * n]).view(np.int64)
         magnitude = np.right_shift(words, _SHIFT_11, words).view(np.int64)
         rejected = (magnitude >= _ZIG_BOUND.take(index, out=dest.view(np.int64), mode="wrap")).nonzero()[0]
@@ -304,7 +308,7 @@ class SplitMix64:
             attempt += 1
 
     def _signs_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
-        z = _mix64_array(self._counters(first, dest.size, dest.view(np.uint64)), scratch[: dest.size])
+        z = _mix64_array(self._counters(first, dest.view(np.uint64)), scratch[: dest.size])
         z &= _TOP_BIT
         z ^= _MINUS_ONE_BITS
 
@@ -313,6 +317,7 @@ class SplitMix64:
 
         Partial Fisher-Yates: uniform over size-k subsets.
         """
+        population, k = operator.index(population), operator.index(k)
         if not 0 <= k <= population:
             raise ValueError("need 0 <= k <= population")
         picked, _ = self._fisher_yates(population, k)
@@ -322,6 +327,7 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Full Fisher-Yates permutation of [0, n)."""
+        n = operator.index(n)  # a numpy uint64 0 would wrap n - 1
         order, displaced = self._fisher_yates(n, max(n - 1, 0))
         if n > 0:  # the one entry no step picked
             order.append(displaced.get(n - 1, n - 1))

@@ -16,9 +16,10 @@ Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
 they are capped at ``MAX_DENSE_ENTRIES`` of them (``check_dense_size``);
 a partial-DCT operator works on length-N vectors, so N is capped there.
-Inside a ``shared_draw`` block, the Gaussian or Bernoulli operators of one
-seed and any m up to the block's are built from prefixes of one draw,
-byte-identical to fresh ones.
+Inside the private ``_shared_draw`` block, which only ``bench``'s sweep
+runner opens, the Gaussian or Bernoulli operators of one seed and any m up
+to the block's are built from prefixes of one draw, byte-identical to
+fresh ones.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .rng import SplitMix64
 
 # Gaussian and Bernoulli operators store their m * N entries as float64.  A
 # fresh draw peaks at the entries plus under 1 MiB of generator scratch (at
-# 512 x 2048, by tracemalloc: 1.07 times the entries); inside a
-# ``shared_draw`` block of the same m, building the operator peaks at twice
+# 512 x 2048, by tracemalloc: 1.07 times the entries); inside a sweep's
+# ``_shared_draw`` block of the same m, building the operator peaks at twice
 # the entries: the block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
 # larger dense operator, or a partial-DCT operator whose length-N signal,
 # proxy and transform vectors would each exceed it, is refused as a usage
@@ -81,7 +82,9 @@ class SenseOperator:
     """
 
     def __init__(self, ensemble: Ensemble, m: int, N: int):
-        _check_shape(m, N)
+        problem = shape_problem(m, N)
+        if problem is not None:
+            raise UsageError(problem)
         self.ensemble = ensemble
         self.m = int(m)
         self.N = int(N)
@@ -147,14 +150,14 @@ class _DenseEnsembleOperator(SenseOperator):
     def __init__(self, ensemble, m, N, seed):
         super().__init__(ensemble, m, N)
         scale = 1.0 / math.sqrt(m)
-        shared = _scope_draw(ensemble, m, N, seed)
-        if shared is None:
-            entries = _draw(ensemble, m, N, seed)
-            entries *= scale
-        else:
+        shared = getattr(_scope, "draw", None)
+        if shared is not None and shared[:3] == (ensemble, N, seed) and m <= shared[3]:
             # Into a fresh array, leaving the shared draw unscaled for the
             # other operators built from it; the products are the same bits.
-            entries = shared[: m * N] * scale
+            entries = shared[4][: m * N] * scale
+        else:
+            entries = _draw(ensemble, m, N, seed)
+            entries *= scale
         # Row-major fill order is part of the determinism contract.
         self._matrix = entries.reshape(m, N)
         self._gathered = (None, None)
@@ -228,12 +231,6 @@ def shape_problem(m, N) -> Optional[str]:
     return None if 1 <= m <= N else f"need 1 <= m <= N, got m={m}, N={N}"
 
 
-def _check_shape(m: int, N: int) -> None:
-    problem = shape_problem(m, N)
-    if problem is not None:
-        raise UsageError(problem)
-
-
 def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
     """The unscaled, row-major ``m * N`` entries of a dense operator.
 
@@ -247,42 +244,28 @@ def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
     return rng.signs(m * N)
 
 
-# The open ``shared_draw`` block of each thread: (ensemble, N, seed, m, draw).
+# Each thread's open ``_shared_draw`` block: (ensemble, N, seed, m, draw), or None.
 _scope = threading.local()
 
 
 @contextlib.contextmanager
-def shared_draw(ensemble, m: int, N: int, seed: int):
+def _shared_draw(kind: Ensemble, m: int, N: int, seed: int):
     """Build this thread's dense operators of one seed from one m-row draw.
 
-    Until the block exits, ``make_operator(ensemble, m2, N, seed)`` on the
-    calling thread, with the same ensemble, N and seed and any ``m2 <= m``,
-    takes its entries from a prefix of a single m-row draw made on entry,
-    instead of drawing its own; the operator is byte-identical to a fresh
-    one.  Any other call draws afresh.  A partial-DCT block shares nothing:
-    such an operator draws only m words.  A sweep opens one block per trial
-    index around every cell's trial.  The draw is released when the block
-    exits, also through an exception.
+    Until the block exits, ``make_operator(kind, m2, N, seed)`` on the
+    calling thread, for any ``m2 <= m``, takes a prefix of one m-row draw
+    made on entry, byte-identical to a draw of its own; any other call
+    draws afresh, and a partial-DCT block shares nothing.  Only
+    ``bench._run_trial_major`` opens it, once per sweep trial index and
+    for configs it has validated, so the block checks nothing and does not
+    nest.  On exit, also through an exception, the thread's block is None.
     """
-    kind = as_ensemble(ensemble)
-    check_dense_size(kind, m, N)
-    _check_shape(m, N)
-    check_integer("seed", seed)
-    outer = getattr(_scope, "draw", None)
     if kind is not Ensemble.PARTIAL_DCT:
         _scope.draw = (kind, N, seed, m, _draw(kind, m, N, seed))
     try:
         yield
     finally:
-        _scope.draw = outer
-
-
-def _scope_draw(kind: Ensemble, m: int, N: int, seed: int):
-    """The open block's draw if it serves this operator, else None."""
-    shared = getattr(_scope, "draw", None)
-    if shared is None or shared[:3] != (kind, N, seed) or m > shared[3]:
-        return None
-    return shared[4]
+        _scope.draw = None
 
 
 def check_dense_size(ensemble, m: int, N: int) -> None:
@@ -295,7 +278,8 @@ def check_dense_size(ensemble, m: int, N: int) -> None:
     if kind is Ensemble.PARTIAL_DCT:
         entries, what = N, "works on vectors of"
     else:
-        entries, what = m * N, "holds"
+        # As Python integers: a product of two numpy int32 sizes can wrap.
+        entries, what = int(m) * int(N), "holds"
     if entries > MAX_DENSE_ENTRIES:
         raise UsageError(
             f"a {kind.value} operator with m={m}, N={N} {what} {entries} entries, "

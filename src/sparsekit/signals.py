@@ -87,7 +87,7 @@ def gen_compressible(N: int, p: float, R: float, seed: int) -> Signal:
     check_integer("seed", seed)
     rng = SplitMix64(seed)
     ranks = np.arange(1, N + 1, dtype=np.float64)
-    magnitudes = R * ranks ** (-1.0 / p)
+    magnitudes = R * ranks ** (-1.0 / float(p))  # a numpy float32 p would divide in float32
     signs = rng.signs(N)
     positions = rng.permutation(N)
     values = np.empty(N)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsekit import bench
+from sparsekit import bench, sensing
 from sparsekit.bench import (
     ALGORITHMS,
     TRIAL_CSV_COLUMNS,
@@ -29,7 +29,7 @@ from sparsekit.bench import (
 )
 from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.pursuit import cosamp, omp, romp
-from sparsekit.sensing import make_operator
+from sparsekit.sensing import Ensemble, make_operator
 from sparsekit.signals import gen_sparse
 
 PURSUITS = {"omp": omp, "romp": romp, "cosamp": cosamp}
@@ -476,7 +476,7 @@ def test_run_trials_is_the_one_config_case(monkeypatch, threads, ensemble):
         seen.append(run_trial(*args))
         return seen[-1]
 
-    monkeypatch.setattr(bench, "shared_draw", no_block)
+    monkeypatch.setattr(bench, "_shared_draw", no_block)
     kept = run_trials(cfg, threads=threads, keep_results=True)
     assert all(record.result is not None for record in kept)
     monkeypatch.setattr(bench, "run_trial", checking)
@@ -530,6 +530,37 @@ def test_all_na_sweep_runs_no_trial(sweep_calls):
         trials_per_cell=3, master_seed=1,
     )
     assert [c["successes"] for c in cells] == [None, None]
+    assert sweep_calls == []
+
+
+@pytest.mark.parametrize("as_array", [np.array, lambda values: np.array(values, dtype=np.int32)])
+def test_phase_sweep_takes_numpy_arrays(as_array):
+    # Arrays once raised numpy's "truth value is ambiguous" ValueError.
+    grid = dict(N=64, ensemble="gaussian", algorithm="omp", master_seed=5)
+    expected = phase_sweep(m_values=[16, 32], s_values=[2, 4], trials_per_cell=3, **grid)
+    cells = phase_sweep(
+        m_values=as_array([16, 32]), s_values=as_array([2, 4]), trials_per_cell=np.int64(3), **grid
+    )
+    assert cells == expected
+    emitted = []
+    for got in (expected, cells):
+        buffer = io.StringIO()
+        write_sweep_csv(buffer, {"N": 64}, got)
+        emitted.append(buffer.getvalue() + render_json(sweep_report({"N": 64}, got)))
+    assert emitted[0] == emitted[1]
+    with pytest.raises(UsageError, match="at least one m and one s"):
+        phase_sweep(m_values=np.array([], dtype=np.int64), s_values=as_array([2]), trials_per_cell=3, **grid)
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
+def test_phase_sweep_refuses_an_over_cap_grid_before_its_first_draw(monkeypatch, sweep_calls, ensemble):
+    # The m = 16 cells alone would fit; the m = 100000 cell decides.
+    def no_draw(*args):
+        raise AssertionError("an operator was drawn")
+
+    monkeypatch.setattr(sensing, "_draw", no_draw)
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        phase_sweep(1_000_000, [16, 100_000], [1, 2], ensemble, "omp", 2, 7)
     assert sweep_calls == []
 
 
@@ -669,6 +700,29 @@ def test_scaling_emitters():
     payload = json.loads(render_json(scaling_report(config, result)))
     assert payload["format_version"] == 2
     assert payload["slope"] == result["slope"]
+
+
+# The numpy-typed fields of each config; its twin holds their Python values.
+TYPED_FIELDS = {
+    **{mode: dict(noise_mode=mode, noise_level=np.float32(0.5), eta_rel=np.float32(0.25)) for mode in bench.NOISE_MODES},
+    "compressible": dict(signal_kind="compressible", p=np.float32(0.7), R=np.float32(1.3), signal_truncate=np.bool_(True)),
+}
+
+
+@pytest.mark.parametrize("typed_fields", TYPED_FIELDS.values(), ids=TYPED_FIELDS.keys())
+def test_numpy_typed_config_emits_the_bytes_of_its_plain_twin(typed_fields):
+    plain_fields = {k: v.item() for k, v in typed_fields.items() if isinstance(v, np.generic)}
+    plain = TrialConfig("cosamp", "gaussian", 48, 96, 4, 3, 7, **{**typed_fields, **plain_fields})
+    typed = TrialConfig(
+        "cosamp", Ensemble.GAUSSIAN, np.int64(48), np.int32(96), np.uint64(4), np.int64(3), np.uint64(7), **typed_fields
+    )
+    emitted = []
+    for cfg in (plain, typed):
+        records = run_trials(cfg)
+        buffer = io.StringIO()
+        write_trials_csv(buffer, cfg, records)
+        emitted.append((buffer.getvalue(), render_json(trials_report(cfg, records))))
+    assert emitted[0] == emitted[1]
 
 
 def test_emitted_bytes_are_deterministic():

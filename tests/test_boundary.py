@@ -2,6 +2,7 @@
 exit code 2 with nothing on stdout from the CLI, before any random draw,
 operator build or apply."""
 
+import io
 import json
 import math
 
@@ -55,6 +56,49 @@ def test_library_entry_points_refuse_fractional_counts_before_any_draw(monkeypat
     with pytest.raises(UsageError):
         call(op, np.arange(6.0))
     assert op.matvec_count == 0
+
+
+# Each call raised OverflowError on a numpy integer seed, part or count: the
+# random stream's 64-bit arithmetic overflowed the numpy type.  Each result
+# is reduced to bytes, a trial to its CSV and JSON output.
+def _trial_bytes(cfg, records):
+    stream = io.StringIO()
+    bench.write_trials_csv(stream, cfg, records)
+    return (stream.getvalue() + bench.render_json(bench.trials_report(cfg, records))).encode()
+
+
+_TRIAL = TrialConfig("cosamp", "gaussian", 24, 48, 4, 3, 7, noise_mode="fixed_rel", noise_level=0.1)
+
+NUMPY_INTEGER_CALLS = {
+    "make_operator": lambda i: make_operator("gaussian", 8, 16, i(3)).dense_matrix().tobytes(),
+    "make_operator-dct": lambda i: make_operator("partial_dct", 8, 16, i(3)).rows.tobytes(),
+    "gen_sparse": lambda i: gen_sparse(i(16), i(2), 5).values.tobytes(),
+    "gen_compressible": lambda i: gen_compressible(i(16), 0.5, 1.0, i(5)).values.tobytes(),
+    "measure": lambda i: measure(make_operator("gaussian", 8, 16, 3), np.ones(16), "fixed", 0.1, seed=i(4))[0].tobytes(),
+    "empirical_ric": lambda i: empirical_ric(make_operator("gaussian", 8, 16, 3), i(2), i(5), i(4)).witness.tobytes(),
+    "run_trial": lambda i: _trial_bytes(_TRIAL, [bench.run_trial(_TRIAL, i(1))]),
+    "run_trials": lambda i: _trial_bytes(
+        TrialConfig("omp", "gaussian", i(24), i(48), i(4), i(3), i(7)),
+        run_trials(TrialConfig("omp", "gaussian", i(24), i(48), i(4), i(3), i(7))),
+    ),
+}
+
+
+@pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint64])
+@pytest.mark.parametrize("call", NUMPY_INTEGER_CALLS.values(), ids=NUMPY_INTEGER_CALLS.keys())
+def test_numpy_integers_give_the_bytes_of_python_integers(call, numpy_int):
+    assert call(numpy_int) == call(int)
+
+
+def test_numpy_int32_sizes_over_the_cap_are_refused(monkeypatch):
+    # In int32, 65536 * 65536 wraps to 0 and 46341 * 46341 to a negative
+    # count, and both passed their caps.
+    monkeypatch.setattr(sensing, "SplitMix64", _refuse)
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        make_operator("gaussian", np.int32(2**16), np.int32(2**16), 1)
+    size = np.int32(46341)
+    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
+        TrialConfig("omp", "partial_dct", size, size, size, 1, 0).validate()
 
 
 # ------------------------------------------------------ the factor's size cap

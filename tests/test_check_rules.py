@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsekit.errors import UsageError
-from sparsekit.linalg import as_indices, as_support, as_values, as_vector, largest_indices
+from sparsekit.linalg import as_support, as_values, as_vector, largest_indices
 from sparsekit.pursuit import HaltReason, omp
 from sparsekit.signals import Signal
 
@@ -45,7 +45,12 @@ def reference_as_vector(x, length=None, name="vector"):
 
 
 def reference_as_support(indices, below=None):
-    idx = as_indices(indices, "support indices")
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise UsageError(f"support indices must be integers, got dtype {idx.dtype}")
+    if idx.ndim != 1:
+        raise UsageError("support indices must be 1-D")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
         raise UsageError("support indices must be strictly increasing and non-negative")
     if idx.size and below is not None and idx[-1] >= below:

@@ -428,6 +428,25 @@ def test_sweep_rejects_n_below_one_before_any_work(refuse_work, capsys, N):
     assert f"got N={N}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--N", "64", "--m-values", "16,,32", "--s-values", "2", "--trials", "2"],
+        ["sweep", "--N", "64", "--m-values", "16", "--s-values", "4,", "--trials", "2"],
+        ["sweep", "--N", "64", "--m-values", ",16", "--s-values", "2", "--trials", "2"],
+        [*SCALING_ARGS, "--scaling-s", "4,,8"],  # the last --scaling-s wins
+        [*SCALING_ARGS, "--scaling-s", "4,8,"],
+    ],
+    ids=["m-inner", "s-trailing", "m-leading", "scaling-inner", "scaling-trailing"],
+)
+def test_integer_list_with_an_empty_part_is_refused_before_any_work(refuse_work, capsys, argv):
+    # An empty part was dropped: 16,,32 ran 16,32 and 4, ran 4.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "integer list" in err
+
+
 # ------------------------------------------------------------------- ric
 
 
@@ -576,6 +595,39 @@ def test_sweep_size_cap_skips_an_over_cap_m_whose_cells_are_all_na(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "100000,200000,2,NA,NA"
+
+
+# ---------------------------------------------------------------- --out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [RECOVER_ARGS, BENCH_ARGS, OMP_SWEEP_ARGS, ["ric", "--m", "16", "--N", "32", "--n", "2", "--trials", "2"]],
+    ids=["recover", "bench", "sweep", "ric"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_refused_before_any_work(refuse_work, tmp_path, capsys, argv, where):
+    # Into a missing directory, the run once finished every trial and then
+    # ended in a FileNotFoundError traceback with exit 1.
+    out_path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {str(out_path)!r}")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_run_leaves_an_existing_out_file_as_it_was(monkeypatch, tmp_path, capsys):
+    out_path = tmp_path / "kept.csv"
+    out_path.write_text("earlier results\n")
+
+    def explode(cfg, index):
+        raise SolverFailure("diverged at iteration 7")
+
+    assert run_cli(capsys, *BENCH_ARGS, "--threads", "0", "--out", str(out_path))[0] == 2
+    monkeypatch.setattr(bench, "run_trial", explode)
+    assert run_cli(capsys, *BENCH_ARGS, "--out", str(out_path))[0] == 3
+    assert out_path.read_text() == "earlier results\n"
 
 
 # ------------------------------------------------------------ exit wiring

@@ -81,6 +81,21 @@ def test_zero_measurement_halts_without_iterating():
     assert np.array_equal(result.estimate, np.zeros(48))
 
 
+def test_proxy_orthogonal_to_every_column_halts_on_proxy_zero():
+    # Rows 0 and 1 of this operator are equal, so u = e0 - e1 is nonzero but
+    # orthogonal to every column: the first proxy is exactly zero.
+    op = make_operator("bernoulli", 3, 3, 0)
+    dense = op.dense_matrix()
+    assert np.array_equal(dense[0], dense[1])
+    result = cosamp(op, np.array([1.0, -1.0, 0.0]), 1)
+    assert result.halted_by is HaltReason.PROXY_ZERO
+    assert result.iterations == 0
+    assert result.matvec_count == 1 == op.matvec_count
+    assert result.support.dtype == np.int64 and result.support.size == 0
+    assert np.array_equal(result.estimate, np.zeros(3))
+    assert result.residual_norms == [math.sqrt(2.0)]
+
+
 def test_unreconstructable_input_stalls():
     # pure noise with eta = 0 can never hit the residual target; the
     # support fixed-point detector has to end the run instead

@@ -19,7 +19,6 @@ from sparsekit.sensing import (
     check_dense_size,
     empirical_ric,
     make_operator,
-    shared_draw,
 )
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
@@ -323,7 +322,7 @@ def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
             built = op.rows if ensemble == "partial_dct" else op.dense_matrix()
             assert built.tobytes() == reference_operator_bytes(ensemble, m, N, seed)
         draws = _count_draws(monkeypatch)
-        with shared_draw(ensemble, max(m_values), N, seed):
+        with sensing._shared_draw(Ensemble(ensemble), max(m_values), N, seed):
             for m, op in fresh.items():
                 assert_same_operator(make_operator(ensemble, m, N, seed), op)
         if ensemble == "partial_dct":
@@ -343,7 +342,7 @@ def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
     ids=["ensemble", "N", "seed", "larger-m"],
 )
 def test_shared_draw_serves_only_its_own_operators(monkeypatch, ensemble, m, N, seed):
-    with shared_draw("gaussian", 32, 64, 3):
+    with sensing._shared_draw(Ensemble.GAUSSIAN, 32, 64, 3):
         draws = _count_draws(monkeypatch)
         op = make_operator(ensemble, m, N, seed)
         assert len(draws) == 1
@@ -352,14 +351,14 @@ def test_shared_draw_serves_only_its_own_operators(monkeypatch, ensemble, m, N, 
 
 def test_shared_draw_does_not_outlive_its_block(monkeypatch):
     draws = _count_draws(monkeypatch)
-    with shared_draw("gaussian", 32, 64, 3):
+    with sensing._shared_draw(Ensemble.GAUSSIAN, 32, 64, 3):
         make_operator("gaussian", 8, 64, 3)
     assert len(draws) == 1
     make_operator("gaussian", 8, 64, 3)
     assert len(draws) == 2
 
     with pytest.raises(RuntimeError, match="inside"):
-        with shared_draw("bernoulli", 32, 64, 3):
+        with sensing._shared_draw(Ensemble.BERNOULLI, 32, 64, 3):
             raise RuntimeError("raised inside the block")
     assert len(draws) == 3
     make_operator("bernoulli", 8, 64, 3)
@@ -367,32 +366,16 @@ def test_shared_draw_does_not_outlive_its_block(monkeypatch):
     assert sensing._scope.draw is None
 
 
-def test_shared_draw_is_per_thread_and_nests(monkeypatch):
+def test_shared_draw_is_per_thread(monkeypatch):
     draws = _count_draws(monkeypatch)
-    with shared_draw("gaussian", 32, 64, 3):
+    with sensing._shared_draw(Ensemble.GAUSSIAN, 32, 64, 3):
         worker = threading.Thread(target=make_operator, args=("gaussian", 8, 64, 3))
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert len(draws) == 2  # the other thread drew its own
-        with shared_draw("bernoulli", 16, 64, 5):
-            make_operator("bernoulli", 16, 64, 5)
-            make_operator("gaussian", 8, 64, 3)
-        assert len(draws) == 4  # the inner block hides the outer one
         make_operator("gaussian", 8, 64, 3)
-        assert len(draws) == 4  # and restores it on exit
-
-
-def test_shared_draw_checks_its_shape_before_drawing(monkeypatch):
-    draws = _count_draws(monkeypatch)
-    for m, N in [(0, 64), (65, 64)]:
-        with pytest.raises(UsageError, match="need 1 <= m <= N"):
-            with shared_draw("partial_dct", m, N, 3):
-                pass
-    with pytest.raises(UsageError, match="MAX_DENSE_ENTRIES"):
-        with shared_draw("gaussian", 2**13 + 1, 2**13 + 1, 3):
-            pass
-    assert draws == []
+        assert len(draws) == 2  # this thread's operator came from the block
 
 
 def test_ensemble_enum_accepts_instances():
