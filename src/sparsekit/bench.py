@@ -12,6 +12,25 @@ One runner, ``_run_trial_major``, executes batches, sweeps and scaling
 studies; a batch is its one-config case.  Trial ``i``'s operator seed
 depends on neither m nor s, so a sweep draws the largest m once per trial
 index and builds every cell's dense operator from a prefix of that draw.
+
+``threads`` is an upper bound, not the number of cores a run uses.  The
+runner opens a pool of ``threads`` workers only when one apply of its
+largest operator touches at least ``POOL_MIN_APPLY_WORK`` elements
+(``m * N`` dense, ``N * ceil(log2 N)`` for a partial DCT); a smaller run
+executes its trial indices on the calling thread at any ``threads``.
+Threads overlap only work done outside the interpreter lock, and in a
+smaller trial the pursuit's Python work dominates.  Speed at 2 threads over
+1, measured in process on a 2-vCPU VM (the pool at every size / this rule):
+
+    run, elements one apply touches    pool       rule
+    README sweep, 65,536               0.78-0.79  one core
+    partial DCT N <= 4096, <= 49,152   0.53-0.95  one core
+    dense, 2^14 to 2^17                0.62-1.00  one core
+    partial DCT N = 8192, 106,496      0.92-1.22  one core
+    dense, 3 * 2^16                    0.86-1.01  one core
+    partial DCT N = 16384, 229,376     1.19-1.45  pool
+    dense, 2^18                        0.98-1.17  pool
+    dense, 2^19 and 2^20               1.06-1.45  pool
 """
 
 from __future__ import annotations
@@ -31,7 +50,7 @@ from .errors import SolverFailure, UsageError
 from .linalg import check_integer, check_real
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
-from .sensing import _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
+from .sensing import Ensemble, _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
 from .signals import Signal, check_compressible, check_noise_level, check_sparse, gen_compressible, gen_sparse
 from .signals import head, measure, tail_l1
 
@@ -56,6 +75,13 @@ SCALING_ETA_REL = 1e-8
 _STREAM_OPERATOR = 1
 _STREAM_SIGNAL = 2
 _STREAM_NOISE = 3
+
+# A run with threads > 1 opens its pool only when one apply of its largest
+# operator touches at least this many elements (``_apply_work``).  Two
+# threads ran slower than one on every dense size up to 3 * 2**16 entries
+# and on partial DCTs up to N = 4096, and as fast or faster from 2**18 entries and at
+# N = 16384 (N * 14 = 229,376); the module docstring has the table.
+POOL_MIN_APPLY_WORK = 200_000
 
 SWEEP_CSV_COLUMNS = ("m", "s", "trials", "successes", "success_rate")
 
@@ -278,8 +304,13 @@ def _run_trial_major(
     the operator of the cell it is running.  This is the only place the
     block is opened, and only for configs validated here.  A single config
     opens no block, so each trial draws its operator alone.
-    The pool runs trial indices.  Unless ``keep_results``, each ``result``
-    is dropped as soon as its trial returns.
+    With ``threads > 1``, a pool of ``threads`` workers runs the trial
+    indices only if ``_apply_work`` of the largest m reaches
+    ``POOL_MIN_APPLY_WORK``; otherwise they run on the calling thread, as
+    at ``threads == 1``, so such a run uses one core whatever ``threads``
+    says (see the module docstring for the measured speeds).  Unless
+    ``keep_results``, each ``result`` is dropped as soon as its trial
+    returns.
     """
     for cfg in configs:
         cfg.validate()
@@ -304,12 +335,20 @@ def _run_trial_major(
             return [run(cfg, i) for cfg in configs]
 
     indices = range(first.trials)
-    if threads == 1:
+    if threads == 1 or _apply_work(kind, m_max, first.N) < POOL_MIN_APPLY_WORK:
         by_index = [trial_index(i) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             by_index = list(pool.map(trial_index, indices))
     return [list(records) for records in zip(*by_index)]
+
+
+def _apply_work(kind: Ensemble, m: int, N: int) -> int:
+    """Elements one apply of an m x N operator touches: ``m * N`` for a dense
+    ensemble, ``N * ceil(log2 N)`` for a partial DCT."""
+    if kind is Ensemble.PARTIAL_DCT:
+        return N * (N - 1).bit_length()
+    return m * N
 
 
 def summarize(records: Sequence[TrialRecord]) -> dict:

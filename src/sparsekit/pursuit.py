@@ -353,6 +353,8 @@ def cosamp(
     """
     u = _checked("cosamp", op, u, s)
     check_halting(eta, max_iter)
+    # As a Python float: a numpy float32 eta would keep ls_tol in float32.
+    eta = float(eta)
 
     def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)

@@ -251,3 +251,17 @@ def test_matvecs_per_trial_stay_flat_as_n_grows():
         means.append(sum(r.matvecs for r in records) / len(records))
     for mean in means[1:]:
         assert means[0] / FLAT_MATVEC_RATIO <= mean <= FLAT_MATVEC_RATIO * means[0], means
+
+
+def test_numpy_float32_eta_runs_as_its_float_twin():
+    # A float32 eta must not keep the refit tolerance in float32: it halts
+    # and refits exactly as the Python float of the same value.
+    op = make_operator("partial_dct", 128, 512, seed=41)
+    sig = gen_sparse(512, 8, seed=42)
+    u, _ = measure(op, sig, "fixed", 0.05, seed=43)
+    narrow = cosamp(op, u, 8, eta=np.float32(0.3))
+    wide = cosamp(op, u, 8, eta=float(np.float32(0.3)))
+    assert narrow.iterates == wide.iterates
+    assert all(type(it["ls_tol"]) is float for it in narrow.iterates)
+    assert narrow.residual_norms == wide.residual_norms
+    assert np.array_equal(narrow.estimate, wide.estimate)

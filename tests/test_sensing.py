@@ -464,9 +464,10 @@ print(json.dumps({{"code": code, "dense": dense, "dct": "scipy.fft" in sys.modul
 def test_first_scipy_import_inside_the_sweep_pool(tmp_path):
     # The two workers start on their first trials together, so both can
     # reach the scipy.fft import while it is loading; the finder records
-    # which thread loads it.
-    argv = ["sweep", "--alg", "omp", "--ensemble", "partial_dct", "--N", "256",
-            "--m-values", "32,64", "--s-values", "4,8", "--trials", "6", "--seed", "3"]
+    # which thread loads it.  At N = 16384 one transform is above
+    # bench.POOL_MIN_APPLY_WORK, so the sweep runs in the pool.
+    argv = ["sweep", "--alg", "omp", "--ensemble", "partial_dct", "--N", "16384",
+            "--m-values", "512,1024", "--s-values", "4,8", "--trials", "6", "--seed", "3"]
     pooled = tmp_path / "pooled.csv"
     loaded = run_fresh(f"""
 import importlib.abc, json, sys, threading

@@ -3,13 +3,18 @@
 The README grids are pinned elsewhere; here Hypothesis draws valid
 ``TrialConfig``s and small sweeps over every algorithm, ensemble, signal
 kind and noise mode, and each must emit the same CSV and JSON bytes at 1, 2
-and 3 threads.  A batch of large Gaussian operators is checked the same
-way, and no draw may start a thread of its own.
+and 3 threads.  Those runs are below ``bench.POOL_MIN_APPLY_WORK``, so they
+run on the calling thread at every thread count; a large Gaussian batch, a
+sweep and a partial-DCT batch above it are checked the same way through the
+pool.  A pool opens only at that size or above, and no draw may start a
+thread of its own.
 """
 
 import io
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -110,6 +115,74 @@ def test_large_gaussian_batch_emits_the_same_bytes_at_any_thread_count():
     serial = batch_bytes(cfg, 1)
     for threads in THREADS[1:]:
         assert batch_bytes(cfg, threads) == serial
+
+
+def test_sweep_above_the_pool_size_emits_the_same_bytes_at_any_thread_count():
+    # The largest operator has 512 x 1024 entries, over twice the pool size,
+    # so at 2 and 3 threads the sweep's trial indices run in the pool.
+    args = (1024, [256, 512], [8, 40], "gaussian", "omp", 2, 11)
+    assert 512 * 1024 >= bench.POOL_MIN_APPLY_WORK
+    serial = sweep_bytes(args, {}, 1)
+    for threads in THREADS[1:]:
+        assert sweep_bytes(args, {}, threads) == serial
+
+
+def test_partial_dct_batch_above_the_pool_size_emits_the_same_bytes_at_any_thread_count():
+    cfg = bench.TrialConfig(
+        "cosamp", "partial_dct", 512, 16384, 16, 3, 7, noise_mode="fixed_rel", noise_level=0.01, eta_rel=0.01
+    ).validate()
+    assert 16384 * 14 >= bench.POOL_MIN_APPLY_WORK
+    serial = batch_bytes(cfg, 1)
+    for threads in THREADS[1:]:
+        assert batch_bytes(cfg, threads) == serial
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every pool ``bench`` opens, in order."""
+    opened = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "ensemble, m, N, pooled",
+    [
+        # m * N for a dense ensemble, N * ceil(log2 N) for a partial DCT
+        ("gaussian", 99, 2000, False),
+        ("gaussian", 100, 2000, True),  # exactly POOL_MIN_APPLY_WORK
+        ("bernoulli", 99, 2000, False),
+        ("bernoulli", 100, 2000, True),
+        ("partial_dct", 64, 8192, False),  # 8192 * 13 = 106,496
+        ("partial_dct", 64, 16384, True),  # 16384 * 14 = 229,376
+    ],
+)
+def test_a_batch_opens_the_pool_only_at_the_pool_size(pools, ensemble, m, N, pooled):
+    cfg = bench.TrialConfig("cosamp", ensemble, m, N, 4, 2, 7)
+    bench.run_trials(cfg, threads=1)
+    assert pools == []
+    bench.run_trials(cfg, threads=2)
+    assert pools == ([2] if pooled else [])
+
+
+def test_a_sweep_opens_the_pool_only_at_the_pool_size(pools):
+    # The README sweep's largest operator is 256 x 256 = 65,536 entries.
+    before = threading.active_count()
+    bench.phase_sweep(256, [16, 64, 256], [4], "gaussian", "omp", 2, 3, threads=2)
+    assert pools == [] and threading.active_count() == before
+    # Only live cells count: m = 4096 > N is NA and builds no operator.
+    bench.phase_sweep(256, [64, 4096], [4], "gaussian", "omp", 2, 3, threads=2)
+    assert pools == []
+    bench.phase_sweep(1024, [64, 256], [4], "gaussian", "omp", 2, 3, threads=2)
+    assert pools == [2]
+    bench.compressible_scaling(1024, 256, 0.7, 1.0, [4, 8], "gaussian", "cosamp", 2, 3, threads=3)
+    assert pools == [2, 3]
 
 
 def test_no_draw_starts_a_thread():
