@@ -164,6 +164,8 @@ def _check_out(out: Optional[str]) -> None:
     and truncates nothing, so a failed run leaves an existing file as it was."""
     if out is None:
         return
+    if not out:
+        raise UsageError("cannot write --out '': an empty path")
     folder = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(folder):
         raise UsageError(f"cannot write --out {out!r}: no directory {folder!r}")

@@ -32,6 +32,14 @@ the tests' pure-Python reference:
   while it is in cache.  A variate depends only on its stream position,
   so no bit of any draw depends on the block size or on where a draw's
   blocks start.  Every draw runs on its calling thread.
+* Index draws: ``choose_without_replacement`` and ``permutation`` run
+  Fisher-Yates steps, one word each.  Below ``_REPLAY_STEPS`` (128) steps
+  a Python loop swaps the entries; from there on the same swaps are
+  replayed on arrays, by sorting the steps by target and following each
+  step's chain of earlier steps into the same position, which costs about
+  28 us plus 0.04 us a step against the loop's 0.22 us a step
+  (``permutation(4096)``: 849 -> 198 us).  Both give the same indices and
+  consume the same stream positions.
 * Derived seeds: ``derive_seed(master, *parts)`` mixes the master seed,
   then folds each integer part into the state with one mix64 round.
   Trial ``i`` of a benchmark uses ``derive_seed(master_seed, i)``, and
@@ -140,10 +148,14 @@ class SplitMix64:
     ``choose_without_replacement(population, k)`` consumes exactly ``k``
     positions and ``permutation(n)`` consumes ``max(n - 1, 0)``: one word
     per Fisher-Yates step, reduced modulo the population still unpicked at
-    that step.  A large ``raw``, ``normal`` or ``signs`` draw allocates its
-    result and two blocks (512 KiB) of scratch; ``normal`` adds a block's
-    reject mask (32 KiB), the positions of its rejected words (0.43 % of
-    the draw) and arrays for resolving 1024 of them at a time.
+    that step.  The steps run in a Python loop below ``_REPLAY_STEPS``
+    (128) of them and are replayed on arrays from there on, with the same
+    picks and positions either way; a replay of k steps allocates a few
+    int64 arrays of k.  A large ``raw``, ``normal`` or ``signs`` draw
+    allocates its result and two blocks (512 KiB) of scratch; ``normal``
+    adds a block's reject mask (32 KiB), the positions of its rejected
+    words (0.43 % of the draw) and arrays for resolving 1024 of them at a
+    time.
     """
 
     def __init__(self, seed: int):
@@ -321,17 +333,15 @@ class SplitMix64:
         if not 0 <= k <= population:
             raise ValueError("need 0 <= k <= population")
         picked, _ = self._fisher_yates(population, k)
-        out = np.array(picked, dtype=np.int64)
-        out.sort()
-        return out
+        picked.sort()
+        return picked
 
     def permutation(self, n: int) -> np.ndarray:
         """Full Fisher-Yates permutation of [0, n)."""
         n = operator.index(n)  # a numpy uint64 0 would wrap n - 1
-        order, displaced = self._fisher_yates(n, max(n - 1, 0))
-        if n > 0:  # the one entry no step picked
-            order.append(displaced.get(n - 1, n - 1))
-        return np.array(order, dtype=np.int64)
+        order, leftover = self._fisher_yates(n, max(n - 1, 0))
+        # Last comes the one entry no step picked.
+        return np.append(order, leftover) if n > 0 else order
 
     def _fisher_yates(self, population: int, k: int):
         """The first ``k`` steps of a Fisher-Yates shuffle of [0, population).
@@ -339,20 +349,80 @@ class SplitMix64:
         Step ``i`` swaps entry ``i`` with entry ``i + word_i % (population - i)``;
         the modulo bias, below population / 2**64, is accepted for a simple,
         fully specified reduction.  All ``k`` words come from one ``raw(k)``
-        block.  Only the entries moved past the prefix are stored, so the
-        cost is O(k) for any population.  Returns the ``k`` picks in order
-        and the map from each later position that was moved to the entry
-        now there.
+        block, so a draw consumes ``k`` positions whichever way it runs.
+        Below ``_REPLAY_STEPS`` steps, or where ``_replay``'s packed keys
+        would not fit an int64, a Python loop runs the swaps, storing only
+        the entries moved past the prefix, at about 0.22 us a step; else
+        ``_replay`` runs them on arrays, at about 28 us plus 0.04 us a step.
+        Both give the same picks and take O(k) memory for any population.
+        Returns the ``k`` picks in order as int64 and the entry at position
+        ``k`` after them.
         """
         bounds = np.arange(population, population - k, -1, dtype=np.uint64)
-        offsets = (self.raw(k) % bounds).tolist()
+        offsets = self.raw(k) % bounds
+        if k >= _REPLAY_STEPS and population << k.bit_length() <= 1 << 63:
+            return _replay(offsets.view(np.int64) + np.arange(k))
         picked = []
         displaced = {}
-        for i, offset in enumerate(offsets):
+        for i, offset in enumerate(offsets.tolist()):
             j = i + offset
             picked.append(displaced.get(j, j))
             displaced[j] = displaced.pop(i, i)
-        return picked, displaced
+        return np.array(picked, dtype=np.int64), displaced.get(k, k)
+
+
+# The step count from which ``_fisher_yates`` replays its swaps on arrays.
+# choose_without_replacement(4096, k) in us, the Python loop -> arrays, best
+# of 15 x 100 calls on a 2-vCPU VM with numpy 2.4.6: k = 32: 16.5 -> 28.3,
+# 64: 22.6 -> 30.2, 96: 30.7 -> 30.2, 128: 36.2 -> 32.5, 256: 63.1 -> 36.5,
+# 1024: 235 -> 67; permutation(4096): 849 -> 198.  Two more runs put the
+# crossing between 96 and 128 steps.
+_REPLAY_STEPS = 128
+
+
+def _replay(targets: np.ndarray):
+    """The Fisher-Yates swaps whose step ``i`` swaps entries ``i`` and
+    ``targets[i] >= i``, on arrays: the int64 picks in step order and the
+    entry at position ``k = targets.size`` after them, the values of the
+    loop in ``SplitMix64._fisher_yates``.  ``targets << k.bit_length()``
+    must fit an int64.
+
+    Step ``i`` picks what its target held: the entry the last earlier step
+    into the same target moved there, else the target's own index.  That
+    entry is what that earlier step's position held before its own step,
+    and so on down a chain of earlier steps, which pointer doubling follows.
+    """
+    k = targets.size
+    shift = k.bit_length()
+    steps = np.arange(k)
+    # (target, step) pairs sorted by target, then step, as packed keys.
+    keys = targets << shift
+    keys |= steps
+    keys.sort()
+    target = keys >> shift
+    step = keys & ((1 << shift) - 1)
+    follows = target[1:] == target[:-1]
+    # earlier[i]: the last step before step i into the same target, or -1.
+    earlier = np.empty(k, np.int64)
+    earlier[step] = np.append(-1, np.where(follows, step[:-1], -1))
+    # last[p]: the last step into position p <= k, else p; the last steps
+    # into later positions all land in the spare slot k + 1.
+    last = np.arange(k + 2)
+    ends = np.append(~follows, True)
+    ends &= target <= k
+    last[np.where(ends, target, k + 1)] = step
+    # held[i]: the entry position i holds before step i, which the last
+    # step into i moved there, else i itself, found by doubling the links to
+    # earlier steps.  Only a step that moves it on to a later position
+    # reads it, so where step i targets i itself, held[i] is never read.
+    held = last[:k]
+    while True:
+        linked = held[held]
+        if np.array_equal(linked, held):
+            break
+        held = linked
+    picks = np.where(earlier >= 0, held[earlier], targets)
+    return picks, int(held[last[k]]) if last[k] < k else k
 
 
 # fdlibm's __ieee754_log: ln 2 split so that k * _LN2_HI is exact for

@@ -8,9 +8,12 @@ expected squared norm (``E||Phi x||^2 = ||x||^2`` for fixed ``x``):
 * ``bernoulli``  - i.i.d. entries ``+-1/sqrt(m)`` equiprobable.
 * ``partial_dct`` - ``m`` distinct rows of the orthonormal type-II DCT
   matrix, drawn uniformly without replacement and scaled by
-  ``sqrt(N/m)``.  Application uses an O(N log N) fast transform from
-  ``scipy.fft``, which loads when the first partial-DCT operator is
-  built: Gaussian and Bernoulli work never imports scipy.
+  ``sqrt(N/m)``.  Application uses an O(N log N) fast transform,
+  pocketfft through ``scipy.fftpack``, which loads when the first
+  partial-DCT operator is built: Gaussian and Bernoulli work never imports
+  scipy.  ``scipy.fftpack`` calls the kernel of ``scipy.fft`` without its
+  backend dispatch, so each transform has the bits of ``scipy.fft``'s at
+  about 6 us less a call.
 
 Operators are deterministic functions of ``(ensemble, m, N, seed)``.
 Gaussian and Bernoulli operators hold all ``m * N`` entries in memory, so
@@ -132,9 +135,7 @@ class SenseOperator:
         raise NotImplementedError
 
     def _forward_support(self, indices, coeffs):
-        full = np.zeros(self.N)
-        full[indices] = coeffs
-        return self._forward(full)
+        raise NotImplementedError
 
     def _adjoint_support(self, indices, v):
         return self._adjoint(v)[indices]
@@ -200,20 +201,32 @@ class _PartialDctOperator(SenseOperator):
         rng = SplitMix64(seed)
         self.rows = rng.choose_without_replacement(N, m)
         self._scale = math.sqrt(N / m)
-        # scipy.fft takes most of the package's import time, and only this
+        # scipy takes most of the package's import time, and only this
         # ensemble uses it: it loads with the first partial-DCT operator.
-        from scipy import fft
+        # scipy.fftpack runs scipy.fft's pocketfft kernel, so its transforms
+        # have the same bits, without scipy.fft's backend dispatch, which
+        # cost about 6 us of each call (N = 64: 12.7 -> 6.4 us a call).
+        from scipy import fftpack
 
-        self._dct = fft.dct
-        self._idct = fft.idct
+        self._dct = fftpack.dct
+        self._idct = fftpack.idct
 
-    def _forward(self, x):
-        return self._scale * self._dct(x, type=2, norm="ortho")[self.rows]
+    def _forward(self, x, overwrite_x=False):
+        return self._scale * self._dct(x, type=2, norm="ortho", overwrite_x=overwrite_x)[self.rows]
+
+    # The support applies and the adjoint transform zero-padded arrays of
+    # their own, in place; ``forward`` leaves the caller's ``x`` as it was.
+    def _forward_support(self, indices, coeffs):
+        full = np.zeros(self.N)
+        full[indices] = coeffs
+        return self._forward(full, overwrite_x=True)
 
     def _adjoint(self, v):
         padded = np.zeros(self.N)
         padded[self.rows] = v
-        return self._scale * self._idct(padded, type=2, norm="ortho")
+        out = self._idct(padded, type=2, norm="ortho", overwrite_x=True)
+        out *= self._scale
+        return out
 
     def dense_matrix(self):
         # Closed-form cosine entries, independent of the fft fast path.

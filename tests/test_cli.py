@@ -605,11 +605,11 @@ def test_sweep_size_cap_skips_an_over_cap_m_whose_cells_are_all_na(capsys):
     [RECOVER_ARGS, BENCH_ARGS, OMP_SWEEP_ARGS, ["ric", "--m", "16", "--N", "32", "--n", "2", "--trials", "2"]],
     ids=["recover", "bench", "sweep", "ric"],
 )
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "empty"])
 def test_unwritable_out_is_refused_before_any_work(refuse_work, tmp_path, capsys, argv, where):
-    # Into a missing directory, the run once finished every trial and then
-    # ended in a FileNotFoundError traceback with exit 1.
-    out_path = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    # Into a missing directory or an empty path, the run once finished every
+    # trial and then ended in a FileNotFoundError traceback with exit 1.
+    out_path = {"missing-directory": tmp_path / "missing" / "x.csv", "a-directory": tmp_path, "empty": ""}[where]
     code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 2
     assert out == ""

@@ -4,8 +4,11 @@
 everything a recovery returns: the estimate, the support, every residual
 norm, the apply count, the halt reason and the JSON of every iterate.  One
 digest covers each algorithm on each ensemble over a few small noiseless
-and noisy instances.  A change to the arithmetic of any round, to the order
-of its floating-point operations or to its trace moves the digest.
+and noisy instances, and one covers each algorithm on the benchmark's
+partial-DCT configs at 1024/4096/48, where the index draws run on arrays
+and every transform is 4096 long.  A change to the arithmetic of any
+round, to the order of its floating-point operations or to its trace moves
+the digest.
 """
 
 import hashlib
@@ -13,6 +16,8 @@ import json
 
 import pytest
 
+from sparsekit import bench
+from sparsekit.bench import TrialConfig
 from sparsekit.errors import SolverFailure
 from sparsekit.pursuit import cosamp, omp, romp
 from sparsekit.sensing import make_operator
@@ -35,6 +40,34 @@ PINNED = {
 }
 
 
+# The three configs of the benchmark's mc-dct workload, two trials each, at
+# master seed 7 (the benchmark hashes its seed first).
+MC_DCT_SHAPE = dict(ensemble="partial_dct", m=1024, N=4096, s=48, trials=2, master_seed=7)
+MC_DCT_CONFIGS = {
+    "omp": TrialConfig("omp", **MC_DCT_SHAPE),
+    "romp": TrialConfig("romp", **MC_DCT_SHAPE),
+    "cosamp": TrialConfig(
+        "cosamp", signal_kind="compressible", p=0.7, R=1.0,
+        noise_mode="fixed_rel", noise_level=0.01, eta_rel=0.01, **MC_DCT_SHAPE,
+    ),
+}
+
+MC_DCT_PINNED = {
+    "omp": "590bac2fab5ca4955dbc00e14695ca6aebc4d5d687f5b14e2d57def4e3956b05",
+    "romp": "19e37e316587c1c53e2f46b04add4ca975ac03bb6b29cfca3b86aec32b1b3fba",
+    "cosamp": "073d791d1f8c898601739e4d7e13ea7633f0a83bc7b38f3a66a201819c2c74c0",
+}
+
+
+def update_digest(digest, result):
+    """Fold everything ``result`` holds into ``digest``."""
+    digest.update(result.estimate.tobytes())
+    digest.update(result.support.tobytes())
+    digest.update(repr([float(r).hex() for r in result.residual_norms]).encode())
+    digest.update(f"{result.iterations} {result.matvec_count} {result.halted_by.value}\n".encode())
+    digest.update(json.dumps(result.iterates, sort_keys=True).encode())
+
+
 def recovery_digest(algorithm, ensemble):
     """sha256 over every recovery of ``algorithm`` on ``ensemble``."""
     digest = hashlib.sha256()
@@ -53,14 +86,32 @@ def recovery_digest(algorithm, ensemble):
             except SolverFailure as exc:
                 digest.update(f"SolverFailure: {exc}\n".encode())
                 continue
-            digest.update(result.estimate.tobytes())
-            digest.update(result.support.tobytes())
-            digest.update(repr([float(r).hex() for r in result.residual_norms]).encode())
-            digest.update(f"{result.iterations} {result.matvec_count} {result.halted_by.value}\n".encode())
-            digest.update(json.dumps(result.iterates, sort_keys=True).encode())
+            update_digest(digest, result)
+    return digest.hexdigest()
+
+
+def mc_dct_digest(monkeypatch, algorithm):
+    """sha256 over the recoveries of ``bench.run_trial`` on ``algorithm``'s mc-dct config."""
+    digest = hashlib.sha256()
+    pursuit = getattr(bench, algorithm)
+
+    def recorded(*args, **kwargs):
+        result = pursuit(*args, **kwargs)
+        update_digest(digest, result)
+        return result
+
+    monkeypatch.setattr(bench, algorithm, recorded)
+    cfg = MC_DCT_CONFIGS[algorithm].validate()
+    for index in range(cfg.trials):
+        bench.run_trial(cfg, index)
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("algorithm, ensemble", PINNED, ids=[f"{a}-{e}" for a, e in PINNED])
 def test_recovery_is_pinned(algorithm, ensemble):
     assert recovery_digest(algorithm, ensemble) == PINNED[algorithm, ensemble]
+
+
+@pytest.mark.parametrize("algorithm", MC_DCT_PINNED)
+def test_benchmark_sized_partial_dct_recovery_is_pinned(monkeypatch, algorithm):
+    assert mc_dct_digest(monkeypatch, algorithm) == MC_DCT_PINNED[algorithm]

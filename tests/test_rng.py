@@ -359,3 +359,94 @@ def test_index_draw_bits_pinned():
     for n in PERMUTATION_SIZES:
         record(gen.permutation(n))
     assert digest.hexdigest() == "7bd46b411b3c40f643a73985f73c5474454fba868de35a4714c4833cba438373"
+
+
+# Fisher-Yates draws of at least T steps replay their swaps on arrays.
+T = rng._REPLAY_STEPS
+
+
+@pytest.mark.parametrize("k", [T - 1, T, T + 1])
+def test_index_draws_either_side_of_the_replay_threshold_match_the_reference(k):
+    for seed in (0, 3, MASK):
+        for population in (k, 16_384):
+            gen = SplitMix64(seed)
+            assert gen.choose_without_replacement(population, k).tolist() == sorted(reference_fisher_yates(seed, population, k)[:k])
+            assert gen.position == k
+        gen = SplitMix64(seed)
+        assert gen.permutation(k + 1).tolist() == reference_fisher_yates(seed, k + 1, k)
+        assert gen.position == k
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, MASK), population=st.integers(T - 2, 3000), share=st.floats(0.0, 1.0))
+def test_index_draws_near_and_above_the_replay_threshold_match_the_reference(seed, population, share):
+    k = T - 2 + round(share * (population - T + 2))
+    gen = SplitMix64(seed)
+    assert gen.choose_without_replacement(population, k).tolist() == sorted(reference_fisher_yates(seed, population, k)[:k])
+    assert gen.position == k
+    gen = SplitMix64(seed)
+    assert gen.permutation(population).tolist() == reference_fisher_yates(seed, population, population - 1)
+    assert gen.position == population - 1
+
+
+def swap_replay(population, targets):
+    """Step ``i`` swaps entries ``i`` and ``targets[i]`` of a list of
+    [0, population); the picks and the entry at position ``len(targets)``."""
+    pool = list(range(population))
+    for i, j in enumerate(targets):
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[: len(targets)], pool[len(targets)]
+
+
+@pytest.mark.parametrize("k", [1, 2, T, 1000])
+@pytest.mark.parametrize("kind", ["all-to-the-last", "each-to-itself", "each-to-the-next"])
+def test_replay_of_adversarial_targets_matches_list_swaps(kind, k):
+    # The longest chains of earlier steps a replay can meet, and none at all.
+    population = k + 5
+    targets = {
+        "all-to-the-last": [population - 1] * k,
+        "each-to-itself": list(range(k)),
+        "each-to-the-next": list(range(1, k + 1)),
+    }[kind]
+    picks, leftover = rng._replay(np.array(targets, dtype=np.int64))
+    assert picks.dtype == np.int64
+    assert (picks.tolist(), leftover) == swap_replay(population, targets)
+
+
+def dict_fisher_yates(seed, population, steps):
+    """``reference_fisher_yates`` storing only the entries moved past the
+    prefix, for any population: the picks and the entry at position ``steps``."""
+    picked, displaced = [], {}
+    for i, word in enumerate(reference_stream(seed, steps)):
+        j = i + word % (population - i)
+        picked.append(displaced.get(j, j))
+        displaced[j] = displaced.pop(i, i)
+    return picked, displaced.get(steps, steps)
+
+
+# A replay packs each target above the step's bits into an int64 key.
+PACKED = 2 ** (63 - T.bit_length())
+
+
+@pytest.mark.parametrize(
+    "population, replayed",
+    [(PACKED, True), (PACKED + 1, False), (2**62 + 3, False), (2**63, False)],
+    ids=["largest-packed", "smallest-unpacked", "above-2**62", "2**63"],
+)
+def test_huge_populations_draw_like_the_loop(monkeypatch, population, replayed):
+    # Past the largest population whose keys fit, the loop runs instead.
+    replay, calls = rng._replay, []
+
+    def spy(targets):
+        calls.append(targets.size)
+        return replay(targets)
+
+    monkeypatch.setattr(rng, "_replay", spy)
+    for seed in (0, 3):
+        picked, leftover = dict_fisher_yates(seed, population, T)
+        order, entry = SplitMix64(seed)._fisher_yates(population, T)
+        assert (order.tolist(), entry) == (picked, leftover)
+        gen = SplitMix64(seed)
+        assert gen.choose_without_replacement(population, T).tolist() == sorted(picked)
+        assert gen.position == T
+    assert bool(calls) == replayed

@@ -195,6 +195,34 @@ def test_partial_dct_fast_path_equals_dense_larger():
     np.testing.assert_allclose(op.forward(x), dense @ x, atol=1e-10)
 
 
+@pytest.mark.parametrize("N", [4096, 1000, 4099])
+def test_partial_dct_applies_have_the_bits_of_scipy_fft(N):
+    # The operator runs pocketfft through scipy.fftpack, in place on its own
+    # padded arrays; every apply must give scipy.fft's bits, and forward
+    # must leave the caller's vector as it was.
+    from scipy import fft
+
+    m = N // 4
+    op = make_operator("partial_dct", m, N, seed=N)
+    scale = math.sqrt(N / m)
+    gen = SplitMix64(N + 1)
+    x, v = gen.normal(N), gen.normal(m)
+    support = gen.choose_without_replacement(N, 48)
+    coeffs = gen.normal(48)
+    kept = x.copy()
+    full = np.zeros(N)
+    full[support] = coeffs
+    padded = np.zeros(N)
+    padded[op.rows] = v
+    want_forward = scale * fft.dct(x, type=2, norm="ortho")[op.rows]
+    want_adjoint = scale * fft.idct(padded, type=2, norm="ortho")
+    assert op.forward(x).tobytes() == want_forward.tobytes()
+    assert x.tobytes() == kept.tobytes()
+    assert op.adjoint(v).tobytes() == want_adjoint.tobytes()
+    assert op.forward_support(support, coeffs).tobytes() == (scale * fft.dct(full, type=2, norm="ortho")[op.rows]).tobytes()
+    assert op.adjoint_support(support, v).tobytes() == want_adjoint[support].tobytes()
+
+
 def test_bernoulli_entries():
     op = make_operator("bernoulli", 4, 4, seed=123)
     dense = op.dense_matrix()
