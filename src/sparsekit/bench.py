@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .linalg import check_integer, check_real
+from .linalg import check_integer, check_real, l2_norm
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
@@ -224,11 +224,11 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     if mode == "fixed_rel":
         # One forward apply probes ||Phi x||; a zero level needs no probe.
         if level != 0.0:
-            level = level * float(np.linalg.norm(op.forward(signal.values)))
+            level = level * l2_norm(op.forward(signal.values))
         mode = "fixed"
     u, e = measure(op, signal, mode, level, seeds["noise"])
 
-    eta = float(cfg.eta) if cfg.eta_rel is None else float(cfg.eta_rel) * float(np.linalg.norm(u))
+    eta = float(cfg.eta) if cfg.eta_rel is None else float(cfg.eta_rel) * l2_norm(u)
 
     started = time.perf_counter()
     error_message = None
@@ -245,15 +245,15 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     wall_time = time.perf_counter() - started
 
     x = signal.values
-    x_norm = float(np.linalg.norm(x))
+    x_norm = l2_norm(x)
     tail_s = cfg.s // 2 if cfg.algorithm == "cosamp" else cfg.s
-    tail_term = tail_l1(x, tail_s) / math.sqrt(cfg.s)
-    noise_norm = float(np.linalg.norm(e))
+    tail_term = tail_l1(signal, tail_s) / math.sqrt(cfg.s)
+    noise_norm = l2_norm(e)
 
     l2_error = rel_error = support_exact = bound_ratio = None
     success = False
     if result is not None:
-        l2_error = float(np.linalg.norm(result.estimate - x))
+        l2_error = l2_norm(result.estimate - x)
         rel_error = l2_error / x_norm if x_norm > 0 else None
         success = l2_error <= SUCCESS_RELATIVE_TOL * x_norm
         if signal.true_support is not None:

@@ -96,7 +96,9 @@ def largest_indices(values, k: int) -> np.ndarray:
     on descending magnitude, in which NaN ranks below every magnitude.
     Selection is O(N): one ``np.partition`` finds the k-th magnitude, and
     everything above it is kept together with the lowest-position entries
-    equal to it (for ``k = 1``, one ``argmax``).
+    equal to it.  For ``k = 1`` it is one ``argmax`` of the magnitudes,
+    which returns the first largest, or the first NaN if there is one; only
+    then does the selection rank the NaNs and partition.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
@@ -107,11 +109,13 @@ def largest_indices(values, k: int) -> np.ndarray:
     if k == 0:
         return np.empty(0, dtype=np.int64)
     magnitude = np.abs(v)
+    if k == 1:
+        top = magnitude.argmax()
+        if not math.isnan(magnitude[top]):
+            return np.array([top], dtype=np.int64)
     # Every magnitude is >= 0, so NaN as -1 ranks below them all and its
     # ties go to the lowest position like any other.
     np.copyto(magnitude, -1.0, where=np.isnan(magnitude))
-    if k == 1:
-        return np.array([magnitude.argmax()], dtype=np.int64)
     kth = np.partition(magnitude, n - k)[n - k]
     keep = magnitude > kth
     ties = np.flatnonzero(magnitude == kth)

@@ -51,16 +51,40 @@ def check_sparse(N, s, name: str = "s") -> None:
     check_integer(name, s, 0, N)
 
 
+# The largest compressible magnitude R and noise level a trial accepts (``_check_scale``).
+MAX_SCALE = 2.0**128
+
+
+def _check_scale(name: str, value, positive: bool = False) -> None:
+    """Refuse a ``value`` that ``check_real`` refuses or that exceeds ``MAX_SCALE``.
+
+    At the size caps (m <= N <= 2**26, ``sensing.MAX_DENSE_ENTRIES``) the cap
+    keeps every squared norm of a trial's data 2**442 below float64's
+    overflow at 2**1024.  A Gaussian variate is below 16 in magnitude (the
+    ziggurat's tail ends near 14.1), so a column of any ensemble has squared
+    norm at most 2**8 and ||Phi||_F**2 <= 2**34.  An entry of x is at most
+    max(R, 16), so ||x|| <= 2**17 * MAX_SCALE and ||Phi x|| <= 2**34 * MAX_SCALE.
+    The noise norm is at most 2**17 * level for ``sigma``, ``level`` for
+    ``fixed`` and ``noise_level * ||Phi x|| <= 2**34 * MAX_SCALE**2`` for
+    ``fixed_rel``.  So ||u||**2, which bounds every residual's, is at most
+    2**70 * MAX_SCALE**4 = 2**582.
+    """
+    check_real(name, value, positive=positive)
+    if float(value) > MAX_SCALE:  # a numpy float32 would overflow casting MAX_SCALE
+        raise UsageError(f"{name} must be at most 2**128 (signals.MAX_SCALE), got {value!r}")
+
+
 def check_compressible(N, p, R) -> None:
-    """Refuse a length ``N`` that is not an integer ``>= 1``, or a ``p`` or ``R`` not finite and positive."""
+    """Refuse a length ``N`` that is not an integer ``>= 1``, a ``p`` not finite
+    and positive, or an ``R`` not positive and at most ``MAX_SCALE``."""
     check_integer("N", N, 1)
     check_real("p", p, positive=True)
-    check_real("R", R, positive=True)
+    _check_scale("R", R, positive=True)
 
 
 def check_noise_level(level) -> None:
-    """Refuse a noise level that is not a finite real number ``>= 0``."""
-    check_real("noise_level", level)
+    """Refuse a trial's noise level that is not a real number in ``[0, MAX_SCALE]``."""
+    _check_scale("noise_level", level)
 
 
 def gen_sparse(N: int, s: int, seed: int) -> Signal:
@@ -115,7 +139,15 @@ def head(x, s: int):
 
 
 def tail_l1(x, s: int) -> float:
-    """l1 norm of what ``head(x, s)`` discards."""
+    """l1 norm of what ``head(x, s)`` discards.
+
+    A ``Signal`` whose ``true_support`` has at most ``s`` entries gives
+    ``0.0`` at once: ``head`` keeps all its nonzeros, so the two sums below
+    would add equal magnitudes (``-0.0`` included) and cancel exactly.
+    """
+    check_integer("s", s, 0)
+    if isinstance(x, Signal) and x.true_support is not None and x.true_support.size <= s:
+        return 0.0
     values = _signal_values(x)
     head_values = head(values, s)
     return float(np.sum(np.abs(values)) - np.sum(np.abs(head_values)))
@@ -136,7 +168,8 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     """
     if mode not in ("none", "fixed", "sigma"):
         raise UsageError(f"unknown noise mode {mode!r}")
-    check_noise_level(level)
+    # Not capped: run_trial resolves a fixed_rel level past MAX_SCALE.
+    check_real("noise_level", level)
     check_integer("seed", seed)
     level = float(level)
     values = _signal_values(x)

@@ -17,7 +17,7 @@ from sparsekit.errors import UsageError
 from sparsekit.linalg import largest_indices
 from sparsekit.pursuit import omp, romp, sparsity_problem
 from sparsekit.sensing import empirical_ric, make_operator
-from sparsekit.signals import gen_compressible, gen_sparse, head, measure, tail_l1
+from sparsekit.signals import MAX_SCALE, Signal, gen_compressible, gen_sparse, head, measure, tail_l1
 
 
 def _refuse(*args, **kwargs):
@@ -33,6 +33,8 @@ FRACTIONAL_COUNTS = {
     "largest_indices-k": lambda op, v: largest_indices(v, 2.5),
     "head-s": lambda op, v: head(v, 2.5),
     "tail_l1-s": lambda op, v: tail_l1(v, 2.5),
+    # A signal whose support fits in s takes tail_l1's shortcut.
+    "tail_l1-signal-s": lambda op, v: tail_l1(Signal(np.array([0.0, 3.0, 0.0]), true_support=[1]), 2.5),
     "empirical_ric-n": lambda op, v: empirical_ric(op, 2.5, 3, 1),
     "empirical_ric-trials": lambda op, v: empirical_ric(op, 2, 2.5, 1),
     "validate-noise_level": lambda op, v: TrialConfig(
@@ -145,6 +147,42 @@ def test_sweep_reports_an_oversized_factor_as_na(monkeypatch):
     assert [cell["success_rate"] for cell in cells] == [None]
 
 
+# ------------------------------------------------- the cap on R and noise
+
+# Past signals.MAX_SCALE, squared norms overflowed mid-run: the first case
+# warned and exited 2 after its recovery, the second exited 0 with null norms.
+HUGE_SCALES = {
+    "R": ["bench", "--trials", "2", "--signal-kind", "compressible", "--p", "0.7", "--R", "1e308"],
+    "noise_level": ["recover", "--noise-mode", "sigma", "--noise-level", "1e308"],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_SCALES.values(), ids=HUGE_SCALES.keys())
+def test_a_scale_over_the_cap_is_refused_before_any_draw(monkeypatch, capsys, argv):
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    monkeypatch.setattr(signals, "SplitMix64", _refuse)
+    assert cli.main(argv + ["--m", "16", "--N", "64", "--s", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_SCALE" in captured.err
+    with pytest.raises(UsageError, match="MAX_SCALE"):
+        gen_compressible(64, 0.7, math.nextafter(MAX_SCALE, math.inf), 1)
+
+
+@pytest.mark.parametrize("algorithm", ["omp", "romp", "cosamp"])
+@pytest.mark.parametrize("noise_mode", ["fixed_rel", "sigma"])
+def test_trials_at_the_cap_keep_every_norm_finite(algorithm, noise_mode):
+    # fixed_rel at the cap resolves to a noise norm near MAX_SCALE**2; an
+    # overflow would warn, and the suite turns warnings into errors.
+    cfg = TrialConfig(
+        algorithm, "gaussian", 32, 128, 4, 2, 7,
+        signal_kind="compressible", p=0.01, R=MAX_SCALE, noise_mode=noise_mode, noise_level=MAX_SCALE,
+    )
+    for record in run_trials(cfg):
+        norms = [record.l2_error, record.noise_norm, record.residual_norm, record.tail_term, record.bound_ratio]
+        assert all(math.isfinite(value) for value in norms), norms
+
+
 # --------------------------------------------- every numeric config field
 
 SPARSE = dict(algorithm="cosamp", ensemble="gaussian", m=24, N=48, s=4, trials=2, master_seed=7)
@@ -152,6 +190,7 @@ COMPRESSIBLE = dict(SPARSE, signal_kind="compressible", p=0.5, R=1.0)
 NOISY = dict(SPARSE, noise_mode="fixed", noise_level=0.1)
 
 _NEGATIVE = st.floats(max_value=-5e-324, allow_nan=False, allow_infinity=False)
+_OVER_THE_CAP = st.floats(min_value=math.nextafter(MAX_SCALE, math.inf), allow_infinity=False)
 
 # Each numeric TrialConfig field: a valid config that sets it, and its
 # out-of-range values in that config (None when every integer is valid).
@@ -164,8 +203,8 @@ FIELDS = {
     "signal_s": (dict(SPARSE, signal_s=4), st.integers(max_value=-1) | st.integers(min_value=49)),
     "max_iter": (SPARSE, st.integers(max_value=0)),
     "p": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
-    "R": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)),
-    "noise_level": (NOISY, _NEGATIVE),
+    "R": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False) | _OVER_THE_CAP),
+    "noise_level": (NOISY, _NEGATIVE | _OVER_THE_CAP),
     "eta": (SPARSE, _NEGATIVE),
     "eta_rel": (dict(SPARSE, eta_rel=1e-8), _NEGATIVE),
 }

@@ -158,10 +158,11 @@ def test_large_draw_allocates_little_beyond_its_result(method):
 
 # Draws from a block of 64 words: a few thousand words hold a few dozen
 # rejected ones, which draws resolve in Python or on arrays, all at once or
-# a few at a time.  EDGE_SIZES holds 0, 1 and one word either side of one
-# and of three blocks.
+# a few at a time.  EDGE_SIZES holds 0, 1, one word either side of the
+# largest draw mapped word by word (W), and of one and of three blocks.
 SMALL_BLOCK = 64
-EDGE_SIZES = [0, 1, 63, 64, 65, 191, 192, 193]
+W = rng._WORDWISE
+EDGE_SIZES = [0, 1, W - 1, W, W + 1, 63, 64, 65, 191, 192, 193]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -201,6 +202,36 @@ def test_every_ziggurat_step_matches_the_oracle(monkeypatch, scalar_rejects):
     want = reference_normal(0x7A11, 2**18, 3, paths)
     assert gen.normal(2**18).tobytes() == want.tobytes()
     assert min(paths.get(step, 0) for step in ("fast", "wedge", "tail", "retry")) > 0, paths
+
+
+def test_consecutive_small_draws_take_every_ziggurat_step_like_the_oracle(monkeypatch):
+    # The same 2**18 variates as draws of 1 to W words, each mapped word by
+    # word, never in blocks.
+    monkeypatch.setattr(SplitMix64, "_fill", lambda *args: pytest.fail("a small draw ran in blocks"))
+    gen = SplitMix64(0x7A11)
+    gen.raw(3)
+    paths = {}
+    want = reference_normal(0x7A11, 2**18, 3, paths)
+    got = []
+    while len(got) < 2**18:
+        got.extend(gen.normal(min(1 + len(got) % W, 2**18 - len(got))).tolist())
+    assert np.array(got).tobytes() == want.tobytes()
+    assert gen.position == 3 + 2**18
+    assert min(paths.get(step, 0) for step in ("fast", "wedge", "tail", "retry")) > 0, paths
+
+
+@pytest.mark.parametrize("n", [W - 1, W, W + 1])
+def test_draws_either_side_of_the_word_by_word_threshold_match_the_reference(n):
+    for seed in (0, 3, MASK):
+        gen = SplitMix64(seed)
+        gen.raw(1)
+        got = gen.raw(n)
+        assert got.dtype == np.uint64
+        assert got.tolist() == reference_stream(seed, 1 + n)[1:]
+        assert gen.position == 1 + n
+        gen = SplitMix64(seed)
+        assert gen.choose_without_replacement(256, n).tolist() == sorted(reference_fisher_yates(seed, 256, n)[:n])
+        assert gen.position == n
 
 
 def test_layer_tables_are_the_oracles_and_a_ziggurat():

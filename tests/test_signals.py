@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refstream import index_below, uniform, word
 from sparsekit.errors import UsageError
@@ -159,6 +161,30 @@ def test_tail_matches_partial_sum_oracle():
     assert tail_l1(sig, s) == pytest.approx(expected, rel=1e-12)
     # classic envelope bound for p = 0.5
     assert tail_l1(sig, s) <= R / s
+
+
+@st.composite
+def supported_signals(draw):
+    """A ``Signal`` with a declared support, its entries signed zeros off the
+    support and any finite value or signed zero on it, and a tail count
+    below, at or above the support's size, or above N."""
+    N = draw(st.integers(1, 24))
+    support = sorted(draw(st.sets(st.integers(0, N - 1))))
+    values = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=N, max_size=N)))
+    on = st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300)
+    values[support] = draw(st.lists(on, min_size=len(support), max_size=len(support)))
+    s = draw(st.sampled_from([max(len(support) + d, 0) for d in (-2, -1, 0, 1, 2)] + [N + 1, N + 5]))
+    return Signal(values, true_support=np.array(support, dtype=np.int64)), s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(supported_signals())
+def test_tail_of_a_signal_is_the_tail_of_its_values_bit_for_bit(case):
+    # A support that fits in s takes tail_l1's shortcut to 0.0; the bytes
+    # must be those of the general path on the bare values.
+    signal, s = case
+    want = tail_l1(signal.values, s)
+    assert np.float64(tail_l1(signal, s)).tobytes() == np.float64(want).tobytes(), (signal, s, want)
 
 
 # --- Signal type -------------------------------------------------------------
