@@ -47,11 +47,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import SolverFailure, UsageError
-from .linalg import check_integer, check_real, l2_norm
+from .linalg import check_integer, l2_norm
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
-from .signals import Signal, check_compressible, check_noise_level, check_sparse, gen_compressible, gen_sparse
+from .signals import Signal, check_compressible, check_noise_level, check_scale, check_sparse, gen_compressible, gen_sparse
 from .signals import head, measure, tail_l1
 
 FORMAT_VERSION = 2
@@ -146,7 +146,7 @@ class TrialConfig:
             raise UsageError(f"unknown noise mode {self.noise_mode!r}")
         check_noise_level(self.noise_level)
         if self.eta_rel is not None:
-            check_real("eta_rel", self.eta_rel)
+            check_scale("eta_rel", self.eta_rel)
         check_halting(self.eta, self.max_iter)
 
     def _shape_problem(self) -> Optional[str]:

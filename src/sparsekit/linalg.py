@@ -20,6 +20,10 @@ calls whatever the array's size: ``as_vector`` one ``isfinite`` and its
 Python ints.  So the pursuits, which pass every refit through
 ``restricted_least_squares`` and every apply through the operator's public
 methods, pay the checks each round at that cost rather than skip them.
+
+Every vector that passes ``as_values`` (and so ``as_vector``) is C-contiguous,
+so BLAS gives the same bits whatever the caller's memory layout, and every
+norm and inner product in the package goes through ``dot`` or ``l2_norm``.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ DEPENDENT_COLUMN_RATIO = 1e-12
 
 
 def as_values(x, length=None, name="values") -> np.ndarray:
-    """Return a 1-D float64 array, of ``length`` entries if given; reads no entry, so finiteness goes unchecked."""
-    v = np.asarray(x, dtype=np.float64)
+    """Return a C-contiguous 1-D float64 array, of ``length`` entries if given; reads no entry, so finiteness goes unchecked."""
+    v = np.asarray(x, dtype=np.float64, order="C")  # a contiguous float64 array comes back as it is
     if v.ndim != 1:
         raise UsageError(f"{name} must be 1-D, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
@@ -64,10 +68,15 @@ def as_vector(x, length=None, name="vector") -> np.ndarray:
     return v
 
 
+def dot(a, b) -> float:
+    """``a . b`` of two 1-D float64 arrays of one length, as a Python float."""
+    return float(a.dot(b))
+
+
 def l2_norm(v) -> float:
-    """``||v||_2`` of a contiguous 1-D float64 array as ``sqrt(v . v)``: the
-    bits of ``np.linalg.norm(v)``, which computes exactly that, in one call."""
-    return math.sqrt(float(v.dot(v)))
+    """``||v||_2`` of a 1-D float64 array as ``sqrt(v . v)``: the bits of
+    ``numpy.linalg.norm(v)``, which computes exactly that, in one call."""
+    return math.sqrt(dot(v, v))
 
 
 def check_integer(name: str, value, low=None, high=None) -> None:
@@ -100,9 +109,7 @@ def largest_indices(values, k: int) -> np.ndarray:
     which returns the first largest, or the first NaN if there is one; only
     then does the selection rank the NaNs and partition.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise UsageError(f"values must be 1-D, got shape {v.shape}")
+    v = as_values(values)
     check_integer("k", k, 0)
     n = v.shape[0]
     k = min(int(k), n)  # a numpy uint64 k would make k - count a float
@@ -149,6 +156,14 @@ def as_support(indices, below=None) -> np.ndarray:
     return idx
 
 
+def _rhs_norm(rhs) -> float:
+    """``||rhs||``, refused when it overflows: an infinite scale would meet every tolerance at once."""
+    norm = l2_norm(rhs)
+    if not math.isfinite(norm):
+        raise UsageError("rhs has a norm past float64's range")
+    return norm
+
+
 @dataclass
 class LsSolution:
     """Solution of a restricted least-squares solve.
@@ -188,13 +203,13 @@ class GramFactor:
     arrays, the columns, the block, ``L^{-1}`` and ``z``, sized once for
     ``capacity`` columns (at most ``m``), the largest support the caller can
     reach; a solve on a larger support raises ``UsageError`` before any
-    apply.
+    apply, and so does building a factor on an ``rhs`` whose norm overflows.
     """
 
     def __init__(self, operator, rhs, *, capacity: int):
         self.operator = operator
         self.rhs = as_vector(rhs, operator.m, name="rhs")
-        self._rhs_norm = float(np.linalg.norm(self.rhs))
+        self._rhs_norm = _rhs_norm(self.rhs)
         check_integer("capacity", capacity, 1, operator.m)
         self._size = 0
         self._held = set()  # the columns, as a set of Python ints
@@ -241,7 +256,7 @@ class GramFactor:
         coeffs = self._inverse[:k, :k].T @ self._z[:k]
         residual = self.rhs - block.T @ coeffs
         normal = block @ residual
-        normal_residual = math.sqrt(float(normal @ normal))
+        normal_residual = l2_norm(normal)
         return LsSolution(
             coeffs=coeffs[self._columns[:k].argsort()],
             iterations=0,
@@ -258,8 +273,8 @@ class GramFactor:
         cross = self._block[:k] @ phi
         inverse = self._inverse[:k, :k]
         w = inverse @ cross
-        norm2 = float(phi @ phi)
-        d2 = norm2 - float(w @ w)
+        norm2 = dot(phi, phi)
+        d2 = norm2 - dot(w, w)
         if not d2 > DEPENDENT_COLUMN_RATIO * norm2:
             raise SolverFailure(
                 f"column {j} is numerically dependent on the support: the squared "
@@ -267,10 +282,10 @@ class GramFactor:
                 f"{DEPENDENT_COLUMN_RATIO:g} of its own, {norm2:.3e}"
             )
         d = math.sqrt(d2)
-        target = float(phi @ self.rhs)
+        target = dot(phi, self.rhs)
         self._inverse[k, :k] = (w @ inverse) / -d
         self._inverse[k, k] = 1.0 / d
-        self._z[k] = (target - float(w @ self._z[:k])) / d
+        self._z[k] = (target - dot(w, self._z[:k])) / d
         self._block[k] = phi
         self._columns[k] = j
         self._held.add(j)
@@ -338,7 +353,8 @@ def restricted_least_squares(
     UsageError
         A support that is empty, non-integer, unsorted, repeated, negative,
         out of range or larger than ``m``; a wrong-length or non-finite
-        ``rhs``, ``x0`` or ``start_residual``; only one of the last two, or
+        ``rhs``, ``x0`` or ``start_residual``, or an ``rhs`` whose norm
+        overflows; only one of the last two, or
         both with ``factor``; a non-positive or non-finite ``tol``; a
         non-integer or sub-1 ``max_iter``; unknown method; or a factor built
         for another operator or right-hand side, holding a column outside
@@ -375,7 +391,7 @@ def restricted_least_squares(
         if x0 is not None:
             raise UsageError("a factor solves directly and takes no start vector x0")
         return factor.solve(support, tol)
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _rhs_norm(rhs)
     if rhs_norm == 0.0:
         return LsSolution(coeffs=np.zeros(k), iterations=0, converged=True, normal_residual=0.0)
 
@@ -393,7 +409,7 @@ def restricted_least_squares(
     else:
         name, step = "Richardson iteration", _richardson_step(gram_apply, k)
     threshold = tol * rhs_norm
-    resid_norm = float(np.linalg.norm(resid))
+    resid_norm = l2_norm(resid)
     min_norm = resid_norm
     iterations = 0
     # ``not <=`` rather than ``>``: a NaN residual iterates on to the cap.
@@ -421,12 +437,12 @@ def _cg_step(gram_apply, resid):
     ``resid``: ``step(coeffs, resid, iteration)`` moves ``coeffs`` and its
     residual ``b - G coeffs`` in place and returns the new residual norm."""
     direction = resid.copy()
-    rho = float(np.dot(resid, resid))
+    rho = dot(resid, resid)
 
     def step(coeffs, resid, iteration):
         nonlocal direction, rho
         gram_dir = gram_apply(direction)
-        denom = float(np.dot(direction, gram_dir))
+        denom = dot(direction, gram_dir)
         if denom <= 0.0 or not np.isfinite(denom):
             raise SolverFailure(
                 f"normal-equation CG hit a non-positive curvature at iteration {iteration}"
@@ -434,7 +450,7 @@ def _cg_step(gram_apply, resid):
         alpha = rho / denom
         coeffs += alpha * direction
         resid -= alpha * gram_dir
-        rho_next = float(np.dot(resid, resid))
+        rho_next = dot(resid, resid)
         direction = resid + (rho_next / rho) * direction
         rho = rho_next
         return math.sqrt(rho_next)
@@ -462,7 +478,7 @@ def _richardson_step(gram_apply, k):
             size = 2.0 / (lam_min + lam_hi)
         coeffs += size * resid
         resid -= size * gram_apply(resid)
-        return float(np.linalg.norm(resid))
+        return l2_norm(resid)
 
     return step
 
@@ -470,12 +486,12 @@ def _richardson_step(gram_apply, k):
 def _power_iteration(apply, probe):
     """The largest eigenvalue of the symmetric map ``apply``, estimated by
     ``_POWER_ITERATIONS`` steps from ``probe``."""
-    probe = probe / np.linalg.norm(probe)
+    probe = probe / l2_norm(probe)
     value = 0.0
     for _ in range(_POWER_ITERATIONS):
         image = apply(probe)
-        value = float(np.dot(probe, image))
-        nrm = float(np.linalg.norm(image))
+        value = dot(probe, image)
+        nrm = l2_norm(image)
         if nrm == 0.0:
             break
         probe = image / nrm

@@ -297,7 +297,7 @@ def romp(op, u, s: int) -> RecoveryResult:
     ``SolverFailure``.
     """
     u = _checked("romp", op, u, s)
-    zero = ZERO_RESIDUAL_RATIO * float(np.linalg.norm(u))
+    zero = ZERO_RESIDUAL_RATIO * l2_norm(u)
 
     def select(proxy, support):
         proxy[support] = 0.0
@@ -384,7 +384,7 @@ def cosamp(
             return HaltReason.SUPPORT_STALL
         return None
 
-    norm = float(np.linalg.norm(u))
+    norm = l2_norm(u)
     halted = HaltReason.RESIDUAL_SMALL if norm <= eta else None
     ls_tol = DEFAULT_LS_TOL if halted else float(max(DEFAULT_LS_TOL, COSAMP_LS_ETA_SHARE * eta / norm))
     return _pursue("cosamp", op, u, max_iter, select, ls_tol=ls_tol, prune=prune, halt=halt, halted=halted)

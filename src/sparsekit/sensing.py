@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_support, as_values, as_vector, check_integer
+from .linalg import as_support, as_values, as_vector, check_integer, l2_norm
 from .rng import SplitMix64
 
 
@@ -333,7 +333,7 @@ class RicEstimate:
 
     def reevaluate(self, op: SenseOperator) -> float:
         """Deviation of ``||Phi witness||`` from 1; equals ``delta_lower``."""
-        r = float(np.linalg.norm(op.forward(self.witness)))
+        r = l2_norm(op.forward(self.witness))
         return max(1.0 - r, r - 1.0)
 
 
@@ -362,13 +362,13 @@ def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstim
     for _ in range(trials):
         support = rng.choose_without_replacement(op.N, n)
         coeffs = rng.normal(n)
-        norm = float(np.linalg.norm(coeffs))
+        norm = l2_norm(coeffs)
         while norm == 0.0:  # probability ~2**-53 per draw
             coeffs = rng.normal(n)
-            norm = float(np.linalg.norm(coeffs))
+            norm = l2_norm(coeffs)
         probe = np.zeros(op.N)
         probe[support] = coeffs / norm
-        r = float(np.linalg.norm(op.forward(probe)))
+        r = l2_norm(op.forward(probe))
         deviation = max(1.0 - r, r - 1.0)
         if deviation > best:
             best = deviation

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_support, as_vector, check_integer, check_real, embed, largest_indices
+from .linalg import as_support, as_vector, check_integer, check_real, embed, l2_norm, largest_indices
 from .rng import SplitMix64
 
 
@@ -51,11 +51,11 @@ def check_sparse(N, s, name: str = "s") -> None:
     check_integer(name, s, 0, N)
 
 
-# The largest compressible magnitude R and noise level a trial accepts (``_check_scale``).
+# The largest compressible magnitude R, noise level and eta_rel a trial accepts (``check_scale``).
 MAX_SCALE = 2.0**128
 
 
-def _check_scale(name: str, value, positive: bool = False) -> None:
+def check_scale(name: str, value, positive: bool = False) -> None:
     """Refuse a ``value`` that ``check_real`` refuses or that exceeds ``MAX_SCALE``.
 
     At the size caps (m <= N <= 2**26, ``sensing.MAX_DENSE_ENTRIES``) the cap
@@ -67,7 +67,8 @@ def _check_scale(name: str, value, positive: bool = False) -> None:
     The noise norm is at most 2**17 * level for ``sigma``, ``level`` for
     ``fixed`` and ``noise_level * ||Phi x|| <= 2**34 * MAX_SCALE**2`` for
     ``fixed_rel``.  So ||u||**2, which bounds every residual's, is at most
-    2**70 * MAX_SCALE**4 = 2**582.
+    2**70 * MAX_SCALE**4 = 2**582, ||u|| is at most 2**291, and CoSaMP's
+    ``eta = eta_rel * ||u||`` stays below 2**419.
     """
     check_real(name, value, positive=positive)
     if float(value) > MAX_SCALE:  # a numpy float32 would overflow casting MAX_SCALE
@@ -79,12 +80,12 @@ def check_compressible(N, p, R) -> None:
     and positive, or an ``R`` not positive and at most ``MAX_SCALE``."""
     check_integer("N", N, 1)
     check_real("p", p, positive=True)
-    _check_scale("R", R, positive=True)
+    check_scale("R", R, positive=True)
 
 
 def check_noise_level(level) -> None:
     """Refuse a trial's noise level that is not a real number in ``[0, MAX_SCALE]``."""
-    _check_scale("noise_level", level)
+    check_scale("noise_level", level)
 
 
 def gen_sparse(N: int, s: int, seed: int) -> Signal:
@@ -180,10 +181,10 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     elif mode == "fixed":
         rng = SplitMix64(seed)
         direction = rng.normal(m)
-        norm = float(np.linalg.norm(direction))
+        norm = l2_norm(direction)
         while norm == 0.0:
             direction = rng.normal(m)
-            norm = float(np.linalg.norm(direction))
+            norm = l2_norm(direction)
         error = direction * (level / norm)
     else:
         error = level * SplitMix64(seed).normal(m)

@@ -147,13 +147,16 @@ def test_sweep_reports_an_oversized_factor_as_na(monkeypatch):
     assert [cell["success_rate"] for cell in cells] == [None]
 
 
-# ------------------------------------------------- the cap on R and noise
+# ----------------------------------------- the cap on R, noise and eta_rel
 
 # Past signals.MAX_SCALE, squared norms overflowed mid-run: the first case
-# warned and exited 2 after its recovery, the second exited 0 with null norms.
+# warned and exited 2 after its recovery, the second exited 0 with null
+# norms, and the third ran 6 trials before CoSaMP's eta = eta_rel * ||u||
+# overflowed and stopped the batch with exit 2.
 HUGE_SCALES = {
     "R": ["bench", "--trials", "2", "--signal-kind", "compressible", "--p", "0.7", "--R", "1e308"],
     "noise_level": ["recover", "--noise-mode", "sigma", "--noise-level", "1e308"],
+    "eta_rel": ["bench", "--alg", "cosamp", "--trials", "40", "--seed", "3", "--eta-rel", "5e307"],
 }
 
 
@@ -167,6 +170,13 @@ def test_a_scale_over_the_cap_is_refused_before_any_draw(monkeypatch, capsys, ar
     assert "MAX_SCALE" in captured.err
     with pytest.raises(UsageError, match="MAX_SCALE"):
         gen_compressible(64, 0.7, math.nextafter(MAX_SCALE, math.inf), 1)
+
+
+def test_an_eta_rel_over_the_cap_is_refused_before_any_operator(monkeypatch):
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    for eta_rel in (5e307, math.nextafter(MAX_SCALE, math.inf)):
+        with pytest.raises(UsageError, match="eta_rel must be at most"):
+            run_trials(TrialConfig("cosamp", "gaussian", 16, 64, 2, 40, 3, eta_rel=eta_rel))
 
 
 @pytest.mark.parametrize("algorithm", ["omp", "romp", "cosamp"])
@@ -206,7 +216,7 @@ FIELDS = {
     "R": (COMPRESSIBLE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False) | _OVER_THE_CAP),
     "noise_level": (NOISY, _NEGATIVE | _OVER_THE_CAP),
     "eta": (SPARSE, _NEGATIVE),
-    "eta_rel": (dict(SPARSE, eta_rel=1e-8), _NEGATIVE),
+    "eta_rel": (dict(SPARSE, eta_rel=1e-8), _NEGATIVE | _OVER_THE_CAP),
 }
 INTEGER_FIELDS = ("m", "N", "s", "trials", "master_seed", "signal_s", "max_iter")
 

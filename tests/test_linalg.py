@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,17 +7,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsekit
+from layouts import LAYOUTS
 from sparsekit.errors import SolverFailure, UsageError
 from sparsekit.linalg import (
     GramFactor,
     LsSolution,
+    dot,
     embed,
+    l2_norm,
     largest_indices,
     restricted_least_squares,
 )
 from refstream import index_below
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
+from sparsekit.signals import measure, tail_l1
 
 
 class MatrixOperator:
@@ -474,3 +480,75 @@ def test_factor_normal_residual_is_the_dense_one_against_rhs(ensemble):
             assert again.normal_residual == sol.normal_residual
         assert op.matvec_count == before
     assert any(residuals)  # the tolerance was put to the test
+
+
+def test_an_rhs_whose_norm_overflows_is_refused_before_any_apply():
+    # ||rhs|| = inf would meet the threshold tol * ||rhs|| at once: the solve
+    # would return zeros for the solution (1e200, 0) and report convergence.
+    # numpy warns of the overflow in the dot product first.
+    op = make_operator("gaussian", 16, 64, 1)
+    rhs = 1e200 * op.forward(embed([1.0], [3], 64))
+    before = op.matvec_count
+    solves = [
+        lambda: restricted_least_squares(op, [3, 7], rhs),
+        lambda: restricted_least_squares(op, [3, 7], rhs, method="richardson"),
+        lambda: GramFactor(op, rhs, capacity=2),
+    ]
+    for solve in solves:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(UsageError, match="rhs has a norm past float64's range"):
+                solve()
+    assert op.matvec_count == before
+
+
+# --- one owner for every reduction ---------------------------------------------
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 256, 4097])
+@pytest.mark.parametrize("scale", [1e-150, 1e-75, 1.0, 1e75, 1e150])
+def test_dot_and_l2_norm_have_the_bits_of_numpy(length, scale):
+    gen = SplitMix64(length)
+    a, b = scale * gen.normal(length), scale * gen.normal(length)
+    assert l2_norm(a).hex() == float(np.linalg.norm(a)).hex()
+    assert dot(a, b).hex() == float(np.dot(a, b)).hex()
+    assert type(dot(a, b)) is float and type(l2_norm(a)) is float
+
+
+def test_every_norm_and_inner_product_goes_through_linalg():
+    for path in sorted(pathlib.Path(sparsekit.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "np.linalg.norm(" not in text and "np.dot(" not in text, path.name
+
+
+def ls_bytes(sol):
+    residual = None if sol.residual is None else sol.residual.tobytes()
+    return (sol.coeffs.tobytes(), sol.iterations, sol.converged, sol.normal_residual.hex(), sol.applications, residual)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@pytest.mark.parametrize("ensemble", ["gaussian", "partial_dct"])
+def test_layout_gives_the_bytes_of_a_contiguous_copy(ensemble, layout):
+    # Every vector a public call takes is made C-contiguous where it
+    # enters, so a strided view runs the BLAS kernel its contiguous copy runs.
+    m, N = 64, 128
+    gen = SplitMix64(29)
+    support = np.array([3, 9, 17, 40, 41, 77, 90, 101, 115, 127])
+    x, v, rhs, coeffs = gen.normal(N), gen.normal(m), gen.normal(m), gen.normal(support.size)
+    x0, start = gen.normal(support.size), gen.normal(support.size)
+
+    def run(wrap):
+        op = make_operator(ensemble, m, N, seed=31)
+        out = [op.forward(wrap(x)), op.adjoint(wrap(v))]
+        out += [op.forward_support(support, wrap(coeffs)), op.adjoint_support(support, wrap(v))]
+        out += [a.tobytes() for a in measure(op, wrap(x), "fixed", 0.1, seed=37)]
+        out.append(tail_l1(wrap(x), 5).hex())
+        for method in ("cg", "richardson"):
+            out.append(ls_bytes(restricted_least_squares(op, support, wrap(rhs), method=method)))
+            out.append(ls_bytes(restricted_least_squares(
+                op, support, wrap(rhs), method=method, x0=wrap(x0), start_residual=wrap(start))))
+        factor = GramFactor(op, wrap(rhs), capacity=support.size)
+        out.append(ls_bytes(restricted_least_squares(op, support[:4], wrap(rhs), factor=factor)))
+        out.append(ls_bytes(factor.solve(support, 1e-10)))
+        out.append(op.matvec_count)
+        return [a.tobytes() if isinstance(a, np.ndarray) else a for a in out]
+
+    assert run(layout) == run(np.ascontiguousarray)

@@ -7,9 +7,11 @@ draws the ensemble, the dimensions, the signal and the noise.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from layouts import LAYOUTS
 from sparsekit.errors import SolverFailure
 from sparsekit.pursuit import cosamp, omp, romp
 from sparsekit.sensing import make_operator
@@ -88,3 +90,29 @@ def test_omp_residual_never_increases_and_is_orthogonal(instance):
     if support.size:
         residual = u - op.forward_support(support, result.estimate[support])
         assert np.linalg.norm(op.adjoint_support(support, residual)) <= 1e-9 * np.linalg.norm(op.adjoint(u))
+
+
+def recovery_bytes(result):
+    return (
+        result.estimate.tobytes(),
+        result.support.tobytes(),
+        [norm.hex() for norm in result.residual_norms],
+        result.matvec_count,
+        result.halted_by,
+        json.dumps(result.iterates),
+    )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@pytest.mark.parametrize("algorithm", ["omp", "romp", "cosamp"])
+def test_layout_gives_the_bytes_of_a_contiguous_copy(algorithm, layout):
+    # Left strided, a measurement held as a column of a 2-D array or another
+    # view runs other BLAS kernels than its contiguous copy, and OMP and ROMP
+    # return other last bits; the pursuits make it C-contiguous on entry.
+    pursuit = {"omp": omp, "romp": romp, "cosamp": cosamp}[algorithm]
+    for seed in range(10):
+        ensemble = ("gaussian", "partial_dct")[seed % 2]
+        u, _ = measure(make_operator(ensemble, 64, 256, seed), gen_sparse(256, 8, 100 + seed), "sigma", 0.01, 200 + seed)
+        s = 6 if seed < 5 else 12
+        contiguous, strided = (pursuit(make_operator(ensemble, 64, 256, seed), v, s) for v in (u, layout(u)))
+        assert recovery_bytes(strided) == recovery_bytes(contiguous), seed
