@@ -14,23 +14,13 @@ depends on neither m nor s, so a sweep draws the largest m once per trial
 index and builds every cell's dense operator from a prefix of that draw.
 
 ``threads`` is an upper bound, not the number of cores a run uses.  The
-runner opens a pool of ``threads`` workers only when one apply of its
-largest operator touches at least ``POOL_MIN_APPLY_WORK`` elements
-(``m * N`` dense, ``N * ceil(log2 N)`` for a partial DCT); a smaller run
-executes its trial indices on the calling thread at any ``threads``.
-Threads overlap only work done outside the interpreter lock, and in a
-smaller trial the pursuit's Python work dominates.  Speed at 2 threads over
-1, measured in process on a 2-vCPU VM (the pool at every size / this rule):
-
-    run, elements one apply touches    pool       rule
-    README sweep, 65,536               0.78-0.79  one core
-    partial DCT N <= 4096, <= 49,152   0.53-0.95  one core
-    dense, 2^14 to 2^17                0.62-1.00  one core
-    partial DCT N = 8192, 106,496      0.92-1.22  one core
-    dense, 3 * 2^16                    0.86-1.01  one core
-    partial DCT N = 16384, 229,376     1.19-1.45  pool
-    dense, 2^18                        0.98-1.17  pool
-    dense, 2^19 and 2^20               1.06-1.45  pool
+runner opens a pool of ``min(threads, usable cores)`` workers only when
+one apply of its largest operator touches at least ``POOL_MIN_APPLY_WORK``
+elements (``m * N`` dense, ``N * ceil(log2 N)`` for a partial DCT); any
+other run executes its trial indices on the calling thread.  Threads
+overlap only work done outside the interpreter lock, and in a smaller
+trial the pursuit's Python work dominates.  The README's threading
+paragraph has the measured speeds, size by size.
 """
 
 from __future__ import annotations
@@ -39,8 +29,8 @@ import csv
 import enum
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import List, Optional, Sequence
 
@@ -51,7 +41,7 @@ from .linalg import check_integer, l2_norm
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
-from .signals import Signal, check_compressible, check_noise_level, check_scale, check_sparse, gen_compressible, gen_sparse
+from .signals import Signal, check_compressible, check_scale, check_sparse, gen_compressible, gen_sparse
 from .signals import head, measure, tail_l1
 
 FORMAT_VERSION = 2
@@ -80,7 +70,7 @@ _STREAM_NOISE = 3
 # operator touches at least this many elements (``_apply_work``).  Two
 # threads ran slower than one on every dense size up to 3 * 2**16 entries
 # and on partial DCTs up to N = 4096, and as fast or faster from 2**18 entries and at
-# N = 16384 (N * 14 = 229,376); the module docstring has the table.
+# N = 16384 (N * 14 = 229,376); the README has the table.
 POOL_MIN_APPLY_WORK = 200_000
 
 SWEEP_CSV_COLUMNS = ("m", "s", "trials", "successes", "success_rate")
@@ -144,7 +134,7 @@ class TrialConfig:
             check_compressible(self.N, self.p, self.R)
         if self.noise_mode not in NOISE_MODES:
             raise UsageError(f"unknown noise mode {self.noise_mode!r}")
-        check_noise_level(self.noise_level)
+        check_scale("noise_level", self.noise_level)
         if self.eta_rel is not None:
             check_scale("eta_rel", self.eta_rel)
         check_halting(self.eta, self.max_iter)
@@ -304,11 +294,11 @@ def _run_trial_major(
     the operator of the cell it is running.  This is the only place the
     block is opened, and only for configs validated here.  A single config
     opens no block, so each trial draws its operator alone.
-    With ``threads > 1``, a pool of ``threads`` workers runs the trial
-    indices only if ``_apply_work`` of the largest m reaches
-    ``POOL_MIN_APPLY_WORK``; otherwise they run on the calling thread, as
-    at ``threads == 1``, so such a run uses one core whatever ``threads``
-    says (see the module docstring for the measured speeds).  Unless
+    A pool of ``min(threads, _usable_cores())`` workers runs the trial
+    indices if that is more than one and ``_apply_work`` of the largest m
+    reaches ``POOL_MIN_APPLY_WORK``; otherwise they run on the calling
+    thread, as at ``threads == 1``, so such a run uses one core whatever
+    ``threads`` says (see the module docstring).  Unless
     ``keep_results``, each ``result`` is dropped as soon as its trial
     returns.
     """
@@ -335,12 +325,24 @@ def _run_trial_major(
             return [run(cfg, i) for cfg in configs]
 
     indices = range(first.trials)
-    if threads == 1 or _apply_work(kind, m_max, first.N) < POOL_MIN_APPLY_WORK:
+    workers = min(threads, _usable_cores())
+    if workers == 1 or _apply_work(kind, m_max, first.N) < POOL_MIN_APPLY_WORK:
         by_index = [trial_index(i) for i in indices]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Imported here: a run that opens no pool never loads the module.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             by_index = list(pool.map(trial_index, indices))
     return [list(records) for records in zip(*by_index)]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _apply_work(kind: Ensemble, m: int, N: int) -> int:
@@ -559,13 +561,13 @@ def write_trials_csv(stream, cfg: TrialConfig, records: Sequence[TrialRecord]) -
     _write_csv(stream, TRIAL_CSV_COLUMNS, [r.to_row() for r in records], config=cfg.to_dict())
 
 
+def report(config: dict, **body) -> dict:
+    """A JSON report: the format version and the run's ``config``, then ``body``."""
+    return {"format_version": FORMAT_VERSION, "config": config, **body}
+
+
 def trials_report(cfg: TrialConfig, records: Sequence[TrialRecord]) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "config": cfg.to_dict(),
-        "summary": summarize(records),
-        "records": [r.to_row() for r in records],
-    }
+    return report(cfg.to_dict(), summary=summarize(records), records=[r.to_row() for r in records])
 
 
 def write_sweep_csv(stream, config: dict, cells: Sequence[dict]) -> None:
@@ -573,7 +575,7 @@ def write_sweep_csv(stream, config: dict, cells: Sequence[dict]) -> None:
 
 
 def sweep_report(config: dict, cells: Sequence[dict]) -> dict:
-    return {"format_version": FORMAT_VERSION, "config": config, "cells": list(cells)}
+    return report(config, cells=list(cells))
 
 
 def write_scaling_csv(stream, config: dict, scaling: dict) -> None:
@@ -582,7 +584,7 @@ def write_scaling_csv(stream, config: dict, scaling: dict) -> None:
 
 
 def scaling_report(config: dict, scaling: dict) -> dict:
-    return {"format_version": FORMAT_VERSION, "config": config, **scaling}
+    return report(config, **scaling)
 
 
 def render_json(report: dict) -> str:

@@ -207,8 +207,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     cfg = _trial_config(params, trials=1)
     record = bench.run_trial(cfg, 0)
     record.result = None
-    report = {"format_version": bench.FORMAT_VERSION, "config": cfg.to_dict(), "record": record.to_row()}
-    _emit(bench.render_json(report), args.out)
+    _emit(bench.render_json(bench.report(cfg.to_dict(), record=record.to_row())), args.out)
     return 0
 
 
@@ -260,14 +259,10 @@ def cmd_ric(args: argparse.Namespace) -> int:
     check_ric_probe(params["m"], params["n"], params["trials"])
     op = make_operator(params["ensemble"], params["m"], params["N"], params["op_seed"])
     estimate = empirical_ric(op, params["n"], params["trials"], params["seed"])
-    report = {
-        "format_version": bench.FORMAT_VERSION,
-        "config": {key: params[key] for key in args.keys},
-        "n": estimate.n,
-        "delta_lower": estimate.delta_lower,
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-    }
+    report = bench.report(
+        {key: params[key] for key in args.keys},
+        n=estimate.n, delta_lower=estimate.delta_lower, trials=estimate.trials, seed=estimate.seed,
+    )
     _emit(bench.render_json(report), args.out)
     return 0
 

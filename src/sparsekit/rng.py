@@ -58,6 +58,8 @@ import operator
 
 import numpy as np
 
+from .errors import UsageError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -84,12 +86,10 @@ _ONE = np.uint64(1)
 _TWO_GAMMA = np.uint64(2 * _GAMMA & _MASK64)
 # The tag of the ziggurat's side streams, one per attempt (``derive_seed``).
 _SIDE_TAG = 0x5A16
-# A draw resolves its rejected words together, at most _RESOLVE_CHUNK at a
-# time, which bounds the memory of an array round.  A chunk of more than
-# _SCALAR_REJECTS words runs their first attempt on arrays, about 70 numpy
-# calls, else resolves each in Python; the two took about as long at 30
-# words.  The bits do not depend on either constant.
-_SCALAR_REJECTS = 24
+# A block draw resolves its rejected words together, at most _RESOLVE_CHUNK
+# at a time, which bounds the memory of an array round: their first attempt
+# runs on arrays, about 70 numpy calls, and the few it leaves open run in
+# Python.  The bits do not depend on the constant.
 _RESOLVE_CHUNK = 1024
 # ``raw`` and ``normal`` map a draw of at most _WORDWISE words one word at a
 # time in Python, with ``mix64`` and the list tables, rather than in blocks.
@@ -184,7 +184,7 @@ class SplitMix64:
         Python integer, so a numpy ``n`` cannot overflow the seed arithmetic."""
         n = operator.index(n)
         if n < 0:
-            raise ValueError("draw count must be non-negative")
+            raise UsageError("draw count must be non-negative")
         start = self._position
         self._position += n
         return start
@@ -278,39 +278,32 @@ class SplitMix64:
         position ``start``, whose words in layers ``layer`` failed the fast
         test; their slots hold their signed values ``+-u * width``.
 
-        With more than ``_SCALAR_REJECTS`` of them, attempt 0 runs on arrays,
-        in the operations of ``_resolve_one`` and their order; the variates
-        it leaves open, and all of a smaller set, go through
-        ``_resolve_one``.
+        Attempt 0 runs on arrays, in the operations of ``_resolve_one`` and
+        their order; the variates it leaves open go through ``_resolve_one``
+        from attempt 1.
         """
         value = out[positions - start]
-        attempt = 0
-        if positions.size > _SCALAR_REJECTS:
-            seed = self._side_seed(0)
-            starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
-            keys = positions.astype(np.uint64) * _TWO_GAMMA
-            words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
-            uniform = ((words >> _SHIFT_11) + _ONE) * _INV_2_53
-            uniform[0] *= _WEDGE_SPAN[layer]
-            uniform[0] += _WEDGE_BASE[layer]
-            logs = _log(uniform, np.frexp)
-            tail = layer == 0
-            excess = logs[0] / -_ZIG_R
-            taken = np.where(tail, -2.0 * logs[1] > excess * excess, -2.0 * logs[0] > value * value)
-            index = (words[1] & _LOW_BITS).view(np.int64)
-            u = (words[1] >> _SHIFT_11).view(np.int64)
-            # A tail keeps its sign, taken or not; a failed wedge test takes
-            # the fresh word's value.
-            value = np.where(tail, np.copysign(_ZIG_R + excess, value), np.where(taken, value, u * _ZIG_WIDTH[index]))
-            out[positions - start] = value
-            left = ~taken & (tail | (u >= _ZIG_BOUND[index]))
-            if not left.any():
-                return
-            positions, value = positions[left], value[left]
-            layer = np.where(tail, 0, index & _LAYER_BITS)[left]
-            attempt = 1
-        for position, j, x in zip(positions.tolist(), layer.tolist(), value.tolist()):
-            out[position - start] = self._resolve_one(position, j, x, attempt)
+        seed = self._side_seed(0)
+        starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
+        keys = positions.astype(np.uint64) * _TWO_GAMMA
+        words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
+        uniform = ((words >> _SHIFT_11) + _ONE) * _INV_2_53
+        uniform[0] *= _WEDGE_SPAN[layer]
+        uniform[0] += _WEDGE_BASE[layer]
+        logs = _log(uniform, np.frexp)
+        tail = layer == 0
+        excess = logs[0] / -_ZIG_R
+        taken = np.where(tail, -2.0 * logs[1] > excess * excess, -2.0 * logs[0] > value * value)
+        index = (words[1] & _LOW_BITS).view(np.int64)
+        u = (words[1] >> _SHIFT_11).view(np.int64)
+        # A tail keeps its sign, taken or not; a failed wedge test takes the
+        # fresh word's value.
+        value = np.where(tail, np.copysign(_ZIG_R + excess, value), np.where(taken, value, u * _ZIG_WIDTH[index]))
+        out[positions - start] = value
+        left = ~taken & (tail | (u >= _ZIG_BOUND[index]))
+        layer = np.where(tail, 0, index & _LAYER_BITS)[left]
+        for position, j, x in zip(positions[left].tolist(), layer.tolist(), value[left].tolist()):
+            out[position - start] = self._resolve_one(position, j, x, 1)
 
     def _resolve_one(self, position: int, layer: int, value: float, attempt: int) -> float:
         """The variate at stream position ``position`` whose word, in layer
@@ -357,7 +350,7 @@ class SplitMix64:
         """
         population, k = operator.index(population), operator.index(k)
         if not 0 <= k <= population:
-            raise ValueError("need 0 <= k <= population")
+            raise UsageError("need 0 <= k <= population")
         picked, _ = self._fisher_yates(population, k)
         picked.sort()
         return picked

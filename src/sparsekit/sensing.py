@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .linalg import as_support, as_values, as_vector, check_integer, l2_norm
+from .linalg import as_support, as_values, as_vector, check_integer, embed, l2_norm
 from .rng import SplitMix64
 
 
@@ -366,8 +366,7 @@ def empirical_ric(op: SenseOperator, n: int, trials: int, seed: int) -> RicEstim
         while norm == 0.0:  # probability ~2**-53 per draw
             coeffs = rng.normal(n)
             norm = l2_norm(coeffs)
-        probe = np.zeros(op.N)
-        probe[support] = coeffs / norm
+        probe = embed(coeffs / norm, support, op.N)
         r = l2_norm(op.forward(probe))
         deviation = max(1.0 - r, r - 1.0)
         if deviation > best:

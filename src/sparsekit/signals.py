@@ -83,11 +83,6 @@ def check_compressible(N, p, R) -> None:
     check_scale("R", R, positive=True)
 
 
-def check_noise_level(level) -> None:
-    """Refuse a trial's noise level that is not a real number in ``[0, MAX_SCALE]``."""
-    check_scale("noise_level", level)
-
-
 def gen_sparse(N: int, s: int, seed: int) -> Signal:
     """Exactly s-sparse signal: uniform support, standard Gaussian values.
 
@@ -132,8 +127,7 @@ def head(x, s: int):
     """
     values = _signal_values(x)
     kept = largest_indices(values, s)
-    out = np.zeros_like(values)
-    out[kept] = values[kept]
+    out = embed(values[kept], kept, values.size)
     if isinstance(x, Signal):
         return Signal(values=out, true_support=np.flatnonzero(out))
     return out

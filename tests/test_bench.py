@@ -702,6 +702,13 @@ def test_scaling_emitters():
     assert payload["slope"] == result["slope"]
 
 
+def test_render_json_writes_non_finite_floats_as_null():
+    report = bench.report({"R": math.inf}, values=[math.nan, -math.inf, np.float64(math.inf), 1.5])
+    assert json.loads(render_json(report)) == {
+        "format_version": 2, "config": {"R": None}, "values": [None, None, None, 1.5]
+    }
+
+
 # The numpy-typed fields of each config; its twin holds their Python values.
 TYPED_FIELDS = {
     **{mode: dict(noise_mode=mode, noise_level=np.float32(0.5), eta_rel=np.float32(0.25)) for mode in bench.NOISE_MODES},

@@ -289,6 +289,42 @@ def test_scaling_header_regenerates_its_run(capsys):
     assert buffer.getvalue() == out
 
 
+@pytest.mark.parametrize(
+    "argv, config, fragment",
+    [
+        (["--scaling-s", "8,4"], None, "s values must be strictly increasing"),
+        (["--scaling-s", "4,4"], None, "s values must be strictly increasing"),
+        ([], {"scaling_s": []}, "scaling needs at least one s value"),
+    ],
+    ids=["descending", "repeated", "empty"],
+)
+def test_scaling_refuses_an_empty_or_unsorted_s_list_before_any_work(
+    refuse_work, tmp_path, capsys, argv, config, fragment
+):
+    base = [arg for arg in SCALING_ARGS if arg not in ("--scaling-s", "4,8")]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, *base, *argv)
+    assert code == 2
+    assert out == ""
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["recover", "bench"])
+def test_a_switch_set_in_a_config_file_gives_the_bytes_of_its_flag(tmp_path, capsys, command):
+    argv = [command, "--m", "64", "--N", "128", "--s", "4", "--signal-kind", "compressible",
+            "--p", "0.5", "--R", "1.0", "--seed", "5", *(["--trials", "2"] if command == "bench" else [])]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"signal_truncate": True}))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0
+    flagged = run_cli(capsys, *argv, "--signal-truncate")
+    assert flagged == (0, out, "")
+    assert out != run_cli(capsys, *argv)[1]
+
+
 # ----------------------------------------------------------------- sweep
 
 

@@ -279,6 +279,19 @@ def test_ls_converged_is_a_python_bool_for_a_numpy_tol(method):
     assert sol.converged is True
 
 
+def test_power_iteration_stops_on_a_zero_image():
+    # Richardson's step size probes the Gram map; a map with a zero image
+    # has largest eigenvalue 0, and a second apply would divide by zero.
+    probes = []
+
+    def apply(probe):
+        probes.append(probe.copy())
+        return np.zeros_like(probe)
+
+    assert sparsekit.linalg._power_iteration(apply, np.array([3.0, -4.0])) == 0.0
+    assert [p.tolist() for p in probes] == [[0.6, -0.8]]
+
+
 def test_ls_zero_rhs_short_circuits():
     # Zero is the exact solution, at no apply on any path.
     op = MatrixOperator(np.eye(4))

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from refstream import word
 from sparsekit import pursuit
-from sparsekit.bench import TrialConfig, run_trials
+from sparsekit.bench import TrialConfig, run_trial, run_trials
 from sparsekit.errors import UsageError
 from sparsekit.linalg import DEFAULT_LS_TOL
 from sparsekit.pursuit import HaltReason, cosamp
@@ -251,6 +252,42 @@ def test_matvecs_per_trial_stay_flat_as_n_grows():
         means.append(sum(r.matvecs for r in records) / len(records))
     for mean in means[1:]:
         assert means[0] / FLAT_MATVEC_RATIO <= mean <= FLAT_MATVEC_RATIO * means[0], means
+
+
+# Peak traced bytes per N of a partial-DCT trial (m = N/4, s = N/128) at
+# N = 1,024, 4,096 and 16,384, largest over smallest: CoSaMP's whole peak
+# read 48.5-53.5 bytes per N (ratio 1.10), and OMP's and ROMP's peaks past
+# their factors 39.9-43.1 and 45.7-52.8 (1.08 and 1.16).  The factor pursuits'
+# whole peaks grew 59.6 -> 303.9 and 100.2 -> 885.2 bytes per N.
+FLAT_STORAGE_RATIO = 1.25
+
+
+def _peak_bytes(cfg, index):
+    tracemalloc.start()
+    try:
+        record = run_trial(cfg, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record.success
+    return peak
+
+
+@pytest.mark.parametrize("algorithm", ["cosamp", "omp", "romp"])
+def test_storage_past_the_gram_factor_stays_linear_in_n(algorithm):
+    # The review credits CoSaMP with "rigorous bounds on computational cost
+    # and storage": a CoSaMP trial holds O(N) entries, none of m x s.  OMP
+    # and ROMP hold a Gram factor of k = capacity columns, k * m + k**2
+    # entries (pursuit.sparsity_problem's count), and O(N) besides.
+    per_n = []
+    for N in (1024, 4096, 16384):
+        m, s = N // 4, N // 128
+        cfg = TrialConfig(algorithm, "partial_dct", m, N, s, 2, 7).validate()
+        k = 0 if algorithm == "cosamp" else pursuit._factor_capacity(algorithm, m, s)
+        run_trial(cfg, 0)  # untraced: the first transform of length N caches its plan
+        peak = max(_peak_bytes(cfg, i) for i in range(cfg.trials))
+        per_n.append((peak - 8 * (k * m + k * k)) / N)
+    assert max(per_n) <= FLAT_STORAGE_RATIO * min(per_n), per_n
 
 
 def test_numpy_float32_eta_runs_as_its_float_twin():

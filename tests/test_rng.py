@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import refstream
 from refstream import MASK, reference_normal, reference_signs, reference_stream, uniform, word
 from sparsekit import bench, rng
+from sparsekit.errors import UsageError
 from sparsekit.rng import SplitMix64, derive_seed, mix64
 
 
@@ -17,6 +18,25 @@ def test_matches_reference_stream():
     for seed in (0, 1, 42, 2**63, MASK):
         gen = SplitMix64(seed)
         assert list(gen.raw(16)) == reference_stream(seed, 16)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda gen: gen.raw(-1), "draw count must be non-negative"),
+        (lambda gen: gen.normal(-1), "draw count must be non-negative"),
+        (lambda gen: gen.signs(-2), "draw count must be non-negative"),
+        (lambda gen: gen.choose_without_replacement(5, 6), "need 0 <= k <= population"),
+        (lambda gen: gen.choose_without_replacement(5, -1), "need 0 <= k <= population"),
+    ],
+    ids=["raw", "normal", "signs", "k-past-population", "negative-k"],
+)
+def test_a_draw_refuses_a_count_it_cannot_take(draw, message):
+    # UsageError is a ValueError, so callers that caught ValueError still do.
+    gen = SplitMix64(1)
+    with pytest.raises(UsageError, match=message):
+        draw(gen)
+    assert gen.position == 0
 
 
 def test_known_values_seed_zero():
@@ -157,9 +177,10 @@ def test_large_draw_allocates_little_beyond_its_result(method):
 
 
 # Draws from a block of 64 words: a few thousand words hold a few dozen
-# rejected ones, which draws resolve in Python or on arrays, all at once or
-# a few at a time.  EDGE_SIZES holds 0, 1, one word either side of the
-# largest draw mapped word by word (W), and of one and of three blocks.
+# rejected ones, which block draws resolve on arrays and then in Python,
+# all at once or a few at a time.  EDGE_SIZES holds 0, 1, one word either
+# side of the largest draw mapped word by word (W), and of one and of three
+# blocks.
 SMALL_BLOCK = 64
 W = rng._WORDWISE
 EDGE_SIZES = [0, 1, W - 1, W, W + 1, 63, 64, 65, 191, 192, 193]
@@ -170,14 +191,12 @@ EDGE_SIZES = [0, 1, W - 1, W, W + 1, 63, 64, 65, 191, 192, 193]
     seed=st.integers(0, MASK),
     position=st.integers(0, 200),
     sizes=st.lists(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 4000)), min_size=1, max_size=3),
-    scalar_rejects=st.sampled_from([0, rng._SCALAR_REJECTS, 10**9]),
     chunk=st.sampled_from([3, rng._RESOLVE_CHUNK]),
 )
-@example(seed=0x5EED, position=1, sizes=EDGE_SIZES, scalar_rejects=0, chunk=3)
-def test_normal_matches_the_scalar_oracle(seed, position, sizes, scalar_rejects, chunk):
+@example(seed=0x5EED, position=1, sizes=EDGE_SIZES, chunk=3)
+def test_normal_matches_the_scalar_oracle(seed, position, sizes, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rng, "_BLOCK", SMALL_BLOCK)
-        patch.setattr(rng, "_SCALAR_REJECTS", scalar_rejects)
         patch.setattr(rng, "_RESOLVE_CHUNK", chunk)
         gen = SplitMix64(seed)
         gen.raw(position)
@@ -190,12 +209,10 @@ def test_normal_matches_the_scalar_oracle(seed, position, sizes, scalar_rejects,
             assert gen.position == position
 
 
-@pytest.mark.parametrize("scalar_rejects", [0, 10**9], ids=["arrays", "python"])
-def test_every_ziggurat_step_matches_the_oracle(monkeypatch, scalar_rejects):
+def test_every_ziggurat_step_matches_the_oracle():
     # 2**18 variates take every step: the fast path, wedge tests, fresh
-    # words after a failed one, and tail draws, whichever way their blocks
-    # resolve them.
-    monkeypatch.setattr(rng, "_SCALAR_REJECTS", scalar_rejects)
+    # words after a failed one, and tail draws, with attempt 0 on arrays
+    # and the leftovers in Python.
     gen = SplitMix64(0x7A11)
     gen.raw(3)
     paths = {}

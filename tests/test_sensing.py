@@ -12,6 +12,7 @@ import pytest
 from refstream import reference_normal, reference_signs
 from sparsekit import cli, sensing
 from sparsekit.errors import UsageError
+from sparsekit.linalg import embed, l2_norm
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import (
     MAX_DENSE_ENTRIES,
@@ -20,6 +21,7 @@ from sparsekit.sensing import (
     empirical_ric,
     make_operator,
 )
+from zerodraw import zero_next_normal
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
 
@@ -436,6 +438,18 @@ def test_ric_singleton_matches_column_norm_scan():
     norms = np.linalg.norm(op.dense_matrix(), axis=0)
     expected = float(np.max(np.maximum(1.0 - norms, norms - 1.0)))
     assert est.delta_lower == pytest.approx(expected, abs=1e-14)
+
+
+def test_ric_redraws_an_all_zero_probe(monkeypatch):
+    op = make_operator("partial_dct", 16, 32, seed=3)
+    sizes = zero_next_normal(monkeypatch)
+    est = empirical_ric(op, 4, 1, seed=9)
+    # Positions 0-3 pick the support, 4-7 the zeroed draw, 8-11 the redraw.
+    assert sizes == [4, 4]
+    support = SplitMix64(9).choose_without_replacement(32, 4)
+    coeffs = reference_normal(9, 4, 8)
+    assert est.witness.tobytes() == embed(coeffs / l2_norm(coeffs), support, 32).tobytes()
+    assert est.reevaluate(op) == est.delta_lower
 
 
 def test_ric_validation():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refstream import index_below, uniform, word
+from refstream import index_below, reference_normal, uniform, word
 from sparsekit.errors import UsageError
+from sparsekit.linalg import l2_norm
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
 from sparsekit.signals import (
@@ -17,6 +18,7 @@ from sparsekit.signals import (
     measure,
     tail_l1,
 )
+from zerodraw import zero_next_normal
 
 
 # --- gen_sparse --------------------------------------------------------------
@@ -49,6 +51,16 @@ def test_gen_sparse_validation():
         gen_sparse(4, 5, seed=0)
     with pytest.raises(UsageError):
         gen_sparse(4, -1, seed=0)
+
+
+def test_gen_sparse_redraws_a_zero_coefficient(monkeypatch):
+    support = SplitMix64(61).choose_without_replacement(64, 5)
+    sizes = zero_next_normal(monkeypatch)
+    sig = gen_sparse(64, 5, seed=61)
+    # Positions 0-4 pick the support, 5-9 the zeroed draw, 10-14 the redraw.
+    assert sizes == [5, 5]
+    assert sig.true_support.tolist() == support.tolist()
+    assert sig.values[support].tobytes() == reference_normal(61, 5, 10).tobytes()
 
 
 def test_gen_sparse_deterministic():
@@ -236,6 +248,17 @@ def test_measure_fixed_norm_is_exact():
         u, e = measure(op, sig, "fixed", eps, seed=44)
         assert np.linalg.norm(e) == pytest.approx(eps, abs=1e-12)
         np.testing.assert_allclose(u - e, op.forward(sig.values), atol=1e-12)
+
+
+def test_measure_fixed_redraws_an_all_zero_direction(monkeypatch):
+    op = make_operator("partial_dct", 16, 32, seed=50)
+    sig = gen_sparse(32, 3, seed=51)
+    sizes = zero_next_normal(monkeypatch)
+    u, e = measure(op, sig, "fixed", 0.5, seed=52)
+    assert sizes == [16, 16]
+    direction = reference_normal(52, 16, 16)
+    assert e.tobytes() == (direction * (0.5 / l2_norm(direction))).tobytes()
+    assert u.tobytes() == (op.forward(sig.values) + e).tobytes()
 
 
 def test_measure_gaussian_sigma_concentrates():

@@ -6,11 +6,16 @@ kind and noise mode, and each must emit the same CSV and JSON bytes at 1, 2
 and 3 threads.  Those runs are below ``bench.POOL_MIN_APPLY_WORK``, so they
 run on the calling thread at every thread count; a large Gaussian batch, a
 sweep and a partial-DCT batch above it are checked the same way through the
-pool.  A pool opens only at that size or above, and no draw may start a
-thread of its own.
+pool.  A pool opens only at that size or above, with at most one worker
+per usable core, and no draw may start a thread of its own.
 """
 
+import concurrent.futures
 import io
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -139,7 +144,8 @@ def test_partial_dct_batch_above_the_pool_size_emits_the_same_bytes_at_any_threa
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The ``max_workers`` of every pool ``bench`` opens, in order."""
+    """The ``max_workers`` of every pool ``bench`` opens, in order, with
+    four usable cores, so that no thread count here meets the core bound."""
     opened = []
 
     class Recording(ThreadPoolExecutor):
@@ -147,7 +153,8 @@ def pools(monkeypatch):
             opened.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(bench, "_usable_cores", lambda: 4)
     return opened
 
 
@@ -183,6 +190,59 @@ def test_a_sweep_opens_the_pool_only_at_the_pool_size(pools):
     assert pools == [2]
     bench.compressible_scaling(1024, 256, 0.7, 1.0, [4, 8], "gaussian", "cosamp", 2, 3, threads=3)
     assert pools == [2, 3]
+
+
+@pytest.mark.parametrize("threads, cores, workers", [(64, 2, [2]), (2, 8, [2]), (3, 1, [])])
+def test_the_pool_opens_at_most_one_worker_per_usable_core(monkeypatch, threads, cores, workers):
+    # A recorder in place of the executor runs each trial index on the
+    # calling thread, so no thread starts whatever the counts.
+    opened = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(bench, "_usable_cores", lambda: cores)
+    cfg = bench.TrialConfig("cosamp", "gaussian", 100, 2000, 4, 3, 7)
+    before = threading.active_count()
+    pooled = bench.run_trials(cfg, threads=threads)
+    assert opened == workers and threading.active_count() == before
+    assert [r.to_row() for r in pooled] == [r.to_row() for r in bench.run_trials(cfg, threads=1)]
+
+
+def test_usable_cores_are_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert bench._usable_cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert bench._usable_cores() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bench._usable_cores() == 1
+
+
+def test_a_run_that_opens_no_pool_never_imports_concurrent_futures():
+    code = (
+        "import sys, sparsekit, sparsekit.cli\n"
+        "sparsekit.run_trials(sparsekit.TrialConfig('omp', 'gaussian', 32, 64, 4, 2, 7), threads=2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+    )
+    src = pathlib.Path(bench.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_no_draw_starts_a_thread():
