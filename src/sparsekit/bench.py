@@ -118,6 +118,10 @@ class TrialConfig:
         check_integer("master_seed", self.master_seed)
         if self.signal_kind not in SIGNAL_KINDS:
             raise UsageError(f"unknown signal kind {self.signal_kind!r}")
+        # Like the CLI's switch: any other value would truncate by its truth
+        # value and enter the CSV's config line as given.
+        if not isinstance(self.signal_truncate, (bool, np.bool_)):
+            raise UsageError(f"signal_truncate must be true or false, got {self.signal_truncate!r}")
         if self.signal_kind == "sparse":
             if self.p is not None or self.R is not None:
                 raise UsageError("p and R apply only to compressible signals")

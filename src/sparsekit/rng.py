@@ -31,10 +31,17 @@ the tests' pure-Python reference:
   ``_BLOCK`` at a time and map each block into its slice of the result
   while it is in cache.  A variate depends only on its stream position,
   so no bit of any draw depends on the block size or on where a draw's
-  blocks start.  A ``raw`` or ``normal`` draw of at most ``_WORDWISE`` (12)
-  words skips the blocks' fixed numpy costs: it maps its words one at a
-  time in Python, with ``mix64`` and list copies of the tables
-  (``normal(4)``: 13.3 -> 4.6 us).  Every draw runs on its calling thread.
+  blocks start.  A generator whose private ``_scale`` is not 1.0, as
+  ``sensing`` sets for a dense operator's entries, finishes each value in
+  its block: a Gaussian variate is multiplied by the scale there, or as
+  its rejected word is resolved, and a sign's top bit is xor-ed into the
+  bits of ``-scale``.  So the draw has the bits of the unscaled draw times
+  the scale, without a pass over the result (a 512 x 2048 Bernoulli
+  operator: 4.0 -> 3.0 ms).  A ``raw`` or ``normal`` draw of at most
+  ``_WORDWISE`` (12) words skips the blocks' fixed numpy costs: it maps
+  its words one at a time in Python, with ``mix64`` and list copies of the
+  tables (``normal(4)``: 13.3 -> 4.6 us).  Every draw runs on its calling
+  thread.
 * Index draws: ``choose_without_replacement`` and ``permutation`` run
   Fisher-Yates steps, one word each.  Below ``_REPLAY_STEPS`` (128) steps
   a Python loop swaps the entries; from there on the same swaps are
@@ -74,10 +81,9 @@ _SHIFT_11 = np.uint64(11)
 _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
-# A sign as bits: a word's top bit xor-ed into the bits of -1.0 gives +1.0
-# for a set bit and -1.0 for a clear one.
+# A sign as bits: a word's top bit xor-ed into the bits of -x (x > 0) gives
+# +x for a set bit and -x for a clear one.
 _TOP_BIT = np.uint64(1 << 63)
-_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)
 # A word's low 11 bits: its ziggurat layer (bits 0-9) and sign (bit 10).
 _INDEX_BITS = 0x7FF
 _LOW_BITS = np.uint64(_INDEX_BITS)
@@ -88,9 +94,13 @@ _TWO_GAMMA = np.uint64(2 * _GAMMA & _MASK64)
 _SIDE_TAG = 0x5A16
 # A block draw resolves its rejected words together, at most _RESOLVE_CHUNK
 # at a time, which bounds the memory of an array round: their first attempt
-# runs on arrays, about 70 numpy calls, and the few it leaves open run in
-# Python.  The bits do not depend on the constant.
-_RESOLVE_CHUNK = 1024
+# runs on arrays, and the few it leaves open run in Python.  A round costs
+# about 40 us however few words it takes, plus about 115 bytes of arrays a
+# word, so a full round of 8192 holds about 0.9 MiB.  A 2**20 draw has
+# about 4,500 rejected words and resolves them in one round in 0.36 ms,
+# where rounds of 1024 take five and 0.59 ms (best of 15 on a 2-vCPU VM
+# with numpy 2.4.6).  The bits do not depend on the constant.
+_RESOLVE_CHUNK = 8192
 # ``raw`` and ``normal`` map a draw of at most _WORDWISE words one word at a
 # time in Python, with ``mix64`` and the list tables, rather than in blocks.
 # Per call in us, blocks -> words, best of 15 x 300 calls on a 2-vCPU VM with
@@ -133,17 +143,19 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = False) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place, with ``shifted``
-    (same size) as scratch; returns ``z``."""
+    (same size) as scratch; returns ``z``.  With ``top_bit_only`` it stops
+    before the last xor-shift, which cannot change the top bit."""
     np.right_shift(z, _SHIFT_30, shifted)
     z ^= shifted
     z *= _MIX_A_U64
     np.right_shift(z, _SHIFT_27, shifted)
     z ^= shifted
     z *= _MIX_B_U64
-    np.right_shift(z, _SHIFT_31, shifted)
-    z ^= shifted
+    if not top_bit_only:
+        np.right_shift(z, _SHIFT_31, shifted)
+        z ^= shifted
     return z
 
 
@@ -165,15 +177,20 @@ class SplitMix64:
     picks and positions either way; a replay of k steps allocates a few
     int64 arrays of k.  A large ``raw``, ``normal`` or ``signs`` draw
     allocates its result and two blocks (512 KiB) of scratch; ``normal``
-    adds a block's reject mask (32 KiB), the positions of its rejected
-    words (0.43 % of the draw) and arrays for resolving 1024 of them at a
-    time.
+    adds a block's reject mask (32 KiB), the positions, layers and
+    unscaled values of its rejected words (0.43 % of the draw, 24 bytes
+    each) and, for resolving up to ``_RESOLVE_CHUNK`` (8192) of them at a
+    time, about 115 bytes of arrays a word.
     """
 
     def __init__(self, seed: int):
         self._seed = operator.index(seed) & _MASK64
         self._position = 0
         self._side_seeds = []
+        # Every ``normal`` and ``signs`` value comes out multiplied by this,
+        # while its block is in cache; at 1.0 nothing is multiplied.  Only
+        # ``sensing._draw`` sets another, on a generator of its own.
+        self._scale = 1.0
 
     @property
     def position(self) -> int:
@@ -216,6 +233,7 @@ class SplitMix64:
         are then resolved together, so a large draw pays the fixed cost of
         resolving them once.
         """
+        scale = self._scale
         start = self._take(n)
         if n <= _WORDWISE:
             out = []
@@ -223,49 +241,55 @@ class SplitMix64:
                 index, u = word & _INDEX_BITS, word >> 11
                 value = u * _WIDTH[index]
                 out.append(value if u < _BOUND[index] else self._resolve_one(position, index & _LAYER_BITS, value, 0))
-            return np.array(out, np.float64)
+            out = np.array(out, np.float64)
+            if scale != 1.0:
+                out *= scale
+            return out
         out = np.empty(n)
-        rejects = [block for block in self._fill(out, start, self._normal_block) if block is not None]
+        rejects = [block for block in self._fill(out, start, self._normal_block, scale) if block is not None]
         if rejects:
-            positions, layers = rejects[0] if len(rejects) == 1 else map(np.concatenate, zip(*rejects))
+            positions, layers, values = rejects[0] if len(rejects) == 1 else map(np.concatenate, zip(*rejects))
             for lo in range(0, positions.size, _RESOLVE_CHUNK):
-                self._resolve(start, out, positions[lo : lo + _RESOLVE_CHUNK], layers[lo : lo + _RESOLVE_CHUNK])
+                chunk = slice(lo, lo + _RESOLVE_CHUNK)
+                self._resolve(start, out, scale, positions[chunk], layers[chunk], values[chunk])
         return out
 
     def signs(self, n: int) -> np.ndarray:
         """``n`` equiprobable +-1.0 values (top bit of each word)."""
         start = self._take(n)
         out = np.empty(n)
-        self._fill(out, start, self._signs_block)
+        self._fill(out, start, self._signs_block, np.float64(-self._scale).view(np.uint64))
         return out
 
-    def _fill(self, out: np.ndarray, start: int, fill) -> list:
+    def _fill(self, out: np.ndarray, start: int, fill, *args) -> list:
         """Fill ``out`` from stream position ``start`` on, a block at a time:
-        ``fill(first, dest, scratch)`` maps the words from position ``first``
-        on into the block's slice ``dest``, with scratch of twice its size.
-        Returns what each ``fill`` returned."""
+        ``fill(first, dest, scratch, *args)`` maps the words from position
+        ``first`` on into the block's slice ``dest``, with scratch of twice
+        its size.  Returns what each ``fill`` returned."""
         scratch = np.empty(2 * min(out.size, _BLOCK), np.uint64)
-        return [fill(start + lo, out[lo : lo + _BLOCK], scratch) for lo in range(0, out.size, _BLOCK)]
+        return [fill(start + lo, out[lo : lo + _BLOCK], scratch, *args) for lo in range(0, out.size, _BLOCK)]
 
     def _raw_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
         _mix64_array(self._counters(first, dest), scratch[: dest.size])
 
-    def _normal_block(self, first: int, dest: np.ndarray, scratch: np.ndarray):
+    def _normal_block(self, first: int, dest: np.ndarray, scratch: np.ndarray, scale: float):
         """The ziggurat's fast path for every word of a block at once: the low
         11 bits pick a bound and a signed width from 2048-entry tables, and
         the top 53 bits are the magnitude.  ``dest`` holds the bounds until
-        the variates land in it.  Returns the stream positions and layers of
-        the rejected words, whose slots hold their signed values, or None if
-        there are none."""
+        the variates land in it, then, unless ``scale`` is 1.0, their
+        products with ``scale``.  Returns the stream positions, layers and
+        unscaled signed values of the rejected words, or None if there are
+        none."""
         n = dest.size
         words = _mix64_array(self._counters(first, scratch[:n]), scratch[n : 2 * n])
         index = np.bitwise_and(words, _LOW_BITS, scratch[n : 2 * n]).view(np.int64)
         magnitude = np.right_shift(words, _SHIFT_11, words).view(np.int64)
         rejected = (magnitude >= _ZIG_BOUND.take(index, out=dest.view(np.int64), mode="wrap")).nonzero()[0]
         np.multiply(magnitude, _ZIG_WIDTH.take(index, out=dest, mode="wrap"), dest)
-        if rejected.size:
-            return rejected + first, index[rejected] & _LAYER_BITS
-        return None
+        found = (rejected + first, index[rejected] & _LAYER_BITS, dest[rejected]) if rejected.size else None
+        if scale != 1.0:
+            dest *= scale
+        return found
 
     def _side_seed(self, attempt: int) -> int:
         """The seed of the ziggurat's side stream for ``attempt``."""
@@ -273,37 +297,48 @@ class SplitMix64:
             self._side_seeds.append(derive_seed(self._seed, _SIDE_TAG, len(self._side_seeds)))
         return self._side_seeds[attempt]
 
-    def _resolve(self, start: int, out: np.ndarray, positions: np.ndarray, layer: np.ndarray) -> None:
-        """Finish the variates at stream ``positions`` of a draw ``out`` from
-        position ``start``, whose words in layers ``layer`` failed the fast
-        test; their slots hold their signed values ``+-u * width``.
+    def _resolve(
+        self, start: int, out: np.ndarray, scale: float, positions: np.ndarray, layer: np.ndarray, value: np.ndarray
+    ) -> None:
+        """Write the variates at stream ``positions`` of a draw ``out`` from
+        position ``start``, times ``scale``: their words, in layers ``layer``
+        with signed values ``value = +-u * width``, failed the fast test.
 
         Attempt 0 runs on arrays, in the operations of ``_resolve_one`` and
         their order; the variates it leaves open go through ``_resolve_one``
-        from attempt 1.
+        from attempt 1.  Each finished variate is multiplied by ``scale``
+        once, as it is written.
         """
-        value = out[positions - start]
         seed = self._side_seed(0)
         starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
         keys = positions.astype(np.uint64) * _TWO_GAMMA
         words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
-        uniform = ((words >> _SHIFT_11) + _ONE) * _INV_2_53
-        uniform[0] *= _WEDGE_SPAN[layer]
-        uniform[0] += _WEDGE_BASE[layer]
+        n = keys.size
+        tails = (layer == 0).nonzero()[0]
+        # One log for the first side word of every variate, a wedge test's
+        # height or a tail's first uniform, and the second of every tail.
+        uniform = ((np.concatenate((words[0], words[1, tails])) >> _SHIFT_11) + _ONE) * _INV_2_53
+        heights = uniform[:n]
+        heights *= _WEDGE_SPAN[layer]
+        heights += _WEDGE_BASE[layer]
         logs = _log(uniform, np.frexp)
-        tail = layer == 0
-        excess = logs[0] / -_ZIG_R
-        taken = np.where(tail, -2.0 * logs[1] > excess * excess, -2.0 * logs[0] > value * value)
         index = (words[1] & _LOW_BITS).view(np.int64)
         u = (words[1] >> _SHIFT_11).view(np.int64)
-        # A tail keeps its sign, taken or not; a failed wedge test takes the
-        # fresh word's value.
-        value = np.where(tail, np.copysign(_ZIG_R + excess, value), np.where(taken, value, u * _ZIG_WIDTH[index]))
-        out[positions - start] = value
-        left = ~taken & (tail | (u >= _ZIG_BOUND[index]))
-        layer = np.where(tail, 0, index & _LAYER_BITS)[left]
-        for position, j, x in zip(positions[left].tolist(), layer.tolist(), value[left].tolist()):
-            out[position - start] = self._resolve_one(position, j, x, 1)
+        # A failed wedge test takes the fresh word, left open if it fails the
+        # fast test too.
+        taken = -2.0 * logs[:n] > value * value
+        left = ~taken & (u >= _ZIG_BOUND[index])
+        layer = index & _LAYER_BITS
+        resolved = np.where(taken, value, u * _ZIG_WIDTH[index])
+        if tails.size:
+            # A tail keeps its sign, taken or not.
+            excess = logs[tails] / -_ZIG_R
+            resolved[tails] = np.copysign(_ZIG_R + excess, value[tails])
+            left[tails] = ~(-2.0 * logs[n:] > excess * excess)
+            layer[tails] = 0
+        out[positions - start] = resolved * scale if scale != 1.0 else resolved
+        for position, j, x in zip(positions[left].tolist(), layer[left].tolist(), resolved[left].tolist()):
+            out[position - start] = self._resolve_one(position, j, x, 1) * scale
 
     def _resolve_one(self, position: int, layer: int, value: float, attempt: int) -> float:
         """The variate at stream position ``position`` whose word, in layer
@@ -338,10 +373,12 @@ class SplitMix64:
                     return value
             attempt += 1
 
-    def _signs_block(self, first: int, dest: np.ndarray, scratch: np.ndarray) -> None:
-        z = _mix64_array(self._counters(first, dest.view(np.uint64)), scratch[: dest.size])
+    def _signs_block(self, first: int, dest: np.ndarray, scratch: np.ndarray, negative: np.uint64) -> None:
+        """Each word's top bit xor-ed into ``negative``, the bits of a
+        negative double: the word's sign times that double's magnitude."""
+        z = _mix64_array(self._counters(first, dest.view(np.uint64)), scratch[: dest.size], top_bit_only=True)
         z &= _TOP_BIT
-        z ^= _MINUS_ONE_BITS
+        z ^= negative
 
     def choose_without_replacement(self, population: int, k: int) -> np.ndarray:
         """``k`` distinct indices from [0, population), sorted ascending.

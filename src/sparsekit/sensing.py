@@ -42,10 +42,12 @@ from .rng import SplitMix64
 
 
 # Gaussian and Bernoulli operators store their m * N entries as float64.  A
-# fresh draw peaks at the entries plus under 1 MiB of generator scratch (at
-# 512 x 2048, by tracemalloc: 1.07 times the entries); inside a sweep's
-# ``_shared_draw`` block of the same m, building the operator peaks at twice
-# the entries: the block's draw and the operator's scaled copy.  2**26 entries are 512 MiB; a
+# fresh draw, scaled in the generator's blocks, peaks at the entries plus
+# under 1 MiB of generator scratch and reject round (at 512 x 2048, by
+# tracemalloc: 1.09 times the entries for Gaussian, 1.06 for Bernoulli);
+# inside a sweep's ``_shared_draw`` block of the same m, building the
+# operator peaks at twice the entries: the block's unscaled draw and the
+# operator's scaled copy.  2**26 entries are 512 MiB; a
 # larger dense operator, or a partial-DCT operator whose length-N signal,
 # proxy and transform vectors would each exceed it, is refused as a usage
 # error rather than left to fail, or to exhaust memory, in the allocator.
@@ -157,8 +159,7 @@ class _DenseEnsembleOperator(SenseOperator):
             # other operators built from it; the products are the same bits.
             entries = shared[4][: m * N] * scale
         else:
-            entries = _draw(ensemble, m, N, seed)
-            entries *= scale
+            entries = _draw(ensemble, m, N, seed, scale)
         # Row-major fill order is part of the determinism contract.
         self._matrix = entries.reshape(m, N)
         self._gathered = (None, None)
@@ -174,7 +175,10 @@ class _DenseEnsembleOperator(SenseOperator):
 
         The one-entry memo is keyed on the index values (shape and bytes),
         so a caller that mutates its index array in place never gets a
-        stale block.
+        stale block.  The block's memory order is part of the byte
+        contract: ``matrix[:, indices]`` is F-ordered, and the C-ordered
+        block of ``matrix.take(indices, axis=1)``, though faster to gather,
+        gives other products.
         """
         key = (indices.shape, indices.tobytes())
         cached_key, block = self._gathered
@@ -244,14 +248,18 @@ def shape_problem(m, N) -> Optional[str]:
     return None if 1 <= m <= N else f"need 1 <= m <= N, got m={m}, N={N}"
 
 
-def _draw(kind: Ensemble, m: int, N: int, seed: int) -> np.ndarray:
-    """The unscaled, row-major ``m * N`` entries of a dense operator.
+def _draw(kind: Ensemble, m: int, N: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """The row-major ``m * N`` entries of a dense operator times ``scale``.
 
-    The draw for m rows is a prefix of the draw for any larger m: variate
-    ``i`` of ``normal`` uses word ``i`` and, if the ziggurat rejects it, side
-    words keyed by ``i``, whatever the length; sign ``i`` uses word ``i``.
+    The generator scales each block while it is in cache: the bits are
+    those of ``normal(m * N) * scale`` or ``signs(m * N) * scale``, and at
+    the default 1.0 no multiply runs.  The draw for m rows is a prefix of
+    the draw for any larger m: variate ``i`` of ``normal`` uses word ``i``
+    and, if the ziggurat rejects it, side words keyed by ``i``, whatever the
+    length; sign ``i`` uses word ``i``.
     """
     rng = SplitMix64(seed)
+    rng._scale = scale
     if kind is Ensemble.GAUSSIAN:
         return rng.normal(m * N)
     return rng.signs(m * N)

@@ -271,3 +271,35 @@ def test_bad_numeric_field_is_refused_before_any_work(monkeypatch, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# ----------------------------------------------- the signal_truncate switch
+
+# Each value used to validate: "no" truncated a compressible signal and was
+# written into the CSV config line as "no", 1 wrote 1 where the CLI writes
+# true, and a sparse config with "no" was refused as if it asked for
+# truncation.
+NOT_SWITCHES = ["no", "false", 1, 0, 1.0, None, np.int64(1), [True]]
+
+
+@pytest.mark.parametrize("base", [SPARSE, COMPRESSIBLE], ids=["sparse", "compressible"])
+@pytest.mark.parametrize("value", NOT_SWITCHES, ids=repr)
+def test_a_signal_truncate_that_is_no_boolean_is_refused_before_any_work(monkeypatch, base, value):
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    monkeypatch.setattr(bench, "run_trial", _refuse)
+    config = TrialConfig(**dict(base, signal_truncate=value))
+    for call in (config.validate, lambda: run_trials(config)):
+        with pytest.raises(UsageError, match="signal_truncate must be true or false"):
+            call()
+
+
+def test_compressible_scaling_refuses_a_truncate_that_is_no_boolean(monkeypatch):
+    monkeypatch.setattr(bench, "make_operator", _refuse)
+    monkeypatch.setattr(bench, "run_trial", _refuse)
+    with pytest.raises(UsageError, match="signal_truncate must be true or false"):
+        bench.compressible_scaling(48, 24, 0.7, 1.0, [2, 4], "gaussian", "cosamp", 2, 7, truncate="no")
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)], ids=repr)
+def test_a_boolean_signal_truncate_is_accepted(value):
+    TrialConfig(**dict(COMPRESSIBLE, signal_truncate=value)).validate()

@@ -8,7 +8,7 @@ from refstream import word
 from sparsekit import pursuit
 from sparsekit.bench import TrialConfig, run_trial, run_trials
 from sparsekit.errors import UsageError
-from sparsekit.linalg import DEFAULT_LS_TOL
+from sparsekit.linalg import DEFAULT_LS_TOL, l2_norm
 from sparsekit.pursuit import HaltReason, cosamp
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
@@ -95,6 +95,25 @@ def test_proxy_orthogonal_to_every_column_halts_on_proxy_zero():
     assert result.support.dtype == np.int64 and result.support.size == 0
     assert np.array_equal(result.estimate, np.zeros(3))
     assert result.residual_norms == [math.sqrt(2.0)]
+
+
+def test_a_refit_that_keeps_no_column_leaves_the_residual_at_u():
+    # With the entries scaled by 1e-6, the first refit's start residual (the
+    # proxy's slice) is already within its tolerance of 0.01 * eta: CG takes
+    # no step, the coefficients stay at the zero start, and the prune keeps
+    # none of them.  The residual stays u at no apply, and the empty support
+    # repeats the start's.
+    op = make_operator("gaussian", 24, 48, seed=5)
+    op._matrix *= 1e-6
+    u = SplitMix64(3).normal(24)
+    norm = l2_norm(u)
+    result = cosamp(op, u, 2, eta=0.5 * norm)
+    assert result.halted_by is HaltReason.SUPPORT_STALL
+    assert result.iterates[0]["ls_iterations"] == 0
+    assert result.support.size == 0
+    assert not result.estimate.any()
+    assert result.residual_norms == [norm, norm]
+    assert result.matvec_count == 1 == op.matvec_count
 
 
 def test_unreconstructable_input_stalls():

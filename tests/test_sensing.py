@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from refstream import reference_normal, reference_signs
-from sparsekit import cli, sensing
+from sparsekit import cli, rng, sensing
 from sparsekit.errors import UsageError
 from sparsekit.linalg import embed, l2_norm
 from sparsekit.rng import SplitMix64
@@ -131,18 +131,33 @@ def test_support_applies_equal_freshly_gathered_columns(ensemble):
     # Dense operators keep the last gathered column block.  Whatever the
     # call order, and even when the caller rewrites its index array in
     # place, each apply must give the bytes of a fresh gather and count once.
-    op = make_operator(ensemble, 24, 60, seed=4)
-    dense = op.dense_matrix()
-    gen = SplitMix64(13)
     a = np.array([2, 9, 31, 58])
     b = np.array([0, 9, 40, 41, 59])
-    one = np.array([31])  # one column, as OMP and ROMP apply: it replaces the block of a
+    _run_gather_plan(make_operator(ensemble, 24, 60, seed=4), a, b, [5, 9, 31, 58], [5, 9, 31, 57])
+    if ensemble == "gaussian":
+        # The mc-dense shape with supports of CoSaMP's merged size, 3s = 96.
+        # The block's memory order is part of the bytes: a C-ordered gather,
+        # matrix.take(T, axis=1), gives other products here than the
+        # F-ordered matrix[:, T].
+        gen = SplitMix64(21)
+        a = gen.choose_without_replacement(2046, 96)
+        b = gen.choose_without_replacement(2048, 96)
+        _run_gather_plan(make_operator(ensemble, 512, 2048, seed=4), a, b, [*a[:-1], 2046], [*a[:-1], 2047])
+
+
+def _run_gather_plan(op, a, b, first_rewrite, second_rewrite):
+    """Apply ``op`` on the supports ``a`` and ``b``, on one column of ``a``
+    and on a copy of ``a`` rewritten in place, each against a fresh gather
+    from its dense matrix."""
+    dense = op.dense_matrix()
+    gen = SplitMix64(13)
+    one = a[2:3]  # one column, as OMP and ROMP apply: it replaces the block of a
     mutable = a.copy()
     plan = [
         (a, None), (b, None), (a, None), (a, None),  # alternating, then repeated
         (one, None), (a, None), (one, None),
         (mutable, None),  # a new array with the values of the last support
-        (mutable, [5, 9, 31, 58]), (mutable, [5, 9, 31, 57]),  # rewritten in place
+        (mutable, first_rewrite), (mutable, second_rewrite),  # rewritten in place
         (b, None), (mutable, None),
     ]
     for indices, values in plan:
@@ -150,7 +165,7 @@ def test_support_applies_equal_freshly_gathered_columns(ensemble):
             indices[:] = values
         block = dense[:, indices]
         coeffs = gen.normal(len(indices))
-        v = gen.normal(24)
+        v = gen.normal(op.m)
         count = op.matvec_count
         assert op.forward_support(indices, coeffs).tobytes() == (block @ coeffs).tobytes()
         assert op.matvec_count == count + 1
@@ -359,6 +374,75 @@ def test_prefix_operators_equal_fresh_ones_byte_for_byte(monkeypatch, ensemble):
             assert len(draws) == len(fresh)  # a partial-DCT block shares nothing
         else:
             assert len(draws) == 1  # every operator came from the block's one draw
+
+
+# Fresh Gaussian and Bernoulli operators leave the generator's blocks
+# already scaled by 1/sqrt(m).  Blocks of 64 words put rejected words at
+# both edges of a block and, at this seed, in the partial last block of the
+# 7-row draw; the 512-row draw takes every ziggurat step, and a 2 x 6
+# operator's 12 entries are mapped word by word.
+SCALED_SEED, SCALED_N = 22, 515
+
+
+@pytest.fixture(scope="module")
+def scaled_oracle():
+    """The oracle's 512-row draws, whose prefixes are every smaller draw,
+    and the ziggurat steps the Gaussian one takes."""
+    paths = {}
+    gaussian = reference_normal(SCALED_SEED, 512 * SCALED_N, paths=paths)
+    return {"gaussian": gaussian, "bernoulli": reference_signs(SCALED_SEED, 512 * SCALED_N)}, paths
+
+
+@pytest.mark.parametrize("m, N", [(1, SCALED_N), (2, SCALED_N), (4, SCALED_N), (7, SCALED_N), (512, SCALED_N), (2, 6)])
+@pytest.mark.parametrize("ensemble", ["gaussian", "bernoulli"])
+def test_fresh_operators_hold_the_scaled_draw(monkeypatch, scaled_oracle, ensemble, m, N):
+    monkeypatch.setattr(rng, "_BLOCK", 64)
+    scale = 1.0 / math.sqrt(m)
+    entries = make_operator(ensemble, m, N, SCALED_SEED).dense_matrix()
+    draw = getattr(SplitMix64(SCALED_SEED), "normal" if ensemble == "gaussian" else "signs")(m * N)
+    assert entries.tobytes() == (draw * scale).tobytes()
+    assert entries.tobytes() == (scaled_oracle[0][ensemble][: m * N] * scale).tobytes()
+
+
+def test_the_scaled_draws_reject_at_block_edges_and_take_every_step(monkeypatch, scaled_oracle):
+    monkeypatch.setattr(rng, "_BLOCK", 64)
+    rejected = []
+    block = SplitMix64._normal_block
+
+    def spy(self, first, dest, scratch, scale):
+        found = block(self, first, dest, scratch, scale)
+        if found is not None:
+            rejected.extend(found[0].tolist())
+        return found
+
+    monkeypatch.setattr(SplitMix64, "_normal_block", spy)
+    make_operator("gaussian", 7, SCALED_N, SCALED_SEED)
+    assert max(rejected) >= 7 * SCALED_N // 64 * 64  # in the partial last block
+    rejected.clear()
+    make_operator("gaussian", 512, SCALED_N, SCALED_SEED)
+    assert {0, 63} <= {position % 64 for position in rejected}
+    paths = scaled_oracle[1]
+    assert min(paths.get(step, 0) for step in ("fast", "wedge", "tail", "retry")) > 0, paths
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda: SplitMix64(3).normal(2**20), lambda: make_operator("gaussian", 512, 2048, 3)],
+    ids=["normal", "operator"],
+)
+def test_a_draw_of_two_to_the_twenty_resolves_its_rejects_in_one_round(monkeypatch, draw):
+    # Each array round has a fixed cost of about 40 us, so the 4,500 or so
+    # rejected words of an mc-dense operator's draw go in one.
+    rounds = []
+    resolve = SplitMix64._resolve
+
+    def spy(self, start, out, scale, positions, *rest):
+        rounds.append(positions.size)
+        resolve(self, start, out, scale, positions, *rest)
+
+    monkeypatch.setattr(SplitMix64, "_resolve", spy)
+    draw()
+    assert len(rounds) == 1 and rounds[0] > 4000, rounds
 
 
 @pytest.mark.parametrize(
