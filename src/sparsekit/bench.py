@@ -274,20 +274,18 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialRecord:
     )
 
 
-def run_trials(cfg: TrialConfig, *, threads: int = 1, keep_results: bool = False) -> List[TrialRecord]:
+def run_trials(cfg: TrialConfig, *, threads: int = 1) -> List[TrialRecord]:
     """Run the whole batch; records come back ordered by trial index.
 
     The one-config case of ``_run_trial_major``: each trial builds its own
     operator, so the matvec counter is never shared across threads, and the
-    output is identical for any thread count.  Unless ``keep_results``,
-    each record's ``result`` is dropped as soon as its trial returns.
+    output is identical for any thread count.  Each record's ``result`` is
+    dropped as soon as its trial returns; ``run_trial`` keeps it.
     """
-    return _run_trial_major([cfg], threads, keep_results=keep_results)[0]
+    return _run_trial_major([cfg], threads)[0]
 
 
-def _run_trial_major(
-    configs: Sequence[TrialConfig], threads: int, *, keep_results: bool = False
-) -> List[List[TrialRecord]]:
+def _run_trial_major(configs: Sequence[TrialConfig], threads: int) -> List[List[TrialRecord]]:
     """Every config's batch as one record list per config, in trial order.
 
     Every config and the thread count are validated before the first
@@ -302,9 +300,8 @@ def _run_trial_major(
     indices if that is more than one and ``_apply_work`` of the largest m
     reaches ``POOL_MIN_APPLY_WORK``; otherwise they run on the calling
     thread, as at ``threads == 1``, so such a run uses one core whatever
-    ``threads`` says (see the module docstring).  Unless
-    ``keep_results``, each ``result`` is dropped as soon as its trial
-    returns.
+    ``threads`` says (see the module docstring).  Each ``result`` is
+    dropped as soon as its trial returns.
     """
     for cfg in configs:
         cfg.validate()
@@ -317,8 +314,7 @@ def _run_trial_major(
 
     def run(cfg: TrialConfig, i: int) -> TrialRecord:
         record = run_trial(cfg, i)
-        if not keep_results:
-            record.result = None
+        record.result = None
         return record
 
     def trial_index(i: int) -> List[TrialRecord]:

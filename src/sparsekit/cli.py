@@ -206,7 +206,6 @@ def cmd_recover(args: argparse.Namespace) -> int:
     params = _params(args, ["m", "N", "s"])
     cfg = _trial_config(params, trials=1)
     record = bench.run_trial(cfg, 0)
-    record.result = None
     _emit(bench.render_json(bench.report(cfg.to_dict(), record=record.to_row())), args.out)
     return 0
 

@@ -371,7 +371,7 @@ def cosamp(
     def prune(merged, coeffs):
         keep = largest_indices(coeffs, s)
         keep = keep[coeffs[keep] != 0.0]
-        kept = np.sort(merged[keep])
+        kept = merged[keep]  # ascending: merged is, and so is keep
         return kept, coeffs[keep], {"merged_coeffs": coeffs.tolist(), "support": kept.tolist()}
 
     def halt(norm, previous_norm, support, new_support):

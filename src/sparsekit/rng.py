@@ -31,13 +31,13 @@ the tests' pure-Python reference:
   ``_BLOCK`` at a time and map each block into its slice of the result
   while it is in cache.  A variate depends only on its stream position,
   so no bit of any draw depends on the block size or on where a draw's
-  blocks start.  A generator whose private ``_scale`` is not 1.0, as
-  ``sensing`` sets for a dense operator's entries, finishes each value in
-  its block: a Gaussian variate is multiplied by the scale there, or as
-  its rejected word is resolved, and a sign's top bit is xor-ed into the
-  bits of ``-scale``.  So the draw has the bits of the unscaled draw times
-  the scale, without a pass over the result (a 512 x 2048 Bernoulli
-  operator: 4.0 -> 3.0 ms).  A ``raw`` or ``normal`` draw of at most
+  blocks start.  ``normal(n, scale=s)`` and ``signs(n, scale=s)``, as
+  ``sensing`` draws a dense operator's entries, finish each value in its
+  block: a Gaussian variate is multiplied by ``s`` there, or as its
+  rejected word is resolved, and a sign's top bit is xor-ed into the bits
+  of ``-s``.  So the draw has the bits of the unscaled draw times ``s``,
+  without a pass over the result (a 512 x 2048 Bernoulli operator: 4.0 ->
+  3.0 ms).  A ``raw`` or ``normal`` draw of at most
   ``_WORDWISE`` (12) words skips the blocks' fixed numpy costs: it maps
   its words one at a time in Python, with ``mix64`` and list copies of the
   tables (``normal(4)``: 13.3 -> 4.6 us).  Every draw runs on its calling
@@ -61,7 +61,9 @@ the tests' pure-Python reference:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -72,6 +74,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+_MAX_DOUBLE = sys.float_info.max
 
 # The array path's constants and shift counts as uint64 scalars, built once:
 # rebuilt on every call, they were about a third of a small draw's cost.
@@ -143,6 +146,13 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     return h
 
 
+def _checked_scale(scale) -> float:
+    """``scale`` as a float; ``UsageError`` unless it is a finite real > 0 (a bool is not one)."""
+    if isinstance(scale, bool) or not isinstance(scale, (float, numbers.Real)) or not 0 < scale <= _MAX_DOUBLE:
+        raise UsageError(f"scale must be a finite real number > 0, got {scale!r}")
+    return float(scale)
+
+
 def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = False) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place, with ``shifted``
     (same size) as scratch; returns ``z``.  With ``top_bit_only`` it stops
@@ -162,11 +172,14 @@ def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = Fal
 class SplitMix64:
     """Seedable counter-based SplitMix64 stream.
 
-    Every draw consumes a documented number of stream positions, so
-    generation is reproducible regardless of block sizes.  ``raw(n)``,
-    ``normal(n)`` and ``signs(n)`` consume ``n``; a Gaussian variate whose
-    word the ziggurat rejects reads side streams keyed by its position,
-    never later positions of this one.  A ``raw`` or ``normal`` draw of at
+    The generator holds only its seed, its stream position and the seeds
+    of its side streams.  Every draw consumes a documented number of
+    stream positions, so generation is reproducible regardless of block
+    sizes.  ``raw(n)``, ``normal(n)`` and ``signs(n)`` consume ``n``;
+    ``normal`` and ``signs`` take a ``scale`` that multiplies every value,
+    a finite real > 0 checked before any position is used.  A Gaussian
+    variate whose word the ziggurat rejects reads side streams keyed by its
+    position, never later positions of this one.  A ``raw`` or ``normal`` draw of at
     most ``_WORDWISE`` words maps them one at a time with ``mix64`` and the
     list tables of ``_resolve_one``, to the same bits and positions.
     ``choose_without_replacement(population, k)`` consumes exactly ``k``
@@ -187,10 +200,6 @@ class SplitMix64:
         self._seed = operator.index(seed) & _MASK64
         self._position = 0
         self._side_seeds = []
-        # Every ``normal`` and ``signs`` value comes out multiplied by this,
-        # while its block is in cache; at 1.0 nothing is multiplied.  Only
-        # ``sensing._draw`` sets another, on a generator of its own.
-        self._scale = 1.0
 
     @property
     def position(self) -> int:
@@ -226,14 +235,16 @@ class SplitMix64:
         self._fill(out, start, self._raw_block)
         return out
 
-    def normal(self, n: int) -> np.ndarray:
-        """``n`` standard normal doubles from the ziggurat, one per position.
+    def normal(self, n: int, *, scale: float = 1.0) -> np.ndarray:
+        """``n`` standard normal doubles from the ziggurat, one per position,
+        each times ``scale``: the bits of ``normal(n) * scale``.
 
-        The blocks take the fast path; the words it rejects, about 0.43 %,
-        are then resolved together, so a large draw pays the fixed cost of
-        resolving them once.
+        The blocks take the fast path and multiply by ``scale`` while in
+        cache (at 1.0 nothing is multiplied); the words it rejects, about
+        0.43 %, are then resolved together, so a large draw pays the fixed
+        cost of resolving them once.
         """
-        scale = self._scale
+        scale = _checked_scale(scale)
         start = self._take(n)
         if n <= _WORDWISE:
             out = []
@@ -254,11 +265,13 @@ class SplitMix64:
                 self._resolve(start, out, scale, positions[chunk], layers[chunk], values[chunk])
         return out
 
-    def signs(self, n: int) -> np.ndarray:
-        """``n`` equiprobable +-1.0 values (top bit of each word)."""
+    def signs(self, n: int, *, scale: float = 1.0) -> np.ndarray:
+        """``n`` equiprobable +-1.0 values (top bit of each word), each times
+        ``scale``: the bits of ``signs(n) * scale``."""
+        negative = np.float64(-_checked_scale(scale)).view(np.uint64)
         start = self._take(n)
         out = np.empty(n)
-        self._fill(out, start, self._signs_block, np.float64(-self._scale).view(np.uint64))
+        self._fill(out, start, self._signs_block, negative)
         return out
 
     def _fill(self, out: np.ndarray, start: int, fill, *args) -> list:

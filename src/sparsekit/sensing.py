@@ -73,13 +73,16 @@ def as_ensemble(ensemble) -> Ensemble:
 class SenseOperator:
     """An m x N linear measurement map with forward and adjoint application.
 
-    ``matvec_count`` counts operator applications (forward, adjoint, and
-    their support-restricted variants each count as one).  Gaussian and
-    Bernoulli operators also keep the column block ``matrix[:, T]`` of the
-    last support ``T`` they applied, so the repeated Gram applies of one
-    iterative restricted least-squares solve (CoSaMP's CG) gather it only
-    once; OMP and ROMP apply one column at a time, and their
-    ``GramFactor`` holds those columns itself.  Both are plain
+    The public applies check their input, count, and call the ensemble's
+    ``_forward``, ``_adjoint``, ``_forward_support`` or ``_adjoint_support``;
+    each ensemble's class also gives ``dense_matrix()``, the full m x N
+    matrix for tests and small probes.  ``matvec_count`` counts operator
+    applications (forward, adjoint, and their support-restricted variants
+    each count as one).  Gaussian and Bernoulli operators also keep the
+    column block ``matrix[:, T]`` of the last support ``T`` they applied,
+    so the repeated Gram applies of one iterative restricted least-squares
+    solve (CoSaMP's CG) gather it only once; OMP and ROMP apply one column
+    at a time, and their ``GramFactor`` holds those columns itself.  Both are plain
     per-operator state without a lock: recovery calls are single-threaded,
     and when running trials concurrently each trial gets its own operator.
     An operator shared across threads would lose counter increments, and
@@ -94,8 +97,6 @@ class SenseOperator:
         self.m = int(m)
         self.N = int(N)
         self.matvec_count = 0
-
-    # -- application ----------------------------------------------------
 
     def forward(self, x) -> np.ndarray:
         """Apply the operator: measurements of a length-N vector."""
@@ -128,24 +129,6 @@ class SenseOperator:
         self.matvec_count += 1
         return self._adjoint_support(indices, v)
 
-    # -- hooks ------------------------------------------------------------
-
-    def _forward(self, x):
-        raise NotImplementedError
-
-    def _adjoint(self, v):
-        raise NotImplementedError
-
-    def _forward_support(self, indices, coeffs):
-        raise NotImplementedError
-
-    def _adjoint_support(self, indices, v):
-        return self._adjoint(v)[indices]
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize the full m x N matrix (testing and small probes)."""
-        raise NotImplementedError
-
 
 class _DenseEnsembleOperator(SenseOperator):
     """Gaussian / Bernoulli operator backed by an explicit entry matrix."""
@@ -173,14 +156,15 @@ class _DenseEnsembleOperator(SenseOperator):
     def _columns(self, indices):
         """``matrix[:, indices]``, gathered again only when the support changes.
 
-        The one-entry memo is keyed on the index values (shape and bytes),
-        so a caller that mutates its index array in place never gets a
-        stale block.  The block's memory order is part of the byte
+        The one-entry memo is keyed on the index bytes, so a caller that
+        mutates its index array in place never gets a stale block; the
+        indices are always a 1-D int64 array (``as_support``), so the bytes
+        also fix the shape.  The block's memory order is part of the byte
         contract: ``matrix[:, indices]`` is F-ordered, and the C-ordered
         block of ``matrix.take(indices, axis=1)``, though faster to gather,
         gives other products.
         """
-        key = (indices.shape, indices.tobytes())
+        key = indices.tobytes()
         cached_key, block = self._gathered
         if key != cached_key:
             block = self._matrix[:, indices]
@@ -232,6 +216,9 @@ class _PartialDctOperator(SenseOperator):
         out *= self._scale
         return out
 
+    def _adjoint_support(self, indices, v):
+        return self._adjoint(v)[indices]
+
     def dense_matrix(self):
         # Closed-form cosine entries, independent of the fft fast path.
         k = self.rows[:, None].astype(np.float64)
@@ -251,18 +238,17 @@ def shape_problem(m, N) -> Optional[str]:
 def _draw(kind: Ensemble, m: int, N: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """The row-major ``m * N`` entries of a dense operator times ``scale``.
 
-    The generator scales each block while it is in cache: the bits are
-    those of ``normal(m * N) * scale`` or ``signs(m * N) * scale``, and at
-    the default 1.0 no multiply runs.  The draw for m rows is a prefix of
-    the draw for any larger m: variate ``i`` of ``normal`` uses word ``i``
-    and, if the ziggurat rejects it, side words keyed by ``i``, whatever the
+    ``scale`` goes to the public ``normal`` or ``signs``, which multiply
+    each block by it while it is in cache: the bits are those of
+    ``normal(m * N) * scale`` or ``signs(m * N) * scale``, and at the
+    default 1.0 no multiply runs.  The draw for m rows is a prefix of the
+    draw for any larger m: variate ``i`` of ``normal`` uses word ``i`` and,
+    if the ziggurat rejects it, side words keyed by ``i``, whatever the
     length; sign ``i`` uses word ``i``.
     """
     rng = SplitMix64(seed)
-    rng._scale = scale
-    if kind is Ensemble.GAUSSIAN:
-        return rng.normal(m * N)
-    return rng.signs(m * N)
+    draw = rng.normal if kind is Ensemble.GAUSSIAN else rng.signs
+    return draw(m * N, scale=scale)
 
 
 # Each thread's open ``_shared_draw`` block: (ensemble, N, seed, m, draw), or None.

@@ -181,5 +181,5 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
             norm = l2_norm(direction)
         error = direction * (level / norm)
     else:
-        error = level * SplitMix64(seed).normal(m)
+        error = SplitMix64(seed).normal(m, scale=level)
     return clean + error, error

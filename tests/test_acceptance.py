@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from refstream import index_below, word
-from sparsekit.bench import TrialConfig, compressible_scaling, run_trials, trial_seeds, trials_report, render_json, write_trials_csv
+from sparsekit.bench import TrialConfig, compressible_scaling, run_trial, run_trials, trial_seeds, trials_report, render_json, write_trials_csv
 from sparsekit.cli import main as cli_main
 from sparsekit.linalg import restricted_least_squares
 from sparsekit.pursuit import romp_regularize
@@ -45,13 +45,18 @@ def _batch_config(algorithm, **overrides):
     return TrialConfig(**kwargs)
 
 
+def _traced_batch(cfg):
+    """The records of a one-config batch, each with its recovery trace."""
+    return [run_trial(cfg, i) for i in range(cfg.trials)]
+
+
 @pytest.fixture(scope="module")
 def a1_batches():
     records = {}
     start = time.perf_counter()
     for algorithm in ("omp", "romp", "cosamp"):
         cfg = _batch_config(algorithm)
-        records[algorithm] = run_trials(cfg, keep_results=True)
+        records[algorithm] = _traced_batch(cfg)
     return {"records": records, "elapsed": time.perf_counter() - start}
 
 
@@ -59,7 +64,7 @@ def a1_batches():
 def a2_batches():
     noisy = dict(noise_mode="fixed_rel", noise_level=0.1)
     return {
-        algorithm: run_trials(_batch_config(algorithm, **noisy), keep_results=True)
+        algorithm: _traced_batch(_batch_config(algorithm, **noisy))
         for algorithm in ("romp", "cosamp")
     }
 

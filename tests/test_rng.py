@@ -251,6 +251,59 @@ def test_draws_either_side_of_the_word_by_word_threshold_match_the_reference(n):
         assert gen.position == n
 
 
+# Scaled draws: (first position, size) at SCALED_SEED with blocks of 64
+# words.  A draw from position 440 maps 12 words one at a time, the
+# rejected word at 445 among them; 13 and 64 words take one block; 4101
+# words fill 64 blocks and a partial one, with rejected words at block
+# offsets 63 (position 3583) and 0 (position 4096, in the partial block).
+SCALED_SEED = 2416
+SCALED_DRAWS = [(0, 0), (0, 1), (440, 12), (0, 13), (0, 64), (0, 4101)]
+
+
+@pytest.mark.parametrize("scale", [1 / math.sqrt(7), 0.05, 2.0**100], ids=["inv-sqrt-7", "0.05", "2**100"])
+@pytest.mark.parametrize("method", ["normal", "signs"])
+def test_a_scaled_draw_has_the_bits_of_the_draw_times_the_scale(monkeypatch, method, scale):
+    monkeypatch.setattr(rng, "_BLOCK", SMALL_BLOCK)
+    rejected = []
+    block, resolve_one = SplitMix64._normal_block, SplitMix64._resolve_one
+
+    def block_spy(self, first, dest, scratch, scale):
+        found = block(self, first, dest, scratch, scale)
+        if found is not None:
+            rejected.extend(found[0].tolist())
+        return found
+
+    def resolve_one_spy(self, position, layer, value, attempt):
+        if attempt == 0:  # only a word-by-word draw starts a word there
+            rejected.append(position)
+        return resolve_one(self, position, layer, value, attempt)
+
+    monkeypatch.setattr(SplitMix64, "_normal_block", block_spy)
+    monkeypatch.setattr(SplitMix64, "_resolve_one", resolve_one_spy)
+    for start, n in SCALED_DRAWS:
+        plain, scaled = SplitMix64(SCALED_SEED), SplitMix64(SCALED_SEED)
+        plain.raw(start)
+        scaled.raw(start)
+        want = getattr(plain, method)(n) * scale
+        got = getattr(scaled, method)(n, scale=scale)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (start, n)
+        assert scaled.position == plain.position == start + n
+    if method == "normal":
+        assert {445, 3583, 4096} <= set(rejected)
+
+
+@pytest.mark.parametrize("scale", [0, -1.0, math.nan, math.inf, True, "1"], ids=repr)
+@pytest.mark.parametrize("n", [5, 100])
+@pytest.mark.parametrize("method", ["normal", "signs"])
+def test_a_draw_refuses_a_scale_that_is_not_a_finite_positive_real(method, n, scale):
+    gen = SplitMix64(1)
+    gen.raw(3)
+    with pytest.raises(UsageError, match="scale must be a finite real number > 0"):
+        getattr(gen, method)(n, scale=scale)
+    assert gen.position == 3
+
+
 def test_layer_tables_are_the_oracles_and_a_ziggurat():
     # The package's tables equal the oracle's; each layer has area V within
     # rounding, its heights are exp(-x**2 / 2), the top layer closes at

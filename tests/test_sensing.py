@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from sparsekit.sensing import (
     empirical_ric,
     make_operator,
 )
+from sparsekit.signals import measure
 from zerodraw import zero_next_normal
 
 ENSEMBLES = ["gaussian", "bernoulli", "partial_dct"]
@@ -443,6 +445,54 @@ def test_a_draw_of_two_to_the_twenty_resolves_its_rejects_in_one_round(monkeypat
     monkeypatch.setattr(SplitMix64, "_resolve", spy)
     draw()
     assert len(rounds) == 1 and rounds[0] > 4000, rounds
+
+
+def _count_variates(monkeypatch):
+    """Wrap ``SplitMix64``'s public draw methods by name, as a tracer
+    outside the package does to count variates, and its one way of taking
+    stream positions.  Returns the positions each wrapped method consumed,
+    by name, and the counts of every ``_take``."""
+    public, taken = collections.Counter(), []
+
+    def wrap(name, method):
+        def traced(gen, *args, **kwargs):
+            before = gen.position
+            out = method(gen, *args, **kwargs)
+            public[name] += gen.position - before
+            return out
+
+        return traced
+
+    for name in ("normal", "signs", "choose_without_replacement", "permutation"):
+        monkeypatch.setattr(SplitMix64, name, wrap(name, getattr(SplitMix64, name)))
+    take = SplitMix64._take
+    monkeypatch.setattr(SplitMix64, "_take", lambda gen, n: taken.append(n) or take(gen, n))
+    return public, taken
+
+
+@pytest.mark.parametrize("case", ["gaussian", "bernoulli", "shared-gaussian", "shared-bernoulli", "sigma-noise"])
+def test_the_public_draw_methods_see_every_variate(monkeypatch, case):
+    # An mc-dense operator's m * N entries, drawn alone or inside a sweep's
+    # shared-draw block (once for both of its operators), and sigma noise's
+    # m variates all go through a wrapped method.
+    m, N, seed = 512, 2048, 5
+    if case == "sigma-noise":
+        op = make_operator("partial_dct", m, N, seed)
+        public, taken = _count_variates(monkeypatch)
+        measure(op, np.ones(N), "sigma", 0.1, seed)
+        want = {"normal": m}
+    else:
+        public, taken = _count_variates(monkeypatch)
+        ensemble = case.removeprefix("shared-")
+        want = {"normal" if ensemble == "gaussian" else "signs": m * N}
+        if case == ensemble:
+            make_operator(ensemble, m, N, seed)
+        else:
+            with sensing._shared_draw(Ensemble(ensemble), m, N, seed):
+                make_operator(ensemble, m, N, seed)
+                make_operator(ensemble, m // 2, N, seed)
+    assert dict(public) == want
+    assert sum(taken) == sum(want.values())
 
 
 @pytest.mark.parametrize(
