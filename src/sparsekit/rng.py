@@ -24,24 +24,25 @@ the tests' pure-Python reference:
   are resolved from side streams: attempt ``a`` for the variate at stream
   position ``p`` reads words ``2p`` and ``2p + 1`` of
   ``SplitMix64(derive_seed(seed, 0x5A16, a))`` for a wedge test, a tail
-  draw or, after a failed wedge test, a fresh word.  The wedge and tail
-  tests use ``_log``, fdlibm's logarithm built from basic operations, and
-  the layer tables are computed from three pinned constants the same way.
+  draw or, after a failed wedge test, a fresh word, one array round per
+  attempt (``SplitMix64._resolve``).  The wedge and tail tests use
+  ``_log``, fdlibm's logarithm built from basic operations, and the layer
+  tables are computed from three pinned constants the same way.
 * Blocks: ``raw``, ``normal`` and ``signs`` make their words a fixed
   ``_BLOCK`` at a time and map each block into its slice of the result
-  while it is in cache.  A variate depends only on its stream position,
-  so no bit of any draw depends on the block size or on where a draw's
-  blocks start.  ``normal(n, scale=s)`` and ``signs(n, scale=s)``, as
-  ``sensing`` draws a dense operator's entries, finish each value in its
-  block: a Gaussian variate is multiplied by ``s`` there, or as its
-  rejected word is resolved, and a sign's top bit is xor-ed into the bits
-  of ``-s``.  So the draw has the bits of the unscaled draw times ``s``,
-  without a pass over the result (a 512 x 2048 Bernoulli operator: 4.0 ->
-  3.0 ms).  A ``raw`` or ``normal`` draw of at most
-  ``_WORDWISE`` (12) words skips the blocks' fixed numpy costs: it maps
-  its words one at a time in Python, with ``mix64`` and list copies of the
-  tables (``normal(4)``: 13.3 -> 4.6 us).  Every draw runs on its calling
-  thread.
+  while it is in cache.  A variate depends only on its stream position, so
+  no bit of any draw depends on the block size or on where a draw's blocks
+  start.  ``normal(n, scale=s)`` and ``signs(n, scale=s)``, as ``sensing``
+  draws a dense operator's entries, finish each value in its block: a
+  Gaussian variate is multiplied by ``s`` there, or as its rejected word
+  is resolved, and a sign's top bit is xor-ed into the bits of ``-s``.
+  So the draw has the bits of the unscaled draw times ``s``, without a
+  pass over the result (a 512 x 2048 Bernoulli operator: 4.0 -> 3.0 ms).
+  A ``raw`` or ``normal`` draw of at most ``_WORDWISE`` (12) words skips
+  the blocks' fixed numpy costs: it maps its words one at a time in
+  Python, with ``mix64`` and list copies of the tables (``normal(4)``:
+  13.3 -> 4.6 us), and resolves its rejected words as a block draw does.
+  Every draw runs on its calling thread.
 * Index draws: ``choose_without_replacement`` and ``permutation`` run
   Fisher-Yates steps, one word each.  Below ``_REPLAY_STEPS`` (128) steps
   a Python loop swaps the entries; from there on the same swaps are
@@ -95,13 +96,13 @@ _ONE = np.uint64(1)
 _TWO_GAMMA = np.uint64(2 * _GAMMA & _MASK64)
 # The tag of the ziggurat's side streams, one per attempt (``derive_seed``).
 _SIDE_TAG = 0x5A16
-# A block draw resolves its rejected words together, at most _RESOLVE_CHUNK
-# at a time, which bounds the memory of an array round: their first attempt
-# runs on arrays, and the few it leaves open run in Python.  A round costs
+# A draw resolves its rejected words together, at most _RESOLVE_CHUNK at a
+# time, which bounds the memory of an array round; each chunk runs one
+# round per attempt until none of its words is left open.  A round costs
 # about 40 us however few words it takes, plus about 115 bytes of arrays a
 # word, so a full round of 8192 holds about 0.9 MiB.  A 2**20 draw has
-# about 4,500 rejected words and resolves them in one round in 0.36 ms,
-# where rounds of 1024 take five and 0.59 ms (best of 15 on a 2-vCPU VM
+# about 4,500 rejected words and resolves them in one chunk in 0.36 ms,
+# where chunks of 1024 take five and 0.59 ms (best of 15 on a 2-vCPU VM
 # with numpy 2.4.6).  The bits do not depend on the constant.
 _RESOLVE_CHUNK = 8192
 # ``raw`` and ``normal`` map a draw of at most _WORDWISE words one word at a
@@ -153,6 +154,13 @@ def _checked_scale(scale) -> float:
     return float(scale)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ``UsageError`` unless it is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = False) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place, with ``shifted``
     (same size) as scratch; returns ``z``.  With ``top_bit_only`` it stops
@@ -172,34 +180,33 @@ def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = Fal
 class SplitMix64:
     """Seedable counter-based SplitMix64 stream.
 
-    The generator holds only its seed, its stream position and the seeds
-    of its side streams.  Every draw consumes a documented number of
-    stream positions, so generation is reproducible regardless of block
-    sizes.  ``raw(n)``, ``normal(n)`` and ``signs(n)`` consume ``n``;
-    ``normal`` and ``signs`` take a ``scale`` that multiplies every value,
-    a finite real > 0 checked before any position is used.  A Gaussian
-    variate whose word the ziggurat rejects reads side streams keyed by its
-    position, never later positions of this one.  A ``raw`` or ``normal`` draw of at
-    most ``_WORDWISE`` words maps them one at a time with ``mix64`` and the
-    list tables of ``_resolve_one``, to the same bits and positions.
-    ``choose_without_replacement(population, k)`` consumes exactly ``k``
-    positions and ``permutation(n)`` consumes ``max(n - 1, 0)``: one word
-    per Fisher-Yates step, reduced modulo the population still unpicked at
-    that step.  The steps run in a Python loop below ``_REPLAY_STEPS``
-    (128) of them and are replayed on arrays from there on, with the same
-    picks and positions either way; a replay of k steps allocates a few
-    int64 arrays of k.  A large ``raw``, ``normal`` or ``signs`` draw
-    allocates its result and two blocks (512 KiB) of scratch; ``normal``
-    adds a block's reject mask (32 KiB), the positions, layers and
-    unscaled values of its rejected words (0.43 % of the draw, 24 bytes
+    The generator holds only its seed and its stream position.  Every draw
+    consumes a documented number of stream positions, so generation is
+    reproducible regardless of block sizes.  ``raw(n)``, ``normal(n)`` and
+    ``signs(n)`` consume ``n``; ``normal`` and ``signs`` take a ``scale``
+    that multiplies every value, a finite real > 0 checked before any
+    position is used.  A Gaussian variate whose word the ziggurat rejects
+    reads side streams keyed by its position, never later positions of this
+    one.  A ``raw`` or ``normal`` draw of at most ``_WORDWISE`` words maps
+    them one at a time with ``mix64`` and the list tables, to the same bits
+    and positions.  ``choose_without_replacement(population, k)`` consumes
+    exactly ``k`` positions and ``permutation(n)`` consumes
+    ``max(n - 1, 0)``: one word per Fisher-Yates step, reduced modulo the
+    population still unpicked at that step.  The steps run in a Python loop
+    below ``_REPLAY_STEPS`` (128) of them and are replayed on arrays from
+    there on, with the same picks and positions either way; a replay of k
+    steps allocates a few int64 arrays of k.  A large ``raw``, ``normal`` or
+    ``signs`` draw allocates its result and two blocks (512 KiB) of scratch;
+    ``normal`` adds a block's reject mask (32 KiB), the positions, layers
+    and unscaled values of its rejected words (0.43 % of the draw, 24 bytes
     each) and, for resolving up to ``_RESOLVE_CHUNK`` (8192) of them at a
-    time, about 115 bytes of arrays a word.
+    time, about 115 bytes of arrays a word.  Counts and seeds are integers;
+    a bool is not one.
     """
 
     def __init__(self, seed: int):
-        self._seed = operator.index(seed) & _MASK64
+        self._seed = _integer("seed", seed) & _MASK64
         self._position = 0
-        self._side_seeds = []
 
     @property
     def position(self) -> int:
@@ -208,7 +215,7 @@ class SplitMix64:
     def _take(self, n: int) -> int:
         """Consume ``n`` positions; returns the first.  The position stays a
         Python integer, so a numpy ``n`` cannot overflow the seed arithmetic."""
-        n = operator.index(n)
+        n = _integer("draw count", n)
         if n < 0:
             raise UsageError("draw count must be non-negative")
         start = self._position
@@ -239,25 +246,27 @@ class SplitMix64:
         """``n`` standard normal doubles from the ziggurat, one per position,
         each times ``scale``: the bits of ``normal(n) * scale``.
 
-        The blocks take the fast path and multiply by ``scale`` while in
-        cache (at 1.0 nothing is multiplied); the words it rejects, about
-        0.43 %, are then resolved together, so a large draw pays the fixed
-        cost of resolving them once.
+        The words take the fast path and are multiplied by ``scale`` there
+        (at 1.0 nothing is multiplied); the words it rejects, about 0.43 %,
+        are then resolved together, so a large draw pays the fixed cost of
+        resolving them once.
         """
         scale = _checked_scale(scale)
         start = self._take(n)
         if n <= _WORDWISE:
-            out = []
+            out, found = [], []
             for position, word in enumerate(self._words(start, n), start):
                 index, u = word & _INDEX_BITS, word >> 11
-                value = u * _WIDTH[index]
-                out.append(value if u < _BOUND[index] else self._resolve_one(position, index & _LAYER_BITS, value, 0))
+                out.append(u * _WIDTH[index])
+                if u >= _BOUND[index]:
+                    found.append((position, index & _LAYER_BITS, out[-1]))
             out = np.array(out, np.float64)
             if scale != 1.0:
                 out *= scale
-            return out
-        out = np.empty(n)
-        rejects = [block for block in self._fill(out, start, self._normal_block, scale) if block is not None]
+            rejects = [tuple(map(np.array, zip(*found)))] if found else []
+        else:
+            out = np.empty(n)
+            rejects = [block for block in self._fill(out, start, self._normal_block, scale) if block is not None]
         if rejects:
             positions, layers, values = rejects[0] if len(rejects) == 1 else map(np.concatenate, zip(*rejects))
             for lo in range(0, positions.size, _RESOLVE_CHUNK):
@@ -304,12 +313,6 @@ class SplitMix64:
             dest *= scale
         return found
 
-    def _side_seed(self, attempt: int) -> int:
-        """The seed of the ziggurat's side stream for ``attempt``."""
-        while len(self._side_seeds) <= attempt:
-            self._side_seeds.append(derive_seed(self._seed, _SIDE_TAG, len(self._side_seeds)))
-        return self._side_seeds[attempt]
-
     def _resolve(
         self, start: int, out: np.ndarray, scale: float, positions: np.ndarray, layer: np.ndarray, value: np.ndarray
     ) -> None:
@@ -317,73 +320,48 @@ class SplitMix64:
         position ``start``, times ``scale``: their words, in layers ``layer``
         with signed values ``value = +-u * width``, failed the fast test.
 
-        Attempt 0 runs on arrays, in the operations of ``_resolve_one`` and
-        their order; the variates it leaves open go through ``_resolve_one``
-        from attempt 1.  Each finished variate is multiplied by ``scale``
-        once, as it is written.
-        """
-        seed = self._side_seed(0)
-        starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
-        keys = positions.astype(np.uint64) * _TWO_GAMMA
-        words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
-        n = keys.size
-        tails = (layer == 0).nonzero()[0]
-        # One log for the first side word of every variate, a wedge test's
-        # height or a tail's first uniform, and the second of every tail.
-        uniform = ((np.concatenate((words[0], words[1, tails])) >> _SHIFT_11) + _ONE) * _INV_2_53
-        heights = uniform[:n]
-        heights *= _WEDGE_SPAN[layer]
-        heights += _WEDGE_BASE[layer]
-        logs = _log(uniform, np.frexp)
-        index = (words[1] & _LOW_BITS).view(np.int64)
-        u = (words[1] >> _SHIFT_11).view(np.int64)
-        # A failed wedge test takes the fresh word, left open if it fails the
-        # fast test too.
-        taken = -2.0 * logs[:n] > value * value
-        left = ~taken & (u >= _ZIG_BOUND[index])
-        layer = index & _LAYER_BITS
-        resolved = np.where(taken, value, u * _ZIG_WIDTH[index])
-        if tails.size:
-            # A tail keeps its sign, taken or not.
-            excess = logs[tails] / -_ZIG_R
-            resolved[tails] = np.copysign(_ZIG_R + excess, value[tails])
-            left[tails] = ~(-2.0 * logs[n:] > excess * excess)
-            layer[tails] = 0
-        out[positions - start] = resolved * scale if scale != 1.0 else resolved
-        for position, j, x in zip(positions[left].tolist(), layer[left].tolist(), resolved[left].tolist()):
-            out[position - start] = self._resolve_one(position, j, x, 1) * scale
-
-    def _resolve_one(self, position: int, layer: int, value: float, attempt: int) -> float:
-        """The variate at stream position ``position`` whose word, in layer
-        ``layer`` with signed value ``value``, failed the fast test, from
-        ``attempt`` on.
-
         Attempt ``a`` reads side words ``2p`` and ``2p + 1`` of the side
-        stream for ``a``, at ``p = position``.  In the base layer (0) the
-        variate lies past the last layer's edge ``R``: the words give
-        ``e0 = -log(u0)`` and ``e1 = -log(u1)``, and ``+-(R + e0 / R)`` is
-        taken when ``2 * e1 > (e0 / R)**2``.  In any other layer, word ``2p``
-        gives a height ``y`` in the layer, and the value ``x`` is taken when
+        stream ``derive_seed(seed, _SIDE_TAG, a)``, at ``p`` the variate's
+        position.  In the base layer (0) the variate lies past the last
+        layer's edge ``R``: the words give ``e0 = -log(u0)`` and
+        ``e1 = -log(u1)``, and ``+-(R + e0 / R)`` is taken when
+        ``2 * e1 > (e0 / R)**2``.  In any other layer, word ``2p`` gives a
+        height ``y`` in the layer, and the value ``x`` is taken when
         ``-2 * log(y) > x**2``, that is, when ``y < exp(-x**2 / 2)``; else
-        word ``2p + 1`` starts over as a fresh word.
+        word ``2p + 1`` starts over as a fresh word.  A round runs one attempt
+        for every variate still open and writes each of them times ``scale``.
         """
-        key = (2 * position + 1) * _GAMMA
-        while True:
-            state = self._side_seed(attempt) + key
-            log_y = _log(((mix64(state) >> 11) + 1) * _INV_2_53 * _SPAN[layer] + _BASE[layer], math.frexp)
-            if layer == 0:
-                excess = log_y / -_ZIG_R
-                if -2.0 * _log(((mix64(state + _GAMMA) >> 11) + 1) * _INV_2_53, math.frexp) > excess * excess:
-                    return math.copysign(_ZIG_R + excess, value)
-            elif -2.0 * log_y > value * value:
-                return value
-            else:
-                fresh = mix64(state + _GAMMA)
-                index = fresh & _INDEX_BITS
-                u = fresh >> 11
-                value, layer = u * _WIDTH[index], index & _LAYER_BITS
-                if u < _BOUND[index]:
-                    return value
+        attempt = 0
+        while positions.size:
+            seed = derive_seed(self._seed, _SIDE_TAG, attempt)
+            starts = np.array([(seed + _GAMMA) & _MASK64, (seed + 2 * _GAMMA) & _MASK64], np.uint64)
+            keys = positions.astype(np.uint64) * _TWO_GAMMA
+            words = _mix64_array(np.add.outer(starts, keys), np.empty((2, keys.size), np.uint64))
+            n = keys.size
+            tails = (layer == 0).nonzero()[0]
+            # One log for the first side word of every variate, a wedge test's
+            # height or a tail's first uniform, and the second of every tail.
+            uniform = ((np.concatenate((words[0], words[1, tails])) >> _SHIFT_11) + _ONE) * _INV_2_53
+            heights = uniform[:n]
+            heights *= _WEDGE_SPAN[layer]
+            heights += _WEDGE_BASE[layer]
+            logs = _log(uniform, np.frexp)
+            index = (words[1] & _LOW_BITS).view(np.int64)
+            u = (words[1] >> _SHIFT_11).view(np.int64)
+            # A failed wedge test takes the fresh word, left open if it fails
+            # the fast test too.
+            taken = -2.0 * logs[:n] > value * value
+            left = ~taken & (u >= _ZIG_BOUND[index])
+            layer = index & _LAYER_BITS
+            resolved = np.where(taken, value, u * _ZIG_WIDTH[index])
+            if tails.size:
+                # A tail keeps its sign, taken or not.
+                excess = logs[tails] / -_ZIG_R
+                resolved[tails] = np.copysign(_ZIG_R + excess, value[tails])
+                left[tails] = ~(-2.0 * logs[n:] > excess * excess)
+                layer[tails] = 0
+            out[positions - start] = resolved * scale if scale != 1.0 else resolved
+            positions, layer, value = positions[left], layer[left], resolved[left]
             attempt += 1
 
     def _signs_block(self, first: int, dest: np.ndarray, scratch: np.ndarray, negative: np.uint64) -> None:
@@ -398,7 +376,7 @@ class SplitMix64:
 
         Partial Fisher-Yates: uniform over size-k subsets.
         """
-        population, k = operator.index(population), operator.index(k)
+        population, k = _integer("population", population), _integer("k", k)
         if not 0 <= k <= population:
             raise UsageError("need 0 <= k <= population")
         picked, _ = self._fisher_yates(population, k)
@@ -407,7 +385,9 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Full Fisher-Yates permutation of [0, n)."""
-        n = operator.index(n)  # a numpy uint64 0 would wrap n - 1
+        n = _integer("draw count", n)  # a numpy uint64 0 would wrap n - 1
+        if n < 0:
+            raise UsageError("draw count must be non-negative")
         order, leftover = self._fisher_yates(n, max(n - 1, 0))
         # Last comes the one entry no step picked.
         return np.append(order, leftover) if n > 0 else order
@@ -563,5 +543,5 @@ _ZIG_WIDTH = np.array(_edge + [-x for x in _edge]) * _INV_2_53
 # for the base strip it is u itself, the tail's first uniform.
 _WEDGE_BASE = np.array([0.0] + _height[1:])
 _WEDGE_SPAN = np.array([1.0] + [_height[j - 1] - _height[j] for j in range(1, _ZIG_LAYERS)])
-# The same tables as lists, for ``SplitMix64._resolve_one``.
-_BOUND, _WIDTH, _BASE, _SPAN = (t.tolist() for t in (_ZIG_BOUND, _ZIG_WIDTH, _WEDGE_BASE, _WEDGE_SPAN))
+# The fast path's tables as lists, for the word-by-word ``normal``.
+_BOUND, _WIDTH = _ZIG_BOUND.tolist(), _ZIG_WIDTH.tolist()

@@ -1,8 +1,7 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 
+from oracle_pursuit import brute_force_regularize, comparable
 from refstream import index_below, word
 from sparsekit import pursuit
 from sparsekit.bench import TrialConfig, run_trials
@@ -11,33 +10,6 @@ from sparsekit.pursuit import HaltReason, romp, romp_regularize
 from sparsekit.rng import SplitMix64
 from sparsekit.sensing import make_operator
 from sparsekit.signals import gen_sparse, measure
-
-
-def comparable(mags):
-    return max(mags) <= 2.0 * min(mags)
-
-
-def brute_force_regularize(values):
-    """Exhaustive reference: best comparable subset by energy, ties going
-    to the subset whose largest-magnitude element has the lowest index."""
-    n = len(values)
-    best = None
-    best_key = None
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            mags = [abs(values[i]) for i in subset]
-            if not comparable(mags):
-                continue
-            energy = sum(m * m for m in mags)
-            largest = min(
-                (i for i in subset),
-                key=lambda i: (-abs(values[i]), i),
-            )
-            key = (-energy, largest)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = set(subset)
-    return best
 
 
 def test_regularize_single_comparable_block():

@@ -28,8 +28,19 @@ def test_matches_reference_stream():
         (lambda gen: gen.signs(-2), "draw count must be non-negative"),
         (lambda gen: gen.choose_without_replacement(5, 6), "need 0 <= k <= population"),
         (lambda gen: gen.choose_without_replacement(5, -1), "need 0 <= k <= population"),
+        (lambda gen: gen.permutation(-3), "draw count must be non-negative"),
+        (lambda gen: gen.normal(True), "draw count must be an integer, got True"),
+        (lambda gen: gen.raw(True), "draw count must be an integer, got True"),
+        (lambda gen: gen.signs(2.0), "draw count must be an integer, got 2.0"),
+        (lambda gen: gen.choose_without_replacement(10, True), "k must be an integer, got True"),
+        (lambda gen: gen.permutation(True), "draw count must be an integer, got True"),
+        (lambda gen: SplitMix64(1.5), "seed must be an integer, got 1.5"),
+        (lambda gen: SplitMix64(True), "seed must be an integer, got True"),
     ],
-    ids=["raw", "normal", "signs", "k-past-population", "negative-k"],
+    ids=[
+        "raw", "normal", "signs", "k-past-population", "negative-k", "negative-permutation", "bool-normal",
+        "bool-raw", "float-signs", "bool-k", "bool-permutation", "float-seed", "bool-seed",
+    ],
 )
 def test_a_draw_refuses_a_count_it_cannot_take(draw, message):
     # UsageError is a ValueError, so callers that caught ValueError still do.
@@ -177,10 +188,9 @@ def test_large_draw_allocates_little_beyond_its_result(method):
 
 
 # Draws from a block of 64 words: a few thousand words hold a few dozen
-# rejected ones, which block draws resolve on arrays and then in Python,
-# all at once or a few at a time.  EDGE_SIZES holds 0, 1, one word either
-# side of the largest draw mapped word by word (W), and of one and of three
-# blocks.
+# rejected ones, which every draw resolves in array rounds, all at once or
+# a few at a time.  EDGE_SIZES holds 0, 1, one word either side of the
+# largest draw mapped word by word (W), and of one and of three blocks.
 SMALL_BLOCK = 64
 W = rng._WORDWISE
 EDGE_SIZES = [0, 1, W - 1, W, W + 1, 63, 64, 65, 191, 192, 193]
@@ -211,14 +221,16 @@ def test_normal_matches_the_scalar_oracle(seed, position, sizes, chunk):
 
 def test_every_ziggurat_step_matches_the_oracle():
     # 2**18 variates take every step: the fast path, wedge tests, fresh
-    # words after a failed one, and tail draws, with attempt 0 on arrays
-    # and the leftovers in Python.
+    # words after a failed one, and tail draws, over two or more attempts.
+    # The slow path keeps no state: the generator is still its seed and
+    # position.
     gen = SplitMix64(0x7A11)
     gen.raw(3)
     paths = {}
     want = reference_normal(0x7A11, 2**18, 3, paths)
     assert gen.normal(2**18).tobytes() == want.tobytes()
     assert min(paths.get(step, 0) for step in ("fast", "wedge", "tail", "retry")) > 0, paths
+    assert vars(gen).keys() == {"_seed", "_position"}
 
 
 def test_consecutive_small_draws_take_every_ziggurat_step_like_the_oracle(monkeypatch):
@@ -235,6 +247,34 @@ def test_consecutive_small_draws_take_every_ziggurat_step_like_the_oracle(monkey
     assert np.array(got).tobytes() == want.tobytes()
     assert gen.position == 3 + 2**18
     assert min(paths.get(step, 0) for step in ("fast", "wedge", "tail", "retry")) > 0, paths
+
+
+# Variates the oracle resolves only at their third attempt (attempt 2), the
+# deepest in a normal(2**20) at seeds 0-39; seed 26's is a wedge test, the
+# others are tail draws.
+DEEP_VARIATES = [(20, 507834), (26, 683910), (34, 948880)]
+
+
+@pytest.mark.parametrize("seed, position", DEEP_VARIATES)
+def test_variates_resolved_at_a_third_attempt_match_the_oracle(monkeypatch, seed, position):
+    # A slow path that read one attempt's side words in every round would
+    # never finish these variates: fail instead of hanging.
+    derive, calls = rng.derive_seed, []
+
+    def bounded(master, *parts):
+        calls.append(parts)
+        assert len(calls) < 100, "the slow path never finishes"
+        return derive(master, *parts)
+
+    monkeypatch.setattr(rng, "derive_seed", bounded)
+    paths = {}
+    want = np.float64(refstream.reference_variate(seed, position, paths))
+    assert paths.get("tail", 0) + paths.get("wedge", 0) == 3, paths
+    assert SplitMix64(seed).normal(2**20)[position].tobytes() == want.tobytes()
+    for first in (position, position - W + 1):  # first and last of a word-by-word draw
+        gen = SplitMix64(seed)
+        gen.raw(first)
+        assert gen.normal(W)[position - first].tobytes() == want.tobytes(), first
 
 
 @pytest.mark.parametrize("n", [W - 1, W, W + 1])
@@ -265,21 +305,13 @@ SCALED_DRAWS = [(0, 0), (0, 1), (440, 12), (0, 13), (0, 64), (0, 4101)]
 def test_a_scaled_draw_has_the_bits_of_the_draw_times_the_scale(monkeypatch, method, scale):
     monkeypatch.setattr(rng, "_BLOCK", SMALL_BLOCK)
     rejected = []
-    block, resolve_one = SplitMix64._normal_block, SplitMix64._resolve_one
+    resolve = SplitMix64._resolve
 
-    def block_spy(self, first, dest, scratch, scale):
-        found = block(self, first, dest, scratch, scale)
-        if found is not None:
-            rejected.extend(found[0].tolist())
-        return found
+    def resolve_spy(self, start, out, scale, positions, *rest):
+        rejected.extend(positions.tolist())
+        resolve(self, start, out, scale, positions, *rest)
 
-    def resolve_one_spy(self, position, layer, value, attempt):
-        if attempt == 0:  # only a word-by-word draw starts a word there
-            rejected.append(position)
-        return resolve_one(self, position, layer, value, attempt)
-
-    monkeypatch.setattr(SplitMix64, "_normal_block", block_spy)
-    monkeypatch.setattr(SplitMix64, "_resolve_one", resolve_one_spy)
+    monkeypatch.setattr(SplitMix64, "_resolve", resolve_spy)
     for start, n in SCALED_DRAWS:
         plain, scaled = SplitMix64(SCALED_SEED), SplitMix64(SCALED_SEED)
         plain.raw(start)
@@ -341,14 +373,15 @@ def test_normal_distribution_on_a_million_draws():
 
 
 def test_tail_draws_follow_the_normal_tail():
-    # Base-strip rejects past R, resolved one at a time: 20,000 of them must
+    # Base-strip rejects past R, resolved together: 20,000 of them must
     # follow the normal distribution conditioned on x > R (the oracle shares
     # the algorithm, so only a test against the distribution checks it).
     from scipy import stats
 
     R = rng._ZIG_R
-    gen = SplitMix64(0x7A1)
-    tail = np.array([gen._resolve_one(position, 0, R + 1.0, 0) for position in range(20_000)])
+    n = 20_000
+    tail = np.empty(n)
+    SplitMix64(0x7A1)._resolve(0, tail, 1.0, np.arange(n), np.zeros(n, np.int64), np.full(n, R + 1.0))
     assert tail.min() > R
     beyond = math.erfc(R / math.sqrt(2))
     cdf = np.vectorize(lambda x: 1.0 - math.erfc(x / math.sqrt(2)) / beyond)
@@ -366,8 +399,10 @@ def test_wedge_acceptances_follow_the_curve(layer):
     outer, floor = refstream.EDGE[layer], refstream.HEIGHT[layer]
     bound = refstream.BOUND[layer]
     gen = SplitMix64(0x3ED6E + layer)
-    values = [(bound + w % (2**53 - bound)) * rng._WIDTH[layer] for w in gen.raw(5000).tolist()]
-    taken = np.array([x for position, x in enumerate(values) if gen._resolve_one(position, layer, x, 0) == x])
+    values = np.array([(bound + w % (2**53 - bound)) * rng._WIDTH[layer] for w in gen.raw(5000).tolist()])
+    resolved = np.empty(values.size)
+    gen._resolve(0, resolved, 1.0, np.arange(values.size), np.full(values.size, layer), values)
+    taken = values[resolved == values]
     assert taken.size > 2000 and inner <= taken.min() and taken.max() <= outer
 
     def area(x):

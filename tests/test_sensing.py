@@ -434,7 +434,8 @@ def test_the_scaled_draws_reject_at_block_edges_and_take_every_step(monkeypatch,
 )
 def test_a_draw_of_two_to_the_twenty_resolves_its_rejects_in_one_round(monkeypatch, draw):
     # Each array round has a fixed cost of about 40 us, so the 4,500 or so
-    # rejected words of an mc-dense operator's draw go in one.
+    # rejected words of an mc-dense operator's draw go to _resolve in one
+    # chunk, whose first round takes them all.
     rounds = []
     resolve = SplitMix64._resolve
 

@@ -113,8 +113,8 @@ def test_random_sweeps_emit_the_same_bytes_at_any_thread_count(sweep):
 
 def test_large_gaussian_batch_emits_the_same_bytes_at_any_thread_count():
     # Each trial draws a 2**20-variate operator over 32 blocks, with
-    # thousands of rejected words resolved on arrays and in Python; at 2 and
-    # 3 threads pool workers draw at once.
+    # thousands of rejected words resolved in array rounds, one per attempt;
+    # at 2 and 3 threads pool workers draw at once.
     cfg = bench.TrialConfig("omp", "gaussian", 512, 2048, 32, 3, 7).validate()
     assert cfg.m * cfg.N == 32 * rng._BLOCK
     serial = batch_bytes(cfg, 1)
