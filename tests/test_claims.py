@@ -35,14 +35,14 @@ def test_cosamp_recovers_at_least_as_often_as_romp_in_every_cell(grid):
     assert not behind, f"(m, s): (CoSaMP, ROMP) successes out of 40: {behind}"
 
 
-def test_median_bound_ratios_under_sigma_noise_are_finite(record_property):
+def test_median_bound_ratios_under_sigma_noise_are_finite(record_testsuite_property):
     # CoSaMP's stability bound against ROMP's: the median of each trial's
     # l2 error over (tail term + noise norm) on the A1 instances with
     # sigma = 0.01 noise.  Reported, not bounded: one seed shows no spread.
     for algorithm in ("romp", "cosamp"):
         cfg = TrialConfig(algorithm, "gaussian", 128, 256, 8, 100, 2026, noise_mode="sigma", noise_level=0.01)
         median = statistics.median(r.bound_ratio for r in run_trials(cfg))
-        record_property(f"{algorithm}_median_bound_ratio", median)
+        record_testsuite_property(f"{algorithm}_median_bound_ratio", median)
         assert math.isfinite(median) and median > 0.0
 
 
