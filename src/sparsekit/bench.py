@@ -36,8 +36,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import SolverFailure, UsageError
-from .linalg import check_integer, l2_norm
+from .errors import SolverFailure, UsageError, check_integer
+from .linalg import l2_norm
 from .pursuit import DEFAULT_COSAMP_MAX_ITER, RecoveryResult, check_halting, cosamp, omp, romp, sparsity_problem
 from .rng import derive_seed
 from .sensing import Ensemble, _shared_draw, as_ensemble, check_dense_size, make_operator, shape_problem
@@ -144,8 +144,10 @@ class TrialConfig:
         check_halting(self.eta, self.max_iter)
 
     def _shape_problem(self) -> Optional[str]:
-        """The (m, N, s) rule this config breaks, or None: ``shape_problem``, then ``sparsity_problem``."""
-        return shape_problem(self.m, self.N) or sparsity_problem(self.algorithm, self.m, self.s)
+        """The (m, N, s) rule this config breaks, or None: ``shape_problem``, then
+        ``sparsity_problem``.  Both run, so a malformed m, N or s raises ``UsageError``."""
+        shape, sparsity = shape_problem(self.m, self.N), sparsity_problem(self.algorithm, self.m, self.s)
+        return shape or sparsity
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -404,8 +406,9 @@ def phase_sweep(
     s > m, 3s > m for CoSaMP, or an OMP or ROMP Gram factor over the size
     cap) are emitted with ``None`` statistics rather than being skipped,
     so the grid shape of the output is always
-    ``len(m_values) * len(s_values)``.  An N, m or s below 1 is malformed
-    input and raises ``UsageError`` before the first trial.
+    ``len(m_values) * len(s_values)``.  An N, m or s that is not an integer
+    >= 1 is malformed input, and the shape rules raise ``UsageError`` for
+    it before the first trial.
     The live cells run trial-major (``_run_trial_major``), which validates
     them and ``threads`` before the first trial: one dense draw of the
     largest live m per trial index serves every cell, and each cell's
@@ -416,11 +419,6 @@ def phase_sweep(
     m_values, s_values = list(m_values), list(s_values)
     if not m_values or not s_values:
         raise UsageError("sweep needs at least one m and one s value")
-    if N < 1 or min(m_values) < 1 or min(s_values) < 1:
-        raise UsageError(
-            f"sweep needs N and every m and s at least 1, got N={N}, "
-            f"m_values={m_values}, s_values={s_values}"
-        )
     base = TrialConfig(
         algorithm, ensemble, m_values[0], N, s_values[0], trials_per_cell, master_seed,
         noise_mode=noise_mode, noise_level=noise_level, eta=eta, eta_rel=eta_rel,
@@ -488,7 +486,7 @@ def compressible_scaling(
     run trial-major like ``phase_sweep``: m is fixed, so one operator draw
     per trial index serves every s.
     """
-    s_values = list(s_values)
+    s_values = [check_integer("sparsity", s, 1) for s in s_values]
     if not s_values:
         raise UsageError("scaling needs at least one s value")
     if s_values != sorted(set(s_values)):
@@ -499,7 +497,7 @@ def compressible_scaling(
     )
     batches = _run_trial_major([replace(base, s=s) for s in s_values], threads)
     rows = [
-        {"s": int(s), "trials": trials, "median_l2_error": summarize(records)["median_l2_error"]}
+        {"s": s, "trials": trials, "median_l2_error": summarize(records)["median_l2_error"]}
         for s, records in zip(s_values, batches)
     ]
     medians = [row["median_l2_error"] for row in rows]

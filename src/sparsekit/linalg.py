@@ -29,12 +29,11 @@ norm and inner product in the package goes through ``dot`` or ``l2_norm``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverFailure, UsageError
+from .errors import SolverFailure, UsageError, check_integer, check_real
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_LS_TOL = 1e-10
@@ -79,24 +78,6 @@ def l2_norm(v) -> float:
     return math.sqrt(dot(v, v))
 
 
-def check_integer(name: str, value, low=None, high=None) -> None:
-    """Refuse a ``value`` that is not an integer in ``[low, high]``; a bool is not one."""
-    malformed = isinstance(value, bool) or not isinstance(value, (int, np.integer))
-    if malformed or (low is not None and value < low) or (high is not None and value > high):
-        limits = [f" at {word} {limit}" for word, limit in (("least", low), ("most", high)) if limit is not None]
-        raise UsageError(f"{name} must be an integer{' and'.join(limits)}, got {value!r}")
-
-
-def check_real(name: str, value, *, positive: bool = False) -> None:
-    """Refuse a ``value`` that is not a finite real ``>= 0``, or ``> 0`` if ``positive``; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float first: ABCs are slow
-        raise UsageError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise UsageError(f"{name} must be finite, got {value!r}")
-    if value < 0 or (positive and value == 0):
-        raise UsageError(f"{name} must be {'positive' if positive else 'non-negative'}, got {value!r}")
-
-
 def largest_indices(values, k: int) -> np.ndarray:
     """Positions of the ``k`` largest-magnitude entries, ascending.
 
@@ -110,9 +91,8 @@ def largest_indices(values, k: int) -> np.ndarray:
     then does the selection rank the NaNs and partition.
     """
     v = as_values(values)
-    check_integer("k", k, 0)
     n = v.shape[0]
-    k = min(int(k), n)  # a numpy uint64 k would make k - count a float
+    k = min(check_integer("k", k, 0), n)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     magnitude = np.abs(v)

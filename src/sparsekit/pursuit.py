@@ -18,18 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import SolverFailure, UsageError
-from .linalg import (
-    DEFAULT_LS_TOL,
-    GramFactor,
-    as_vector,
-    check_integer,
-    check_real,
-    embed,
-    l2_norm,
-    largest_indices,
-    restricted_least_squares,
-)
+from .errors import SolverFailure, UsageError, check_integer, check_real
+from .linalg import DEFAULT_LS_TOL, GramFactor, as_vector, embed, l2_norm, largest_indices, restricted_least_squares
 from .sensing import MAX_DENSE_ENTRIES
 
 # CoSaMP declares the support stalled when it repeats and the residual
@@ -82,12 +72,10 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     they can reach (``s`` for OMP, ``min(3s - 1, m)`` for ROMP) holds its
     ``k`` columns of length ``m`` and a ``k x k`` inverse factor; those
     ``k*m + k*k`` entries may not exceed ``sensing.MAX_DENSE_ENTRIES``.
-    The operator's shape is not part of the rule.  A non-integral ``s`` is
-    malformed input, not a shape, and raises ``UsageError``.
+    The operator's shape is not part of the rule.  An ``s`` that is not an
+    integer >= 1 is malformed input, not a shape, and raises ``UsageError``.
     """
-    check_integer("sparsity", s)
-    if s < 1:
-        return f"sparsity must be at least 1, got {s}"
+    s = check_integer("sparsity", s, 1)
     if algorithm == "cosamp":
         if 3 * s > m:
             return f"cosamp needs 3*s <= m, got s={s}, m={m}"
@@ -105,10 +93,11 @@ def sparsity_problem(algorithm: str, m: int, s) -> Optional[str]:
     return None
 
 
-def check_halting(eta, max_iter) -> None:
-    """Refuse CoSaMP's halting rule unless ``eta`` is a finite real >= 0 and ``max_iter`` an integer >= 1."""
-    check_real("eta", eta)
+def check_halting(eta, max_iter) -> float:
+    """``eta`` as a float; refuse CoSaMP's halting rule unless ``eta`` is a finite real >= 0 and ``max_iter`` an integer >= 1."""
+    eta = check_real("eta", eta)
     check_integer("max_iter", max_iter, 1)
+    return eta
 
 
 def _checked(algorithm: str, op, u, s) -> np.ndarray:
@@ -352,9 +341,7 @@ def cosamp(
     costs a forward/adjoint pair per CG step and nothing else.
     """
     u = _checked("cosamp", op, u, s)
-    check_halting(eta, max_iter)
-    # As a Python float: a numpy float32 eta would keep ls_tol in float32.
-    eta = float(eta)
+    eta = check_halting(eta, max_iter)
 
     def select(proxy, support):
         picks = largest_indices(proxy, 2 * s)

@@ -62,20 +62,16 @@ the tests' pure-Python reference:
 from __future__ import annotations
 
 import math
-import numbers
-import operator
-import sys
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import check_integer, check_real
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
-_MAX_DOUBLE = sys.float_info.max
 
 # The array path's constants and shift counts as uint64 scalars, built once:
 # rebuilt on every call, they were about a third of a small draw's cost.
@@ -139,26 +135,13 @@ def derive_seed(master_seed: int, *parts: int) -> int:
     folded in unmixed, it gave ``derive_seed(5, i) == derive_seed(7, i ^ 6)``
     for every ``i``, so masters 5 and 7 ran the same trials in another
     order.  Used for per-trial seeds and per-stream seeds inside a trial.
-    Numpy integers give the bits of their Python values.
+    The master and every part pass ``check_integer``: numpy integers give
+    the bits of their Python values, and a bool is not an integer.
     """
-    h = mix64(operator.index(master_seed) + _GAMMA)
+    h = mix64(check_integer("master_seed", master_seed) + _GAMMA)
     for part in parts:
-        h = mix64(((h + _GAMMA) & _MASK64) ^ (operator.index(part) & _MASK64))
+        h = mix64(((h + _GAMMA) & _MASK64) ^ (check_integer("seed part", part) & _MASK64))
     return h
-
-
-def _checked_scale(scale) -> float:
-    """``scale`` as a float; ``UsageError`` unless it is a finite real > 0 (a bool is not one)."""
-    if isinstance(scale, bool) or not isinstance(scale, (float, numbers.Real)) or not 0 < scale <= _MAX_DOUBLE:
-        raise UsageError(f"scale must be a finite real number > 0, got {scale!r}")
-    return float(scale)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; ``UsageError`` unless it is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _mix64_array(z: np.ndarray, shifted: np.ndarray, *, top_bit_only: bool = False) -> np.ndarray:
@@ -200,12 +183,13 @@ class SplitMix64:
     ``normal`` adds a block's reject mask (32 KiB), the positions, layers
     and unscaled values of its rejected words (0.43 % of the draw, 24 bytes
     each) and, for resolving up to ``_RESOLVE_CHUNK`` (8192) of them at a
-    time, about 115 bytes of arrays a word.  Counts and seeds are integers;
-    a bool is not one.
+    time, about 115 bytes of arrays a word.  Every seed, count and scale
+    passes the package's rules, ``errors.check_integer`` (a bool is not an
+    integer) and ``errors.check_real``, before any position is used.
     """
 
     def __init__(self, seed: int):
-        self._seed = _integer("seed", seed) & _MASK64
+        self._seed = check_integer("seed", seed) & _MASK64
         self._position = 0
 
     @property
@@ -213,11 +197,8 @@ class SplitMix64:
         return self._position
 
     def _take(self, n: int) -> int:
-        """Consume ``n`` positions; returns the first.  The position stays a
-        Python integer, so a numpy ``n`` cannot overflow the seed arithmetic."""
-        n = _integer("draw count", n)
-        if n < 0:
-            raise UsageError("draw count must be non-negative")
+        """Consume ``n`` positions; returns the first."""
+        n = check_integer("draw count", n, 0)
         start = self._position
         self._position += n
         return start
@@ -251,7 +232,7 @@ class SplitMix64:
         are then resolved together, so a large draw pays the fixed cost of
         resolving them once.
         """
-        scale = _checked_scale(scale)
+        scale = check_real("scale", scale, positive=True)
         start = self._take(n)
         if n <= _WORDWISE:
             out, found = [], []
@@ -277,7 +258,7 @@ class SplitMix64:
     def signs(self, n: int, *, scale: float = 1.0) -> np.ndarray:
         """``n`` equiprobable +-1.0 values (top bit of each word), each times
         ``scale``: the bits of ``signs(n) * scale``."""
-        negative = np.float64(-_checked_scale(scale)).view(np.uint64)
+        negative = np.float64(-check_real("scale", scale, positive=True)).view(np.uint64)
         start = self._take(n)
         out = np.empty(n)
         self._fill(out, start, self._signs_block, negative)
@@ -376,18 +357,15 @@ class SplitMix64:
 
         Partial Fisher-Yates: uniform over size-k subsets.
         """
-        population, k = _integer("population", population), _integer("k", k)
-        if not 0 <= k <= population:
-            raise UsageError("need 0 <= k <= population")
+        population = check_integer("population", population, 0)
+        k = check_integer("k", k, 0, population)
         picked, _ = self._fisher_yates(population, k)
         picked.sort()
         return picked
 
     def permutation(self, n: int) -> np.ndarray:
         """Full Fisher-Yates permutation of [0, n)."""
-        n = _integer("draw count", n)  # a numpy uint64 0 would wrap n - 1
-        if n < 0:
-            raise UsageError("draw count must be non-negative")
+        n = check_integer("draw count", n, 0)
         order, leftover = self._fisher_yates(n, max(n - 1, 0))
         # Last comes the one entry no step picked.
         return np.append(order, leftover) if n > 0 else order

@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
-from .linalg import as_support, as_values, as_vector, check_integer, embed, l2_norm
+from .errors import UsageError, check_integer
+from .linalg import as_support, as_values, as_vector, embed, l2_norm
 from .rng import SplitMix64
 
 
@@ -229,10 +229,9 @@ class _PartialDctOperator(SenseOperator):
 
 
 def shape_problem(m, N) -> Optional[str]:
-    """The rule ``1 <= m <= N`` this shape breaks, or None; a non-integer m or N raises ``UsageError``."""
-    check_integer("m", m)
-    check_integer("N", N)
-    return None if 1 <= m <= N else f"need 1 <= m <= N, got m={m}, N={N}"
+    """The rule ``m <= N`` this shape breaks, or None; an m or N that is not an integer >= 1 raises ``UsageError``."""
+    m, N = check_integer("m", m, 1), check_integer("N", N, 1)
+    return None if m <= N else f"need 1 <= m <= N, got m={m}, N={N}"
 
 
 def _draw(kind: Ensemble, m: int, N: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -279,14 +278,10 @@ def check_dense_size(ensemble, m: int, N: int) -> None:
     """Raise ``UsageError`` when an operator of this shape needs arrays of
     more than ``MAX_DENSE_ENTRIES`` entries: the m * N entries of a
     Gaussian or Bernoulli operator, or the length-N vectors of a partial-DCT
-    one.  ``m`` and ``N`` must be integers; whether ``m <= N`` is not checked."""
+    one.  ``m`` and ``N`` must be integers >= 1; whether ``m <= N`` is not checked."""
     kind = as_ensemble(ensemble)
-    shape_problem(m, N)
-    if kind is Ensemble.PARTIAL_DCT:
-        entries, what = N, "works on vectors of"
-    else:
-        # As Python integers: a product of two numpy int32 sizes can wrap.
-        entries, what = int(m) * int(N), "holds"
+    m, N = check_integer("m", m, 1), check_integer("N", N, 1)
+    entries, what = (N, "works on vectors of") if kind is Ensemble.PARTIAL_DCT else (m * N, "holds")
     if entries > MAX_DENSE_ENTRIES:
         raise UsageError(
             f"a {kind.value} operator with m={m}, N={N} {what} {entries} entries, "

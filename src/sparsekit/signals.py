@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
-from .linalg import as_support, as_vector, check_integer, check_real, embed, l2_norm, largest_indices
+from .errors import UsageError, check_integer, check_real
+from .linalg import as_support, as_vector, embed, l2_norm, largest_indices
 from .rng import SplitMix64
 
 
@@ -70,8 +70,7 @@ def check_scale(name: str, value, positive: bool = False) -> None:
     2**70 * MAX_SCALE**4 = 2**582, ||u|| is at most 2**291, and CoSaMP's
     ``eta = eta_rel * ||u||`` stays below 2**419.
     """
-    check_real(name, value, positive=positive)
-    if float(value) > MAX_SCALE:  # a numpy float32 would overflow casting MAX_SCALE
+    if check_real(name, value, positive=positive) > MAX_SCALE:
         raise UsageError(f"{name} must be at most 2**128 (signals.MAX_SCALE), got {value!r}")
 
 
@@ -164,9 +163,8 @@ def measure(op, x, mode: str = "none", level: float = 0.0, seed: int = 0):
     if mode not in ("none", "fixed", "sigma"):
         raise UsageError(f"unknown noise mode {mode!r}")
     # Not capped: run_trial resolves a fixed_rel level past MAX_SCALE.
-    check_real("noise_level", level)
+    level = check_real("noise_level", level)
     check_integer("seed", seed)
-    level = float(level)
     values = _signal_values(x)
     clean = op.forward(values)
     m = clean.size

@@ -9,13 +9,13 @@ import io
 import math
 import statistics
 import time
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from oracle_pursuit import brute_force_regularize, comparable
 from refstream import index_below, word
 from sparsekit.bench import TrialConfig, compressible_scaling, run_trial, run_trials, trial_seeds, trials_report, render_json, write_trials_csv
 from sparsekit.cli import main as cli_main
@@ -161,25 +161,6 @@ def test_a4_error_is_linear_in_envelope_magnitude(a4_scaling):
 # -------------------------------------------------- A5: regularizer oracle
 
 
-def _comparable(mags):
-    return max(mags) <= 2.0 * min(mags)
-
-
-def _exhaustive_window(values):
-    best, best_key = None, None
-    for size in range(1, len(values) + 1):
-        for subset in combinations(range(len(values)), size):
-            mags = [abs(values[i]) for i in subset]
-            if not _comparable(mags):
-                continue
-            energy = sum(m * m for m in mags)
-            largest = min(subset, key=lambda i: (-abs(values[i]), i))
-            key = (-energy, largest)
-            if best_key is None or key < best_key:
-                best_key, best = key, set(subset)
-    return best
-
-
 def test_a5_regularizer_equals_exhaustive_search():
     rng = SplitMix64(707)
     for trial in range(1000):
@@ -191,8 +172,8 @@ def test_a5_regularizer_equals_exhaustive_search():
             values = np.sign(values) * np.maximum(np.round(np.abs(values) * 4) / 4, 0.25)
         window = romp_regularize(values)
         picked = set(int(i) for i in window)
-        assert _comparable([abs(values[i]) for i in picked])
-        assert picked == _exhaustive_window(values.tolist()), values.tolist()
+        assert comparable([abs(values[i]) for i in picked])
+        assert picked == brute_force_regularize(values.tolist()), values.tolist()
 
 
 # -------------------------------------------------- A6: solver oracle

@@ -178,10 +178,10 @@ def test_non_integer_sparsity_is_refused_before_any_apply(algorithm):
     op = make_operator("gaussian", 32, 64, seed=7)
     u = op.forward(gen_sparse(64, 2, seed=8).values)
     applied = op.matvec_count
-    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+    with pytest.raises(UsageError, match="sparsity must be an integer at least 1, got 2.5"):
         PURSUITS[algorithm](op, u, 2.5)
     assert op.matvec_count == applied
-    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+    with pytest.raises(UsageError, match="sparsity must be an integer at least 1, got 2.5"):
         TrialConfig(algorithm, "gaussian", 32, 64, 2.5, 2, 7).validate()
     # numpy integers are integers.
     PURSUITS[algorithm](op, u, np.int64(2))
@@ -488,7 +488,7 @@ def test_run_trials_is_the_one_config_case(monkeypatch, threads, ensemble):
 
 @pytest.mark.parametrize("m_values, s_values", [([0, 16], [2]), ([16], [2, -1]), ([-5, 80], [0])])
 def test_phase_sweep_rejects_counts_below_one(sweep_calls, m_values, s_values):
-    with pytest.raises(UsageError, match="every m and s at least 1"):
+    with pytest.raises(UsageError, match=r"^(m|sparsity) must be an integer at least 1, got -?\d+$"):
         phase_sweep(
             64, m_values=m_values, s_values=s_values, ensemble="gaussian", algorithm="omp",
             trials_per_cell=2, master_seed=1,
@@ -505,7 +505,7 @@ def test_phase_sweep_rejects_counts_below_one(sweep_calls, m_values, s_values):
 @pytest.mark.parametrize("N", [0, -5])
 def test_phase_sweep_rejects_n_below_one(sweep_calls, N):
     # Every cell would break m <= N and read NA; the grid is malformed input.
-    with pytest.raises(UsageError, match=f"N and every m and s at least 1, got N={N}"):
+    with pytest.raises(UsageError, match=f"N must be an integer at least 1, got {N}"):
         phase_sweep(
             N, m_values=[16], s_values=[2], ensemble="gaussian", algorithm="omp",
             trials_per_cell=2, master_seed=1,
@@ -514,11 +514,40 @@ def test_phase_sweep_rejects_n_below_one(sweep_calls, N):
 
 
 def test_phase_sweep_rejects_non_integer_sparsity(sweep_calls):
-    with pytest.raises(UsageError, match="sparsity must be an integer, got 2.5"):
+    with pytest.raises(UsageError, match="sparsity must be an integer at least 1, got 2.5"):
         phase_sweep(
             64, m_values=[16], s_values=[2, 2.5], ensemble="gaussian", algorithm="omp",
             trials_per_cell=2, master_seed=1,
         )
+    assert sweep_calls == []
+
+
+@pytest.mark.parametrize(
+    "N, m_values, s_values, message",
+    [("64", [16], [2], "N must be an integer at least 1, got '64'"),
+     (64, ["16"], [2], "m must be an integer at least 1, got '16'"),
+     (64, [16], [None], "sparsity must be an integer at least 1, got None"),
+     (64, [80], [-1], "sparsity must be an integer at least 1, got -1")],
+    ids=["text-N", "text-m", "none-s", "bad-s-beside-m-past-N"],
+)
+def test_phase_sweep_refuses_a_malformed_size_before_any_trial(sweep_calls, N, m_values, s_values, message):
+    # The first three raised TypeError from a comparison; the last cell's
+    # m > N is a shape the sweep reads as NA, but its s is malformed input.
+    with pytest.raises(UsageError, match=message):
+        phase_sweep(
+            N, m_values=m_values, s_values=s_values, ensemble="gaussian", algorithm="omp",
+            trials_per_cell=2, master_seed=1,
+        )
+    assert sweep_calls == []
+
+
+@pytest.mark.parametrize(
+    "s_values, message", [([None, 4], "got None"), ([4, "x"], "got 'x'"), ([0, 4], "got 0")], ids=["none", "text", "zero"]
+)
+def test_compressible_scaling_refuses_a_malformed_s_before_any_trial(sweep_calls, s_values, message):
+    # None and 'x' raised TypeError inside the strictly-increasing check.
+    with pytest.raises(UsageError, match=f"sparsity must be an integer at least 1, {message}"):
+        compressible_scaling(64, 32, 0.5, 1.0, s_values, "gaussian", "omp", 2, 7)
     assert sweep_calls == []
 
 

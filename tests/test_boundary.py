@@ -2,18 +2,21 @@
 exit code 2 with nothing on stdout from the CLI, before any random draw,
 operator build or apply."""
 
+import fractions
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsekit
 from sparsekit import bench, cli, sensing, signals
 from sparsekit.bench import TrialConfig, run_trials
-from sparsekit.errors import UsageError
+from sparsekit.errors import UsageError, check_integer, check_real
 from sparsekit.linalg import largest_indices
 from sparsekit.pursuit import omp, romp, sparsity_problem
 from sparsekit.sensing import empirical_ric, make_operator
@@ -303,3 +306,32 @@ def test_compressible_scaling_refuses_a_truncate_that_is_no_boolean(monkeypatch)
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)], ids=repr)
 def test_a_boolean_signal_truncate_is_accepted(value):
     TrialConfig(**dict(COMPRESSIBLE, signal_truncate=value)).validate()
+
+
+# ------------------------------------------------- one home for the scalar rules
+
+
+def test_every_scalar_type_rule_lives_in_errors():
+    # What counts as an integer or a real is decided by errors.check_integer
+    # and errors.check_real alone, so no layer can drift from the others.
+    for path in sorted(pathlib.Path(sparsekit.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            text = path.read_text(encoding="utf-8")
+            assert not any(rule in text for rule in ("np.integer", "numbers.Real", "operator.index")), path.name
+
+
+@pytest.mark.parametrize("value", [7, np.int32(7), np.uint64(7)], ids=repr)
+def test_check_integer_returns_a_python_int(value):
+    checked = check_integer("n", value, 0, 7)
+    assert type(checked) is int and checked == 7
+
+
+@pytest.mark.parametrize("value", [0.5, np.float32(0.5), np.float64(0.5), fractions.Fraction(1, 2)], ids=repr)
+def test_check_real_returns_a_python_float(value):
+    checked = check_real("x", value, positive=True)
+    assert type(checked) is float and checked == 0.5
+
+
+def test_check_real_refuses_an_integer_past_the_largest_double():
+    with pytest.raises(UsageError, match="x must be finite"):
+        check_real("x", 10**400)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -451,7 +452,7 @@ def test_sweep_rejects_counts_below_one_before_any_work(refuse_work, capsys, m_v
     )
     assert code == 2
     assert out == ""
-    assert "every m and s at least 1" in err
+    assert re.fullmatch(r"error: (m|sparsity) must be an integer at least 1, got -?\d+\n", err)
 
 
 @pytest.mark.parametrize("N", ["0", "-5"])
@@ -461,7 +462,7 @@ def test_sweep_rejects_n_below_one_before_any_work(refuse_work, capsys, N):
     )
     assert code == 2
     assert out == ""
-    assert f"got N={N}" in err
+    assert f"N must be an integer at least 1, got {N}" in err
 
 
 @pytest.mark.parametrize(

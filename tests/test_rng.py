@@ -23,23 +23,30 @@ def test_matches_reference_stream():
 @pytest.mark.parametrize(
     "draw, message",
     [
-        (lambda gen: gen.raw(-1), "draw count must be non-negative"),
-        (lambda gen: gen.normal(-1), "draw count must be non-negative"),
-        (lambda gen: gen.signs(-2), "draw count must be non-negative"),
-        (lambda gen: gen.choose_without_replacement(5, 6), "need 0 <= k <= population"),
-        (lambda gen: gen.choose_without_replacement(5, -1), "need 0 <= k <= population"),
-        (lambda gen: gen.permutation(-3), "draw count must be non-negative"),
-        (lambda gen: gen.normal(True), "draw count must be an integer, got True"),
-        (lambda gen: gen.raw(True), "draw count must be an integer, got True"),
-        (lambda gen: gen.signs(2.0), "draw count must be an integer, got 2.0"),
-        (lambda gen: gen.choose_without_replacement(10, True), "k must be an integer, got True"),
-        (lambda gen: gen.permutation(True), "draw count must be an integer, got True"),
+        (lambda gen: gen.raw(-1), "draw count must be an integer at least 0, got -1"),
+        (lambda gen: gen.normal(-1), "draw count must be an integer at least 0, got -1"),
+        (lambda gen: gen.signs(-2), "draw count must be an integer at least 0, got -2"),
+        (lambda gen: gen.choose_without_replacement(5, 6), "k must be an integer at least 0 and at most 5, got 6"),
+        (lambda gen: gen.choose_without_replacement(5, -1), "k must be an integer at least 0 and at most 5, got -1"),
+        (lambda gen: gen.permutation(-3), "draw count must be an integer at least 0, got -3"),
+        (lambda gen: gen.normal(True), "draw count must be an integer at least 0, got True"),
+        (lambda gen: gen.raw(True), "draw count must be an integer at least 0, got True"),
+        (lambda gen: gen.signs(2.0), "draw count must be an integer at least 0, got 2.0"),
+        (lambda gen: gen.choose_without_replacement(10, True), "k must be an integer at least 0 and at most 10, got True"),
+        (lambda gen: gen.permutation(True), "draw count must be an integer at least 0, got True"),
         (lambda gen: SplitMix64(1.5), "seed must be an integer, got 1.5"),
         (lambda gen: SplitMix64(True), "seed must be an integer, got True"),
+        # A derived seed takes its master and parts by the same rule: True
+        # gave the seed of 1, and 1.5 or None raised TypeError.
+        (lambda gen: derive_seed(True), "master_seed must be an integer, got True"),
+        (lambda gen: derive_seed(1.5), "master_seed must be an integer, got 1.5"),
+        (lambda gen: derive_seed(7, None), "seed part must be an integer, got None"),
+        (lambda gen: derive_seed(7, 3, True), "seed part must be an integer, got True"),
     ],
     ids=[
         "raw", "normal", "signs", "k-past-population", "negative-k", "negative-permutation", "bool-normal",
         "bool-raw", "float-signs", "bool-k", "bool-permutation", "float-seed", "bool-seed",
+        "bool-master", "float-master", "none-part", "bool-part",
     ],
 )
 def test_a_draw_refuses_a_count_it_cannot_take(draw, message):
@@ -119,6 +126,12 @@ def test_derive_seed_sensitivity():
     assert derive_seed(2025, 0) != base
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert 0 <= derive_seed(2024, 7) <= MASK
+
+
+def test_derive_seed_takes_numpy_integers_by_their_bits():
+    want = refstream.reference_derive_seed(MASK, -3, 2**63, 0x5A16)
+    assert derive_seed(MASK, -3, 2**63, 0x5A16) == want
+    assert derive_seed(np.uint64(MASK), np.int64(-3), np.uint64(2**63), np.int32(0x5A16)) == want
 
 
 def test_mix64_is_masked():
@@ -331,7 +344,7 @@ def test_a_scaled_draw_has_the_bits_of_the_draw_times_the_scale(monkeypatch, met
 def test_a_draw_refuses_a_scale_that_is_not_a_finite_positive_real(method, n, scale):
     gen = SplitMix64(1)
     gen.raw(3)
-    with pytest.raises(UsageError, match="scale must be a finite real number > 0"):
+    with pytest.raises(UsageError, match="scale must be (a real number|finite|positive), got"):
         getattr(gen, method)(n, scale=scale)
     assert gen.position == 3
 
